@@ -1,11 +1,10 @@
 //! The constraint encoder: Tseitin for gates, native GF(2) for parity.
 
-use gf2::BitVec;
 use netlist::{Circuit, GateKind, NetId};
 use satsolver::{Constraint, Lit, Solver, XorClause};
 
-/// How the encoder emits parity structure (`xor2`, `parity`,
-/// `linear_form`, and XOR/XNOR gates).
+/// How the encoder emits parity structure (`xor2`, `parity`, and XOR/XNOR
+/// gates).
 ///
 /// [`Native`](XorMode::Native) keeps parity linear: one definition
 /// variable and one [`XorClause`] per constraint, handled by the solver's
@@ -263,23 +262,6 @@ impl Encoder {
         }
     }
 
-    /// A literal equal to `row · lits` over GF(2): the XOR of every literal
-    /// whose row bit is set.
-    ///
-    /// This is how the attack turns a [`lfsr::SymbolicLfsr`] keystream row
-    /// into a mask literal over the seed variables.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row.len() != lits.len()`.
-    ///
-    /// [`lfsr::SymbolicLfsr`]: https://docs.rs/lfsr
-    pub fn linear_form(&mut self, lits: &[Lit], row: &BitVec) -> Lit {
-        assert_eq!(lits.len(), row.len(), "row width must match literal count");
-        let selected: Vec<Lit> = row.iter_ones().map(|i| lits[i]).collect();
-        self.parity(&selected)
-    }
-
     /// A literal equal to the AND of `lits`, after folding constants.
     fn and_many(&mut self, lits: &[Lit]) -> Lit {
         let mut kept = Vec::with_capacity(lits.len());
@@ -390,7 +372,7 @@ impl Encoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gf2::{Rng64, SplitMix64};
+    use gf2::{BitVec, Rng64, SplitMix64};
     use netlist::generator::{s208_like, GeneratorConfig};
     use satsolver::SolveResult;
     use sim::Evaluator;
@@ -464,8 +446,11 @@ mod tests {
             let lits = enc.fresh_many(9);
             let mut rng = SplitMix64::new(5);
             for _ in 0..12 {
+                // A linear form `row · x` is the parity of the selected
+                // literals.
                 let row = BitVec::random(9, &mut rng);
-                let form = enc.linear_form(&lits, &row);
+                let selected: Vec<Lit> = row.iter_ones().map(|i| lits[i]).collect();
+                let form = enc.parity(&selected);
                 let values: Vec<bool> = (0..9).map(|_| rng.gen_bool()).collect();
                 let mut assumptions = pin(&lits, &values);
                 assumptions.push(form);

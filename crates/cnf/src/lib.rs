@@ -13,12 +13,12 @@
 //! * [`Encoder::comb`] — a whole combinational frame, returning a
 //!   [`CombCone`] with a literal for every driven net (time-unroll a
 //!   sequential circuit by chaining `next_state` into the next call);
-//! * [`Encoder::linear_form`] — `row · x` parities over GF(2), the piece
-//!   that lets the DynUnlock attack express LFSR keystream bits as
-//!   literals over seed variables. Under the default [`XorMode::Native`]
-//!   each form is **one** wide xor constraint handled by the solver's
-//!   GF(2) engine; [`XorMode::Tseitin`] keeps the classical clause
-//!   expansion as a differential reference.
+//! * [`Encoder::parity`] — the XOR of any literals, the piece that lets
+//!   the DynUnlock attack express a dependent mask bit over the free bits
+//!   of the mask basis. Under the default [`XorMode::Native`] each parity
+//!   is **one** wide xor constraint handled by the solver's GF(2) engine;
+//!   [`XorMode::Tseitin`] keeps the classical clause expansion as a
+//!   differential reference.
 //!
 //! Everything is *incremental*: encoding never resets the solver, so DIP
 //! loops keep one warm instance and just keep adding cones and

@@ -18,12 +18,6 @@ fn main() {
     );
     let rows = duharness::run_profiles(&cfg);
     print_rows(&rows);
-    if let Some(first) = rows.first() {
-        println!(
-            "execution shape: {} worker thread(s), {}-lane packed words",
-            first.threads, first.lane_width
-        );
-    }
     let mut reporter = bench::Reporter::new("dynunlock");
     duharness::record(&rows, &mut reporter);
     reporter.finish();

@@ -1,16 +1,23 @@
 //! The DIP loop and seed recovery.
+//!
+//! The search space is the mask basis, not the seed: each of the two
+//! hypotheses is one fresh SAT variable per free mask bit (see
+//! [`model`](crate::model)), and the seed is recovered from the converged
+//! mask values by Gaussian elimination. The miter keeps one difference
+//! literal per scan-out and primary-output bit, and convergence is proved
+//! one output at a time.
 
 use std::fmt;
 use std::time::Duration;
 
 use cnf::{Encoder, XorMode};
-use gf2::BitVec;
+use gf2::{BitVec, Rng64, SplitMix64};
 use netlist::Circuit;
 use satsolver::{Lit, SolverStats};
-use scanlock::LockSpec;
+use scanlock::{LockSpec, LockedScanChip};
 use sim::{Reliable, ScanAccess, ScanChain};
 
-use crate::model::SessionMasks;
+use crate::model::MaskBit;
 use crate::robust::{AttackState, RobustConfig, RobustOutcome};
 
 /// Attack tuning knobs.
@@ -31,11 +38,10 @@ pub struct AttackConfig {
     /// (64+ bits) tractable. [`XorMode::Tseitin`] keeps the classical
     /// clause expansion as a differential reference.
     pub xor_mode: XorMode,
-    /// Certify the final UNSAT answer: re-derive it from a fresh
-    /// proof-logging solver over the exported problem plus the activation
-    /// unit, and verify the emitted DRAT+xor certificate with the
-    /// independent `proofcheck` checker before trusting convergence
-    /// (DESIGN.md §7).
+    /// Certify convergence: re-derive it from a fresh proof-logging
+    /// solver over the verbatim inputs closed by the clause "some output
+    /// differs", and verify the emitted DRAT+xor certificate with the
+    /// independent `proofcheck` checker before trusting it (DESIGN.md §7).
     pub certify: bool,
 }
 
@@ -55,10 +61,11 @@ impl Default for AttackConfig {
 /// A successful unlock.
 #[derive(Debug, Clone)]
 pub struct Unlock {
-    /// The recovered seed. When the session masks span the full seed space
-    /// this is *the* secret; otherwise it is a canonical member of the
-    /// functionally equivalent class (verified against the oracle either
-    /// way).
+    /// The recovered seed: the particular solution of the mask system,
+    /// which is the unique solution at full rank. Mask bits no output
+    /// observes are free, so it can differ from the secret even then; it
+    /// always locks the chip identically at the attacked session shape
+    /// ([`same_class`]; verified against the oracle either way).
     pub seed: BitVec,
     /// DIP iterations until the miter went UNSAT.
     pub dip_iterations: usize,
@@ -137,28 +144,71 @@ impl fmt::Display for AttackError {
 
 impl std::error::Error for AttackError {}
 
-/// One symbolic seed hypothesis: its seed variables and its per-position
-/// mask literals (each a parity of seed variables).
+/// One symbolic mask hypothesis: its per-position mask literals, built
+/// over one fresh variable per free bit of the mask basis.
 #[derive(Debug)]
-pub(crate) struct SeedCopy {
-    pub(crate) vars: Vec<Lit>,
+pub(crate) struct MaskCopy {
     pub(crate) alpha: Vec<Lit>,
     pub(crate) beta: Vec<Lit>,
 }
 
-pub(crate) fn seed_copy(enc: &mut Encoder, width: usize, masks: &SessionMasks) -> SeedCopy {
-    let vars = enc.fresh_many(width);
-    let alpha = masks
-        .alpha
+/// Encodes one hypothesis over the mask basis
+/// ([`SessionMasks::basis`](crate::model::SessionMasks::basis)):
+/// a free bit is its own variable, a dependent bit one parity over free
+/// variables, a zero row constant false.
+pub(crate) fn mask_copy(enc: &mut Encoder, basis: &[MaskBit], cells: usize) -> MaskCopy {
+    let free = basis
         .iter()
-        .map(|row| enc.linear_form(&vars, row))
-        .collect();
-    let beta = masks
-        .beta
+        .filter(|bit| matches!(bit, MaskBit::Free(_)))
+        .count();
+    let vars = enc.fresh_many(free);
+    let mut alpha: Vec<Lit> = basis
         .iter()
-        .map(|row| enc.linear_form(&vars, row))
+        .map(|bit| match bit {
+            MaskBit::Free(i) => vars[*i],
+            MaskBit::Sum(terms) => {
+                let lits: Vec<Lit> = terms.iter().map(|&i| vars[i]).collect();
+                enc.parity(&lits)
+            }
+        })
         .collect();
-    SeedCopy { vars, alpha, beta }
+    let beta = alpha.split_off(cells);
+    MaskCopy { alpha, beta }
+}
+
+/// Whether two seeds lock `circuit` into the same oracle at one session
+/// shape.
+///
+/// This is what a recovered seed promises: mask bits no output observes
+/// are left free, so even a full-rank recovery can differ from the secret
+/// bit for bit (DESIGN.md §6). The check demands equal unload masks `β`
+/// (they XOR straight onto the scan-out, so they are always observable)
+/// and identical answers from chips holding `a` and `b` on `sessions`
+/// random sessions of `captures` captures each.
+pub fn same_class(
+    circuit: &Circuit,
+    chain: &ScanChain,
+    spec: &LockSpec,
+    a: &BitVec,
+    b: &BitVec,
+    captures: usize,
+    sessions: usize,
+) -> bool {
+    let masks = crate::model::session_masks(spec, chain.len(), captures);
+    if masks.mask_values(a).1 != masks.mask_values(b).1 {
+        return false;
+    }
+    let chip =
+        |seed: &BitVec| LockedScanChip::new(circuit, chain.clone(), spec.clone(), seed.clone());
+    let (mut chip_a, mut chip_b) = (chip(a), chip(b));
+    let mut rng = SplitMix64::new(0x5A3E_C1A5_5E55_1075);
+    let num_pis = circuit.inputs().len();
+    (0..sessions).all(|_| {
+        let pattern: Vec<bool> = (0..chain.len()).map(|_| rng.gen_bool()).collect();
+        let pis: Vec<bool> = (0..num_pis).map(|_| rng.gen_bool()).collect();
+        chip_a.query_captures(&pattern, &pis, captures)
+            == chip_b.query_captures(&pattern, &pis, captures)
+    })
 }
 
 /// Encodes one locked session under a seed hypothesis: XOR the load mask
@@ -169,7 +219,7 @@ pub(crate) fn locked_cone(
     enc: &mut Encoder,
     circuit: &Circuit,
     chain: &ScanChain,
-    copy: &SeedCopy,
+    copy: &MaskCopy,
     pattern: &[Lit],
     pis: &[Lit],
     captures: usize,
@@ -201,6 +251,27 @@ pub(crate) fn locked_cone(
     (scan_out, po)
 }
 
+/// The order in which convergence is proved, as indices into the output
+/// bits [`locked_cone`] returns (scan-out positions, then POs): ascending
+/// number of flops in each output's one-frame fan-in cone, ties by index.
+/// Small cones depend on few load-mask bits, so they close cheaply and
+/// their DIPs arrive first.
+pub(crate) fn output_order(circuit: &Circuit, chain: &ScanChain) -> Vec<usize> {
+    let captured = (0..chain.len()).map(|pos| circuit.dffs()[chain.dff_at(pos)].d);
+    let roots: Vec<_> = captured.chain(circuit.outputs().iter().copied()).collect();
+    let mut keyed: Vec<(usize, usize)> = roots
+        .iter()
+        .enumerate()
+        .map(|(i, &net)| {
+            let cone = circuit.fanin_cone(&[net]);
+            let flops = cone.iter().filter(|&&m| circuit.is_dff_output(m)).count();
+            (flops, i)
+        })
+        .collect();
+    keyed.sort_unstable();
+    keyed.into_iter().map(|(_, i)| i).collect()
+}
+
 /// Runs the DynUnlock attack against a scan oracle.
 ///
 /// The attacker knows the netlist, the chain order, and the lock structure
@@ -210,20 +281,24 @@ pub(crate) fn locked_cone(
 ///
 /// The run has three phases:
 ///
-/// 1. **DIP loop** (the SAT attack): two symbolic seed hypotheses drive
-///    two copies of the affine session model over a shared symbolic
-///    stimulus; while the solver can find a stimulus on which the copies
-///    disagree, query the oracle there and constrain both copies to the
-///    observed response. The solver instance stays warm throughout —
-///    every iteration only appends constraints. Under the default
-///    [`XorMode::Native`] the session-mask linear forms land in the
-///    solver's GF(2) engine as single wide xor rows instead of Tseitin
-///    chains, which is what keeps 64+-bit keys tractable.
-/// 2. **Linear phase**: once no distinguishing input exists, read the
-///    session masks off the final model and hand them, as explicit linear
-///    forms of the seed, to [`SeedRecovery`]. Full rank pins the seed
-///    exactly; otherwise every seed in the affine class is functionally
-///    equivalent and a canonical member is returned.
+/// 1. **DIP loop** (the SAT attack): two symbolic mask hypotheses, each
+///    over the free bits of the mask basis, drive two copies of the affine
+///    session model over a shared symbolic stimulus. The outputs are
+///    taken one at a time, smallest structural fan-in first: while the
+///    solver can find a stimulus on which the copies disagree at the
+///    current output, query the oracle there and constrain both copies to
+///    the observed response; once it cannot, that output is closed for
+///    good. The solver instance stays warm throughout — every iteration
+///    only appends constraints. Under the default [`XorMode::Native`] a
+///    dependent mask bit is a single xor row in the solver's GF(2)
+///    engine instead of a Tseitin chain.
+/// 2. **Linear phase**: once every output is closed, read the session
+///    masks off a final model and hand them, as explicit linear forms of
+///    the seed, to [`lfsr::recover::SeedRecovery`]. The seed returned is
+///    the particular solution: the unique seed at full rank, a canonical
+///    member of the functionally equivalent class otherwise. Either way it
+///    may differ from the secret in bits no output observes
+///    ([`same_class`]).
 /// 3. **Verification**: random probe sessions compare a re-locked chip
 ///    under the recovered seed against the oracle bit-for-bit.
 ///
@@ -334,13 +409,18 @@ mod tests {
                 self.certify,
                 "certificate present exactly when requested"
             );
-            // On these dense instances every mask bit reaches an output, so a
-            // full-rank system lands on the secret itself. (In general, full
-            // rank only pins the solver's functionally equivalent model seed —
-            // see tests/lock_roundtrip.rs.)
-            if unlock.nullity == 0 {
-                assert_eq!(unlock.seed, secret, "full-rank recovery is exact here");
-            }
+            assert!(
+                same_class(
+                    self.circuit,
+                    &self.chain,
+                    &spec,
+                    &unlock.seed,
+                    &secret,
+                    self.captures,
+                    1000
+                ),
+                "recovered seed must be in the secret's class"
+            );
             unlock
         }
     }
@@ -381,8 +461,9 @@ mod tests {
 
     #[test]
     fn native_and_tseitin_modes_recover_the_same_lock() {
-        // Same lock attacked under both lowering modes: both must verify,
-        // and on a full-rank instance both must land on the same seed.
+        // Same lock attacked under both lowering modes: both must verify
+        // and land in the same class (each run checks it against the
+        // secret).
         let c = s208_like();
         let native = RoundTrip::new(&c, ScanChain::natural(8), 12, 6, 0xE4).run();
         let tseitin = RoundTrip::new(&c, ScanChain::natural(8), 12, 6, 0xE4)
@@ -390,9 +471,6 @@ mod tests {
             .run();
         assert!(native.verified && tseitin.verified);
         assert_eq!(native.rank, tseitin.rank, "rank is a property of the lock");
-        if native.nullity == 0 {
-            assert_eq!(native.seed, tseitin.seed);
-        }
     }
 
     #[test]
@@ -426,10 +504,19 @@ mod tests {
         let secret = BitVec::from_u64(8, 0x3C);
         let chain = ScanChain::natural(8);
         let mut oracle = LockedScanChip::new(&c, chain.clone(), spec.clone(), secret);
-        let u = unlock(&c, &chain, &spec, &mut oracle, &AttackConfig::default()).unwrap();
+        let cfg = AttackConfig {
+            certify: true,
+            ..AttackConfig::default()
+        };
+        let u = unlock(&c, &chain, &spec, &mut oracle, &cfg).unwrap();
         assert_eq!(u.dip_iterations, 0, "no key gates, no DIPs needed");
         assert_eq!(u.rank, 0);
         assert!(u.verified);
+        // Every mask folds to false, yet the two copies' cones are still
+        // distinct variables: the certificate refutes "some output
+        // differs" from the inputs.
+        let cert = u.certificate.expect("certificate requested");
+        assert!(proofcheck::check_text(&cert.formula, &cert.proof).is_ok());
     }
 
     #[test]

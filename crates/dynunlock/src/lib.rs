@@ -6,19 +6,21 @@
 //! scan session power-on resets the LFSR to the same secret seed, the
 //! masking collapses to *fixed affine masks* — each mask bit an explicit
 //! GF(2) linear form of the seed ([`model`]). The attack ([`attack`])
-//! then runs a standard SAT-attack DIP loop over a symbolic seed
-//! hypothesis pair and finishes with plain Gaussian elimination:
+//! then runs a standard SAT-attack DIP loop over a pair of symbolic mask
+//! hypotheses and finishes with plain Gaussian elimination:
 //!
 //! 1. [`model::session_masks`] — derive the load/unload masks `α`, `β` as
-//!    linear forms of the seed via one symbolic LFSR walk;
-//! 2. [`attack::unlock`] — find distinguishing input patterns with the
-//!    incremental CDCL solver, query the oracle, constrain, repeat until
-//!    no distinguishing input exists;
+//!    linear forms of the seed via one symbolic LFSR walk, and their
+//!    basis — the independent mask rows as free bits, every other mask
+//!    bit as a parity of them;
+//! 2. [`attack::unlock`] — over the free bits, find distinguishing input
+//!    patterns with the incremental CDCL solver one output bit at a time,
+//!    query the oracle, constrain, repeat until no output can differ;
 //! 3. hand the mask values to [`lfsr::recover::SeedRecovery`] and read
 //!    the seed — a functionally equivalent member of the secret's
-//!    equivalence class, and the secret itself whenever every mask bit
-//!    is observable — then verify against the oracle with random probe
-//!    sessions.
+//!    equivalence class ([`attack::same_class`]), and the secret itself
+//!    whenever every mask bit is observable — then verify against the
+//!    oracle with random probe sessions.
 //!
 //! The [`robust`] module lifts the same loop into a fault-tolerant,
 //! resumable state machine: budgeted SAT calls, retry + backoff against
@@ -31,7 +33,7 @@
 //! # Example
 //!
 //! ```
-//! use dynunlock::attack::{unlock, AttackConfig};
+//! use dynunlock::attack::{same_class, unlock, AttackConfig};
 //! use gf2::Xoshiro256;
 //! use lfsr::TapSet;
 //! use netlist::generator::s208_like;
@@ -47,9 +49,9 @@
 //!
 //! let result = unlock(&c, &chain, &spec, &mut oracle, &AttackConfig::default()).unwrap();
 //! assert!(result.verified);
-//! if result.nullity == 0 {
-//!     assert_eq!(result.seed, secret); // exact on this instance
-//! }
+//! // The seed is pinned up to bits no output observes: it locks the chip
+//! // exactly as the secret does.
+//! assert!(same_class(&c, &chain, &spec, &result.seed, &secret, 1, 1000));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -59,7 +61,7 @@ pub mod attack;
 pub mod model;
 pub mod robust;
 
-pub use attack::{unlock, AttackConfig, AttackError, Unlock};
+pub use attack::{same_class, unlock, AttackConfig, AttackError, Unlock};
 pub use model::{session_masks, SessionMasks};
 pub use robust::{
     unlock_robust, AttackState, Checkpoint, CheckpointError, DegradeReason, FaultStats,

@@ -16,15 +16,30 @@
 //! XOR masks, each an explicit GF(2) linear form of the seed. This module
 //! computes those forms with one [`lfsr::SymbolicLfsr`] walk.
 //!
-//! Downstream, the attack hands each form to the encoder as a parity over
-//! the symbolic seed variables. Under the default native xor mode every
-//! form becomes a single GF(2) row in the solver's xor engine — no
-//! Tseitin chain — so the cost of a mask bit is independent of how many
-//! seed bits it touches, and 64+-bit keys stay in reach.
+//! The oracle only ever sees the masks, so the attack never needs the seed
+//! itself while it searches: `SessionMasks::basis` picks the linearly
+//! independent mask rows as free bits and writes every other mask bit as
+//! the XOR of the free bits it depends on. The attack gives each free bit
+//! one SAT variable per hypothesis; a dependent bit becomes one native
+//! parity over free bits (a single GF(2) row in the solver's xor engine
+//! under the default mode), and a zero row folds to constant false. When
+//! the masks are independent no xor rows are left at all. The seed only
+//! comes back in the linear phase, from the converged mask values.
 
-use gf2::BitVec;
+use gf2::{solve_system, BitMatrix, BitVec, LinSolver};
 use lfsr::SymbolicLfsr;
 use scanlock::LockSpec;
+
+/// How one mask bit is expressed over the mask basis
+/// ([`SessionMasks::basis`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum MaskBit {
+    /// A row independent of every earlier row: free basis bit `i`.
+    Free(usize),
+    /// A row in the span of earlier rows: the XOR of these free bits
+    /// (empty for a zero row, which is constant false).
+    Sum(Vec<usize>),
+}
 
 /// The affine masks of one session structure, as linear forms of the seed.
 ///
@@ -51,6 +66,50 @@ impl SessionMasks {
         let a = self.alpha.iter().map(|row| row.dot(seed)).collect();
         let b = self.beta.iter().map(|row| row.dot(seed)).collect();
         (a, b)
+    }
+
+    /// The mask row space as a basis: one entry per mask bit, `alpha`
+    /// rows first, then `beta`.
+    ///
+    /// Rows are scanned in that order and each row independent of the
+    /// rows before it becomes the next free bit (first-come pivots). Every
+    /// other row is the XOR of the free bits it combines. Any assignment
+    /// to the free bits extends to a seed, and every seed induces one, so
+    /// a formula over the free bits describes exactly the masks some seed
+    /// can produce.
+    pub(crate) fn basis(&self) -> Vec<MaskBit> {
+        let rows: Vec<&BitVec> = self.alpha.iter().chain(&self.beta).collect();
+        let Some(width) = rows.first().map(|r| r.len()) else {
+            return Vec::new();
+        };
+        let mut span = LinSolver::new(width);
+        let mut free_rows: Vec<BitVec> = Vec::new();
+        let mut bits: Vec<Option<MaskBit>> = Vec::with_capacity(rows.len());
+        for row in &rows {
+            let independent = span
+                .add_equation((*row).clone(), false)
+                .expect("a homogeneous system is consistent");
+            bits.push(independent.then(|| {
+                free_rows.push((*row).clone());
+                MaskBit::Free(free_rows.len() - 1)
+            }));
+        }
+        // A dependent row r is c·B for the free rows B; B has full row
+        // rank, so Bᵀ·c = r has exactly one solution, and it only uses the
+        // free rows that came before r.
+        let basis_t = BitMatrix::from_rows(free_rows).transpose();
+        bits.into_iter()
+            .zip(rows)
+            .map(|(bit, row)| match bit {
+                Some(free) => free,
+                None if row.is_zero() => MaskBit::Sum(Vec::new()),
+                None => {
+                    let combo = solve_system(&basis_t, row)
+                        .expect("a dependent row lies in the span of the free rows");
+                    MaskBit::Sum(combo.particular.iter_ones().collect())
+                }
+            })
+            .collect()
     }
 }
 
@@ -197,6 +256,95 @@ mod tests {
         }
         for p in 0..3 {
             assert!(!masks.beta[p].is_zero(), "beta[{p}] shifts out through it");
+        }
+    }
+
+    /// Evaluates the basis for concrete free-bit values.
+    fn eval_basis(basis: &[MaskBit], free: &[bool]) -> Vec<bool> {
+        basis
+            .iter()
+            .map(|bit| match bit {
+                MaskBit::Free(i) => free[*i],
+                MaskBit::Sum(terms) => terms.iter().fold(false, |acc, &i| acc ^ free[i]),
+            })
+            .collect()
+    }
+
+    /// The basis describes exactly the masks seeds can produce: from any
+    /// seed it reproduces `mask_values`, and any assignment to its free
+    /// bits extends to a seed. Covered with fewer mask bits than key bits
+    /// (2n < w), about as many (2n ≈ w), and more (2n > w).
+    #[test]
+    fn basis_reproduces_masks_and_free_bits_extend_to_seeds() {
+        let mut rng = SplitMix64::new(0xBA5E);
+        for (cells, width) in [(4, 24), (6, 12), (8, 16), (12, 8), (16, 8), (10, 32)] {
+            for trial in 0..4 {
+                let taps = TapSet::maximal(width).unwrap();
+                let gates = 1 + rng.gen_index(cells);
+                let spec = scanlock::LockSpec::random(taps, cells, gates, &mut rng);
+                let masks = session_masks(&spec, cells, 1 + trial % 2);
+                let basis = masks.basis();
+                assert_eq!(basis.len(), 2 * cells);
+                let rows: Vec<&BitVec> = masks.alpha.iter().chain(&masks.beta).collect();
+                let free_rows: Vec<&BitVec> = basis
+                    .iter()
+                    .zip(&rows)
+                    .filter_map(|(bit, row)| matches!(bit, MaskBit::Free(_)).then_some(*row))
+                    .collect();
+                assert_eq!(
+                    free_rows.len(),
+                    gf2::BitMatrix::from_rows(rows.iter().map(|r| (*r).clone()).collect()).rank(),
+                    "one free bit per dimension of the row space"
+                );
+
+                for _ in 0..8 {
+                    let seed = BitVec::random(width, &mut rng);
+                    let free: Vec<bool> = free_rows.iter().map(|r| r.dot(&seed)).collect();
+                    let (a, b) = masks.mask_values(&seed);
+                    let expect: Vec<bool> = a.into_iter().chain(b).collect();
+                    assert_eq!(eval_basis(&basis, &free), expect, "{cells}x{width}");
+                }
+
+                for _ in 0..8 {
+                    let free: Vec<bool> = (0..free_rows.len()).map(|_| rng.gen_bool()).collect();
+                    let mut solver = LinSolver::new(width);
+                    for (row, &v) in free_rows.iter().zip(&free) {
+                        solver
+                            .add_equation((*row).clone(), v)
+                            .expect("independent rows take any values");
+                    }
+                    let seed = solver.solve().unwrap().particular;
+                    let (a, b) = masks.mask_values(&seed);
+                    let got: Vec<bool> = a.into_iter().chain(b).collect();
+                    assert_eq!(got, eval_basis(&basis, &free), "{cells}x{width}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn basis_pivots_come_first_and_zero_rows_fold() {
+        let taps = TapSet::maximal(8).unwrap();
+        let spec = scanlock::LockSpec::new(
+            taps,
+            vec![scanlock::KeyGate {
+                pos: 3,
+                lfsr_bit: 0,
+            }],
+        )
+        .unwrap();
+        let basis = session_masks(&spec, 6, 1).basis();
+        // alpha[0..3] are zero rows; alpha[3] is the first nonzero row.
+        for bit in &basis[..3] {
+            assert_eq!(*bit, MaskBit::Sum(Vec::new()));
+        }
+        assert_eq!(basis[3], MaskBit::Free(0));
+        let mut next = 0;
+        for bit in &basis {
+            if let MaskBit::Free(i) = bit {
+                assert_eq!(*i, next, "free bits are numbered first-come");
+                next += 1;
+            }
         }
     }
 

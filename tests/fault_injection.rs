@@ -3,18 +3,19 @@
 //!
 //! The headline acceptance test for the fault-tolerance work: a 64-bit-key
 //! attack against a [`FaultyOracle`] with a seeded bit-flip + transient
-//! error schedule must recover the *exact* seed through retry and majority
-//! voting, across a small fixed seed matrix. Alongside it: randomized
-//! fault schedules that stress the retry/vote machinery harder, and
-//! degraded runs that must report honest partial knowledge instead of
-//! fabricating success.
+//! error schedule must recover a full-rank seed equivalent to the secret
+//! through retry and majority voting, across a small fixed seed matrix.
+//! Alongside it: randomized fault schedules that stress the retry/vote
+//! machinery harder, and degraded runs that must report honest partial
+//! knowledge instead of fabricating success.
 
 use std::time::Duration;
 
 use dynunlock_repro::dynunlock::{
-    unlock_robust, AttackConfig, DegradeReason, RetryPolicy, RobustConfig, RobustOutcome,
+    same_class, unlock_robust, AttackConfig, DegradeReason, RetryPolicy, RobustConfig,
+    RobustOutcome,
 };
-use dynunlock_repro::gf2::{Rng64, Xoshiro256};
+use dynunlock_repro::gf2::{BitVec, Rng64, Xoshiro256};
 use dynunlock_repro::lfsr::TapSet;
 use dynunlock_repro::netlist::generator::{s208_like, GeneratorConfig};
 use dynunlock_repro::netlist::Circuit;
@@ -26,7 +27,7 @@ struct Instance {
     circuit: Circuit,
     chain: ScanChain,
     spec: LockSpec,
-    secret: dynunlock_repro::gf2::BitVec,
+    secret: BitVec,
 }
 
 fn instance(key_width: usize, num_gates: usize, seed: u64) -> Instance {
@@ -34,9 +35,10 @@ fn instance(key_width: usize, num_gates: usize, seed: u64) -> Instance {
 }
 
 /// A known-good 64-bit-key instance: the session-mask rows span the full
-/// seed space (rank 64 at two captures), the secret's functional
-/// equivalence class is trivial (recovery is *exact*, not
-/// class-canonical), and the attack converges fast. Each tuple is
+/// seed space (rank 64 at two captures) and the attack converges fast.
+/// Full rank does not make recovery exact: load-mask bits of flops no
+/// output observes stay free, so instances 0 and 2 recover seeds that
+/// differ from the secret yet lock the chip identically. Each tuple is
 /// `(dffs, cgates, kgates, generator_seed, lock_seed)`, found by seeded
 /// search; the attack must run with `captures: 2` — the second capture's
 /// deeper LFSR rows are what complete the rank.
@@ -95,10 +97,25 @@ impl Instance {
             self.secret.clone(),
         )
     }
+
+    /// The recovery promise: `seed` locks the chip as the secret does at
+    /// the attacked capture count.
+    fn same_class(&self, seed: &BitVec, captures: usize) -> bool {
+        same_class(
+            &self.circuit,
+            &self.chain,
+            &self.spec,
+            seed,
+            &self.secret,
+            captures,
+            1000,
+        )
+    }
 }
 
 /// The acceptance scenario: 64-bit key, fixed bit-flip + transient
-/// schedule, exact seed back — over a matrix of instance and fault seeds.
+/// schedule, a full-rank seed in the secret's class back — over a matrix
+/// of instance and fault seeds.
 /// Debug builds (≈30× slower per solve) run the first matrix entry; the
 /// CI robustness job runs the full matrix in release.
 #[test]
@@ -134,9 +151,9 @@ fn recovers_exact_64_bit_seed_through_seeded_faults() {
             unlock.nullity, 0,
             "golden instances span the full 64-bit seed space"
         );
-        assert_eq!(
-            unlock.seed, inst.secret,
-            "instance {i} fault seed {fault_seed:#x}: exact recovery required"
+        assert!(
+            inst.same_class(&unlock.seed, 2),
+            "instance {i} fault seed {fault_seed:#x}: seed must lock the chip as the secret does"
         );
         // The schedule is hot enough that the machinery demonstrably ran.
         assert!(
@@ -176,11 +193,12 @@ fn randomized_fault_schedules_never_yield_a_wrong_verified_seed() {
         match unlock_robust(&inst.circuit, &inst.chain, &inst.spec, &mut oracle, &cfg) {
             RobustOutcome::Unlocked { unlock, .. } => {
                 // Verification ran against the (faulty) oracle and passed:
-                // the seed must be the real one whenever rank is full.
+                // the seed must lock the chip as the secret does.
                 assert!(unlock.verified, "round {round}");
-                if unlock.nullity == 0 {
-                    assert_eq!(unlock.seed, inst.secret, "round {round}: verified ≠ wrong");
-                }
+                assert!(
+                    inst.same_class(&unlock.seed, 1),
+                    "round {round}: verified ≠ wrong"
+                );
                 unlocked += 1;
             }
             RobustOutcome::Partial(report) => {
@@ -282,9 +300,7 @@ fn majority_vote_repairs_what_single_queries_cannot() {
         panic!("replication 3 must survive 0.5% bit flips");
     };
     assert!(unlock.verified);
-    if unlock.nullity == 0 {
-        assert_eq!(unlock.seed, inst.secret);
-    }
+    assert!(inst.same_class(&unlock.seed, 1));
     assert!(
         faults.repaired_bits > 0 || voted_oracle.stats().flipped_bits == 0,
         "flips injected must surface as repairs"
@@ -292,7 +308,7 @@ fn majority_vote_repairs_what_single_queries_cannot() {
 
     // Unvoted: the same noise feeds straight into the model. Whatever
     // happens — degradation or a lucky unlock — a *verified* result still
-    // implies correctness on full rank (verification re-queries).
+    // implies a seed in the secret's class (verification re-queries).
     let single_cfg = RobustConfig::default();
     let mut single_oracle = FaultyOracle::new(inst.chip(), noisy_spec);
     if let RobustOutcome::Unlocked { unlock, .. } = unlock_robust(
@@ -302,8 +318,6 @@ fn majority_vote_repairs_what_single_queries_cannot() {
         &mut single_oracle,
         &single_cfg,
     ) {
-        if unlock.nullity == 0 {
-            assert_eq!(unlock.seed, inst.secret, "verified implies correct");
-        }
+        assert!(inst.same_class(&unlock.seed, 1), "verified implies correct");
     }
 }
