@@ -8,8 +8,9 @@
 //! ```
 //!
 //! Deletion marks the header; [`ClauseDb::compact`] rebuilds the arena and
-//! returns the relocation map so the solver can fix watch lists and
-//! reasons.
+//! returns the old one as a [`Forwarding`] table (each survivor's new
+//! offset written into its old header) so the solver can fix watch lists
+//! and reasons in O(1) per reference.
 
 use crate::types::Lit;
 
@@ -118,10 +119,11 @@ impl ClauseDb {
         ClauseIter { db: self, pos: 0 }
     }
 
-    /// Rebuilds the arena dropping deleted clauses. Calls `relocate` with
-    /// `(old, new)` for every surviving clause so the solver can remap
-    /// watches and reasons.
-    pub(crate) fn compact(&mut self, mut relocate: impl FnMut(ClauseRef, ClauseRef)) {
+    /// Rebuilds the arena dropping deleted clauses. Returns the old arena
+    /// as the forwarding table: every survivor's new offset is written over
+    /// its old activity word (already copied), so the solver remaps each
+    /// watch, reason and learnt reference with one array read.
+    pub(crate) fn compact(&mut self) -> Forwarding {
         let mut new_data = Vec::with_capacity(self.data.len() - self.wasted);
         let mut pos = 0usize;
         while pos < self.data.len() {
@@ -129,14 +131,35 @@ impl ClauseDb {
             let total = HEADER_WORDS + len;
             let deleted = self.data[pos + 1] & FLAG_DELETED != 0;
             if !deleted {
-                let new_ref = ClauseRef(new_data.len() as u32);
+                let new_ref = new_data.len() as u32;
                 new_data.extend_from_slice(&self.data[pos..pos + total]);
-                relocate(ClauseRef(pos as u32), new_ref);
+                self.data[pos + 2] = new_ref;
             }
             pos += total;
         }
-        self.data = new_data;
         self.wasted = 0;
+        Forwarding(std::mem::replace(&mut self.data, new_data))
+    }
+}
+
+/// The pre-compaction arena with each surviving clause's new offset in its
+/// header (see [`ClauseDb::compact`]).
+pub(crate) struct Forwarding(Vec<u32>);
+
+impl Forwarding {
+    /// The post-compaction reference of `old`, which must have survived.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `old` was deleted: a dangling reference is a solver bug,
+    /// and its activity word would otherwise pass for an offset.
+    pub(crate) fn get(&self, old: ClauseRef) -> ClauseRef {
+        assert_eq!(
+            self.0[old.0 as usize + 1] & FLAG_DELETED,
+            0,
+            "remapping a deleted clause"
+        );
+        ClauseRef(self.0[old.0 as usize + 2])
     }
 }
 
@@ -205,24 +228,56 @@ mod tests {
 
     #[test]
     fn delete_and_compact_remaps() {
+        // Deleted clauses at the first, last and two adjacent slots, with
+        // survivors of different lengths and activities in between.
+        let codes: [&[i64]; 7] = [
+            &[1, 2],
+            &[3, 4, 5],
+            &[-1, -2],
+            &[6, 7],
+            &[-3, 4, -5, 6],
+            &[8, 9, -10],
+            &[2, -9],
+        ];
         let mut db = ClauseDb::new();
-        let c1 = db.alloc(&lits(&[1, 2]), false);
-        let c2 = db.alloc(&lits(&[3, 4, 5]), true);
-        let c3 = db.alloc(&lits(&[-1, -2]), true);
-        db.delete(c2);
-        assert_eq!(db.num_learnt, 1);
-        let mut map = std::collections::HashMap::new();
-        db.compact(|old, new| {
-            map.insert(old, new);
-        });
-        assert_eq!(map.len(), 2);
-        let n1 = map[&c1];
-        let n3 = map[&c3];
-        assert_eq!(db.len(n1), 2);
-        assert_eq!(db.lit(n3, 0).to_dimacs(), -1);
+        let refs: Vec<ClauseRef> = codes
+            .iter()
+            .enumerate()
+            .map(|(i, c)| {
+                let cref = db.alloc(&lits(c), i % 2 == 1);
+                db.set_activity(cref, i as f32 + 0.5);
+                cref
+            })
+            .collect();
+        let dead = [0, 3, 4, 6];
+        for &i in &dead {
+            db.delete(refs[i]);
+        }
+        assert!(db.wasted > 0);
+        let fwd = db.compact();
         assert_eq!(db.wasted, 0);
-        // iteration sees exactly the survivors
-        assert_eq!(db.iter_refs().count(), 2);
+        let mut expect_offset = 0u32;
+        for (i, c) in codes.iter().enumerate() {
+            if dead.contains(&i) {
+                continue;
+            }
+            let new = fwd.get(refs[i]);
+            // Survivors pack in arena order.
+            assert_eq!(new.0, expect_offset, "clause {i}");
+            expect_offset += (HEADER_WORDS + c.len()) as u32;
+            let got: Vec<i64> = (0..db.len(new))
+                .map(|k| db.lit(new, k).to_dimacs())
+                .collect();
+            assert_eq!(got, *c, "clause {i} literals");
+            assert_eq!(db.is_learnt(new), i % 2 == 1, "clause {i} class");
+            assert!(!db.is_deleted(new));
+            assert_eq!(db.activity(new), i as f32 + 0.5, "clause {i} activity");
+        }
+        assert_eq!(db.arena_words(), expect_offset as usize);
+        // Iteration sees exactly the survivors, in order.
+        let survivors: Vec<ClauseRef> = [1, 2, 5].iter().map(|&i| fwd.get(refs[i])).collect();
+        assert_eq!(db.iter_refs().collect::<Vec<_>>(), survivors);
+        assert_eq!((db.num_original, db.num_learnt), (1, 2));
     }
 
     #[test]

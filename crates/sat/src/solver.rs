@@ -4,8 +4,8 @@
 //! two-watched-literal propagation, first-UIP clause learning, VSIDS
 //! branching, phase saving, Luby restarts and activity-driven learnt-clause
 //! database reduction. Clauses live in the [`ClauseDb`] arena; watch lists
-//! and reasons hold [`ClauseRef`] handles and are remapped when the arena
-//! compacts.
+//! and reasons hold [`ClauseRef`] handles and are remapped through the
+//! arena's forwarding table when it compacts.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -169,6 +169,8 @@ pub struct Solver {
     xors: XorEngine,
     /// Scratch buffer for xor implications (reused across propagations).
     xor_props: Vec<XorImplication>,
+    /// Scratch buffer for materialized xor reason and conflict clauses.
+    xor_reason: Vec<Lit>,
     /// A conflict clause materialized from an xor row; it exists only
     /// while conflict analysis reads it and is reclaimed right after.
     xor_conflict: Option<ClauseRef>,
@@ -307,14 +309,15 @@ impl Solver {
     }
 
     /// The model value of `var` from the most recent [`SolveResult::Sat`]
-    /// answer, or `None` if the last call did not return `Sat`.
+    /// answer, or `None` if the last call did not return `Sat` or `var` was
+    /// not created by this solver.
     pub fn value(&self, var: Var) -> Option<bool> {
-        self.model[var.index()]
+        self.model.get(var.index()).copied().flatten()
     }
 
     /// The model value of a literal (see [`Solver::value`]).
     pub fn lit_model_value(&self, lit: Lit) -> Option<bool> {
-        self.model[lit.var().index()].map(|b| b == lit.is_positive())
+        self.value(lit.var()).map(|b| b == lit.is_positive())
     }
 
     /// Snapshots the current problem as a [`crate::dimacs::Cnf`]: the
@@ -927,7 +930,9 @@ impl Solver {
     /// compaction. This is CryptoMiniSat-style lazy reason generation;
     /// conflict analysis needs no xor-specific code.
     fn materialize_reason(&mut self, row: u32, implied: Lit) -> ClauseRef {
-        let mut lits = vec![implied];
+        let mut lits = std::mem::take(&mut self.xor_reason);
+        lits.clear();
+        lits.push(implied);
         self.xors
             .reason_lits(row, Some(implied.var()), &self.assigns, &mut lits);
         debug_assert!(lits.len() >= 2);
@@ -942,6 +947,7 @@ impl Solver {
         }
         lits.swap(1, max_i);
         let cref = self.db.alloc(&lits, true);
+        self.xor_reason = lits;
         self.learnts.push(cref);
         self.attach_clause(cref);
         self.stats.learnt_clauses += 1;
@@ -952,11 +958,13 @@ impl Solver {
     /// conflict analysis. The clause is not attached; it lives only until
     /// [`Solver::release_xor_conflict`] reclaims it.
     fn materialize_conflict(&mut self, row: u32) -> ClauseRef {
-        let mut lits = Vec::new();
+        let mut lits = std::mem::take(&mut self.xor_reason);
+        lits.clear();
         self.xors.reason_lits(row, None, &self.assigns, &mut lits);
         debug_assert!(lits.len() >= 2);
         self.log_xor_derived(row, &lits);
         let cref = self.db.alloc(&lits, true);
+        self.xor_reason = lits;
         self.stats.xor_conflicts += 1;
         debug_assert!(self.xor_conflict.is_none());
         self.xor_conflict = Some(cref);
@@ -1359,20 +1367,17 @@ impl Solver {
 
     /// Compacts the clause arena and remaps every stored [`ClauseRef`].
     fn compact(&mut self) {
-        let mut map: HashMap<ClauseRef, ClauseRef> = HashMap::new();
-        self.db.compact(|old, new| {
-            map.insert(old, new);
-        });
+        let fwd = self.db.compact();
         for ws in &mut self.watches {
             for w in ws {
-                w.cref = map[&w.cref];
+                w.cref = fwd.get(w.cref);
             }
         }
         for r in self.reason.iter_mut().flatten() {
-            *r = map[r];
+            *r = fwd.get(*r);
         }
         for c in &mut self.learnts {
-            *c = map[c];
+            *c = fwd.get(*c);
         }
     }
 }
@@ -1548,6 +1553,18 @@ mod tests {
         assert_eq!(s.solve(), SolveResult::Unsat);
         // Once top-level unsat, it stays unsat.
         assert_eq!(s.solve(), SolveResult::Unsat);
+    }
+
+    #[test]
+    fn value_of_a_foreign_variable_is_none() {
+        // A variable this solver never created has no model value; asking
+        // must not index past the model.
+        let mut s = solver_with(2, &[&[1, 2]]);
+        assert_eq!(s.solve(), SolveResult::Sat);
+        let foreign = Var::from_index(7);
+        assert_eq!(s.value(foreign), None);
+        assert_eq!(s.lit_model_value(Lit::negative(foreign)), None);
+        assert!(s.value(Var::from_index(1)).is_some());
     }
 
     #[test]
@@ -1764,6 +1781,49 @@ mod tests {
         let mut s = Solver::new();
         pigeonhole(&mut s, holes + 1, holes);
         s
+    }
+
+    /// PHP(8, 7) plus "hole `h` is taken" parities: at-most-one clauses
+    /// make each parity exactly-one, so xor propagation and materialized
+    /// xor reasons run throughout the (still unsatisfiable) search.
+    fn php_with_parities() -> Solver {
+        let (pigeons, holes) = (8, 7);
+        let mut s = hard_unsat(holes);
+        for h in 0..holes {
+            let col: Vec<Lit> = (0..pigeons)
+                .map(|p| Lit::positive(Var::from_index(p * holes + h)))
+                .collect();
+            assert!(s.add_xor(&col, true));
+        }
+        s
+    }
+
+    #[test]
+    fn reduce_and_compact_keep_the_state_sound() {
+        // Enough conflicts for learnt-clause reduction and arena
+        // compaction to run mid-search, with xor reasons locked on the
+        // trail: every remapped reference must still audit clean, and the
+        // sliced search must reach the one-shot answer.
+        let mut s = php_with_parities();
+        let slice = Budget::new().with_conflicts(500);
+        let mut arena_shrank = false;
+        let answer = loop {
+            let before = s.db.arena_words();
+            let r = s.solve_limited(&[], &slice);
+            arena_shrank |= s.db.arena_words() < before;
+            let errs = s.audit();
+            assert!(errs.is_empty(), "audit after a slice: {errs:#?}");
+            if r != SolveResult::Unknown {
+                break r;
+            }
+        };
+        assert_eq!(answer, SolveResult::Unsat);
+        assert_eq!(php_with_parities().solve(), answer);
+        let st = s.stats();
+        assert!(st.deleted_clauses > 0, "reduce_db never ran: {st:?}");
+        // Only compaction ever shrinks the arena.
+        assert!(arena_shrank, "the arena never compacted: {st:?}");
+        assert!(st.xor_propagations > 0, "no xor reasons: {st:?}");
     }
 
     #[test]

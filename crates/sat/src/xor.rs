@@ -9,20 +9,21 @@
 //!
 //! * [`XorClause`] is the first-class constraint type; [`Constraint`] is
 //!   the stream unit the encoder hands to [`Solver::add_constraint`].
-//! * [`XorEngine`] stores the xor system as dense GF(2) rows
-//!   ([`gf2::BitVec`] words — the same word-level row ops the rest of the
-//!   repository uses) and keeps it in **reduced row-echelon form** by
-//!   incremental Gauss–Jordan elimination: every constraint added between
-//!   solves is substituted against the top-level trail, reduced against
-//!   the existing pivots, and — if it survives — its fresh pivot column is
-//!   eliminated from every other row. Inconsistent rows surface
-//!   immediately as top-level UNSAT; singleton rows become top-level
-//!   units.
+//! * [`XorEngine`] stores the xor system as **sparse** GF(2) rows — each
+//!   row is the strictly ascending list of its columns, so a row costs its
+//!   weight, not the width of the formula — and keeps it in **reduced
+//!   row-echelon form** by incremental Gauss–Jordan elimination: every
+//!   constraint added between solves is substituted against the top-level
+//!   trail, reduced against the existing pivots (a sorted merge per
+//!   pivot row), and — if it survives — its lowest column becomes its
+//!   pivot and is eliminated from every other row. Inconsistent rows
+//!   surface immediately as top-level UNSAT; singleton rows become
+//!   top-level units.
 //! * During search the engine propagates with **two watched columns** per
 //!   row, interleaved with unit propagation: when a watched variable is
-//!   assigned the row either rewatches an unassigned column, or has
-//!   become unit (propagate the last column) or fully assigned (check
-//!   parity, conflict on mismatch).
+//!   assigned the row walks its column list and either rewatches an
+//!   unassigned column, or has become unit (propagate the last column) or
+//!   fully assigned (check parity, conflict on mismatch).
 //! * Propagations and conflicts are handed back to CDCL as *materialized
 //!   reason clauses* (lazy clause generation): the implied literal plus
 //!   the negations of the row's assigned literals. Reasons live in the
@@ -33,8 +34,6 @@
 //! Backtracking needs no undo hooks: row operations are linear
 //! combinations (sound regardless of the assignment) and watches are
 //! repaired lazily, exactly like clause watches.
-
-use gf2::BitVec;
 
 use crate::proof::ProofLogger;
 use crate::types::{LBool, Lit, Var};
@@ -151,14 +150,14 @@ pub enum Constraint {
 /// Column index sentinel: "no column".
 const NONE: u32 = u32::MAX;
 
-/// One stored row: `bits · x = rhs` over the engine's column space.
+/// One stored row: `⊕ cols = rhs` over the engine's column space.
 #[derive(Debug)]
 struct XorRow {
-    /// Coefficients, one bit per column (width kept uniform across rows).
-    bits: BitVec,
+    /// The row's columns (its nonzero coefficients), strictly ascending.
+    cols: Vec<u32>,
     /// Right-hand parity.
     rhs: bool,
-    /// The two watched columns (both set in `bits`, distinct).
+    /// The two watched columns (both in `cols`, distinct).
     watch: [u32; 2],
     /// The row's pivot column (unique to this row in RREF).
     pivot: u32,
@@ -167,7 +166,7 @@ struct XorRow {
     /// Derivation provenance: the set of input xor constraints (ids in add
     /// order) whose GF(2) sum, after substituting `units`, equals this
     /// row. Maintained by symmetric difference under every row operation,
-    /// so `fold(origin) ⊕ fold(units) = (bits, rhs)` is an invariant.
+    /// so `fold(origin) ⊕ fold(units) = (cols, rhs)` is an invariant.
     origin: Vec<u32>,
     /// Top-level unit literals substituted into this row (each `l` stands
     /// for the singleton constraint `var(l) = polarity(l)`).
@@ -194,8 +193,6 @@ pub(crate) struct XorEngine {
     pivot_row: Vec<u32>,
     /// Column → rows watching it.
     watchers: Vec<Vec<u32>>,
-    /// Uniform `bits` width of every live row (`>= col_var.len()`).
-    width: usize,
     /// Live row count.
     num_live: usize,
     /// Input xor constraints seen so far (the next constraint's proof id).
@@ -214,7 +211,7 @@ impl XorEngine {
     }
 
     /// The column for `var`, creating one if needed.
-    fn col_for(&mut self, var: Var) -> usize {
+    fn col_for(&mut self, var: Var) -> u32 {
         let v = var.index();
         if self.var_col.len() <= v {
             self.var_col.resize(v + 1, NONE);
@@ -225,24 +222,13 @@ impl XorEngine {
             self.col_var.push(v as u32);
             self.pivot_row.push(NONE);
             self.watchers.push(Vec::new());
-            if col >= self.width {
-                self.grow_width((col + 1).next_power_of_two().max(64));
-            }
         }
-        self.var_col[v] as usize
-    }
-
-    /// Widens every live row's `bits` to `new_width` columns.
-    fn grow_width(&mut self, new_width: usize) {
-        for row in self.rows.iter_mut().filter(|r| r.alive) {
-            row.bits = row.bits.resized(new_width);
-        }
-        self.width = new_width;
+        self.var_col[v]
     }
 
     /// Current value of the variable behind column `col`.
-    fn col_value(&self, col: usize, assigns: &[LBool]) -> LBool {
-        assigns[self.col_var[col] as usize]
+    fn col_value(&self, col: u32, assigns: &[LBool]) -> LBool {
+        assigns[self.col_var[col as usize] as usize]
     }
 
     /// Adds `⊕ vars = rhs` (already normalized) at decision level 0.
@@ -267,7 +253,7 @@ impl XorEngine {
 
         // Substitute fixed variables, map the rest onto columns.
         let mut rhs = rhs;
-        let mut cols: Vec<usize> = Vec::with_capacity(vars.len());
+        let mut cols: Vec<u32> = Vec::with_capacity(vars.len());
         for &v in vars {
             match assigns[v.index()] {
                 LBool::True => {
@@ -279,38 +265,26 @@ impl XorEngine {
             }
         }
         umeta.sort_unstable();
-        if self.width == 0 {
-            // Every variable was substituted (and `col_for` grows the
-            // width before the first real column): constant constraint.
-            debug_assert!(cols.is_empty());
-            if rhs {
-                log_xor(proof, &[], &origin, &umeta);
-            }
-            return !rhs;
-        }
-        let mut bits = BitVec::zeros(self.width);
-        for &c in &cols {
-            bits.flip(c);
-        }
+        cols.sort_unstable();
 
         // Reduce against existing pivots. Pivot rows contain no *other*
-        // pivot column (RREF), so a single ascending scan terminates.
-        let mut scan = 0usize;
-        while let Some(c) = first_one_from(&bits, scan) {
-            let owner = self.pivot_row[c];
+        // pivot column (RREF), so adding one never adds or cancels another
+        // pivot: the rows to eliminate are exactly the owners of the
+        // substituted row's own columns.
+        let mut reduced = cols.clone();
+        for &c in &cols {
+            let owner = self.pivot_row[c as usize];
             if owner == NONE {
-                scan = c + 1;
                 continue;
             }
             let row = &self.rows[owner as usize];
-            xor_into(&mut bits, &row.bits);
+            sym_diff(&mut reduced, &row.cols);
             rhs ^= row.rhs;
             sym_diff(&mut origin, &row.origin);
             sym_diff(&mut umeta, &row.units);
-            scan = c + 1;
         }
 
-        self.install(bits, rhs, origin, umeta, assigns, units, proof)
+        self.install(reduced, rhs, origin, umeta, assigns, units, proof)
     }
 
     /// Installs a pivot-reduced row: registers its pivot, eliminates that
@@ -319,7 +293,7 @@ impl XorEngine {
     #[allow(clippy::too_many_arguments)] // internal seam; the tuple halves travel together
     fn install(
         &mut self,
-        bits: BitVec,
+        cols: Vec<u32>,
         rhs: bool,
         origin: Vec<u32>,
         umeta: Vec<Lit>,
@@ -327,15 +301,15 @@ impl XorEngine {
         units: &mut Vec<Lit>,
         proof: &mut ProofSink,
     ) -> bool {
-        let Some(pivot) = bits.first_one() else {
+        let Some(&pivot) = cols.first() else {
             if rhs {
                 log_xor(proof, &[], &origin, &umeta);
             }
             return !rhs;
         };
-        if only_one(&bits) {
+        if cols.len() == 1 {
             // Singleton: a top-level unit, not a stored row.
-            let unit = Lit::new(Var::from_index(self.col_var[pivot] as usize), rhs);
+            let unit = Lit::new(Var::from_index(self.col_var[pivot as usize] as usize), rhs);
             log_xor(proof, &[unit], &origin, &umeta);
             units.push(unit);
             return true;
@@ -344,11 +318,11 @@ impl XorEngine {
         // Gauss–Jordan: clear the new pivot column from every other row.
         let mut touched: Vec<u32> = Vec::new();
         for ri in 0..self.rows.len() {
-            if !self.rows[ri].alive || !self.rows[ri].bits.get(pivot) {
+            let row = &mut self.rows[ri];
+            if !row.alive || row.cols.binary_search(&pivot).is_err() {
                 continue;
             }
-            let row = &mut self.rows[ri];
-            xor_into_unsized(&mut row.bits, &bits);
+            sym_diff(&mut row.cols, &cols);
             row.rhs ^= rhs;
             sym_diff(&mut row.origin, &origin);
             sym_diff(&mut row.units, &umeta);
@@ -363,12 +337,12 @@ impl XorEngine {
         }
 
         let idx = self.rows.len();
-        self.pivot_row[pivot] = idx as u32;
+        self.pivot_row[pivot as usize] = idx as u32;
         self.rows.push(XorRow {
-            bits,
+            cols,
             rhs,
             watch: [NONE, NONE],
-            pivot: pivot as u32,
+            pivot,
             alive: true,
             origin,
             units: umeta,
@@ -377,7 +351,7 @@ impl XorEngine {
         self.attach_watches(idx, assigns, units, proof)
     }
 
-    /// Re-examines a row whose bits just changed at level 0: it may have
+    /// Re-examines a row whose columns just changed at level 0: it may have
     /// degenerated to empty (tautology or inconsistency), to a unit, or
     /// lost a watched column. Returns `false` on inconsistency.
     fn repair_row(
@@ -387,7 +361,7 @@ impl XorEngine {
         units: &mut Vec<Lit>,
         proof: &mut ProofSink,
     ) -> bool {
-        if self.rows[ri].bits.is_zero() {
+        if self.rows[ri].cols.is_empty() {
             let rhs = self.rows[ri].rhs;
             if rhs {
                 log_xor(proof, &[], &self.rows[ri].origin, &self.rows[ri].units);
@@ -432,9 +406,9 @@ impl XorEngine {
     ) -> bool {
         let mut unassigned = [NONE; 2];
         let mut count = 0;
-        for c in self.rows[ri].bits.iter_ones() {
+        for &c in &self.rows[ri].cols {
             if self.col_value(c, assigns) == LBool::Undef {
-                unassigned[count] = c as u32;
+                unassigned[count] = c;
                 count += 1;
                 if count == 2 {
                     break;
@@ -451,9 +425,9 @@ impl XorEngine {
             }
             1 => {
                 // Unit under the level-0 assignment.
-                let target = unassigned[0] as usize;
+                let target = unassigned[0];
                 let rhs = self.row_residual(ri, target, assigns);
-                let unit = Lit::new(Var::from_index(self.col_var[target] as usize), rhs);
+                let unit = Lit::new(Var::from_index(self.col_var[target as usize] as usize), rhs);
                 if proof.is_some() {
                     let meta = self.substituted_meta(ri, Some(target), assigns);
                     log_xor(proof, &[unit], &self.rows[ri].origin, &meta);
@@ -465,7 +439,7 @@ impl XorEngine {
             _ => {
                 // Fully assigned at level 0: satisfied or inconsistent.
                 let mut acc = self.rows[ri].rhs;
-                for c in self.rows[ri].bits.iter_ones() {
+                for &c in &self.rows[ri].cols {
                     acc ^= self.col_value(c, assigns) == LBool::True;
                 }
                 if acc && proof.is_some() {
@@ -483,15 +457,15 @@ impl XorEngine {
     /// `units` xored with the trail literal of each assigned column. With
     /// these substitutions the row degenerates to the unit over `skip` (or
     /// to a constant), which is exactly what the proof step asserts.
-    fn substituted_meta(&self, ri: usize, skip: Option<usize>, assigns: &[LBool]) -> Vec<Lit> {
+    fn substituted_meta(&self, ri: usize, skip: Option<u32>, assigns: &[LBool]) -> Vec<Lit> {
         let row = &self.rows[ri];
         let mut meta = row.units.clone();
         let mut extra: Vec<Lit> = Vec::new();
-        for c in row.bits.iter_ones() {
+        for &c in &row.cols {
             if Some(c) == skip {
                 continue;
             }
-            let v = Var::from_index(self.col_var[c] as usize);
+            let v = Var::from_index(self.col_var[c as usize] as usize);
             match assigns[v.index()] {
                 LBool::True => extra.push(Lit::positive(v)),
                 LBool::False => extra.push(Lit::negative(v)),
@@ -513,10 +487,10 @@ impl XorEngine {
 
     /// The parity forced on column `skip` by the rest of row `ri` under
     /// the current assignment (all other columns must be assigned).
-    fn row_residual(&self, ri: usize, skip: usize, assigns: &[LBool]) -> bool {
+    fn row_residual(&self, ri: usize, skip: u32, assigns: &[LBool]) -> bool {
         let row = &self.rows[ri];
         let mut acc = row.rhs;
-        for c in row.bits.iter_ones() {
+        for &c in &row.cols {
             if c != skip {
                 acc ^= self.col_value(c, assigns) == LBool::True;
             }
@@ -562,49 +536,45 @@ impl XorEngine {
         out: &mut Vec<XorImplication>,
     ) -> Option<u32> {
         let col = match self.var_col.get(v) {
-            Some(&c) if c != NONE => c as usize,
+            Some(&c) if c != NONE => c,
             _ => return None,
         };
-        let list = std::mem::take(&mut self.watchers[col]);
-        let mut kept: Vec<u32> = Vec::with_capacity(list.len());
+        // Compact the watcher list in place: `i` reads, `j` writes back the
+        // entries that keep watching this column.
+        let mut ws = std::mem::take(&mut self.watchers[col as usize]);
         let mut conflict = None;
-        let mut i = 0;
-        while i < list.len() {
-            let ri = list[i];
+        let (mut i, mut j) = (0, 0);
+        while i < ws.len() {
+            let ri = ws[i];
             i += 1;
-            if !self.rows[ri as usize].alive {
+            let row = &self.rows[ri as usize];
+            if !row.alive {
                 continue; // drop stale entry
             }
-            let watch = self.rows[ri as usize].watch;
-            let slot = if watch[0] == col as u32 {
+            let slot = if row.watch[0] == col {
                 0
-            } else if watch[1] == col as u32 {
+            } else if row.watch[1] == col {
                 1
             } else {
                 continue; // stale entry for a moved watch
             };
-            let other = watch[1 - slot];
+            let other = row.watch[1 - slot];
 
             // Try to rewatch an unassigned column.
-            let mut replacement = None;
-            for c in self.rows[ri as usize].bits.iter_ones() {
-                if c == col || c as u32 == other {
-                    continue;
-                }
-                if self.col_value(c, assigns) == LBool::Undef {
-                    replacement = Some(c);
-                    break;
-                }
-            }
+            let replacement =
+                row.cols.iter().copied().find(|&c| {
+                    c != col && c != other && self.col_value(c, assigns) == LBool::Undef
+                });
             if let Some(c) = replacement {
-                self.rows[ri as usize].watch[slot] = c as u32;
-                self.watchers[c].push(ri);
+                self.rows[ri as usize].watch[slot] = c;
+                self.watchers[c as usize].push(ri);
                 continue;
             }
 
             // No replacement: every column but `other` is assigned.
-            kept.push(ri);
-            let rhs = self.row_residual(ri as usize, other as usize, assigns);
+            ws[j] = ri;
+            j += 1;
+            let rhs = self.row_residual(ri as usize, other, assigns);
             let ov = self.col_var[other as usize] as usize;
             match assigns[ov] {
                 LBool::Undef => out.push(XorImplication {
@@ -614,15 +584,19 @@ impl XorEngine {
                 val => {
                     if (val == LBool::True) != rhs {
                         conflict = Some(ri);
-                        kept.extend_from_slice(&list[i..]);
+                        // Watchers after the conflict stay registered.
+                        while i < ws.len() {
+                            ws[j] = ws[i];
+                            j += 1;
+                            i += 1;
+                        }
                         break;
                     }
                 }
             }
         }
-        // Watchers processed after a conflict (or that kept their watch)
-        // stay registered on this column.
-        self.watchers[col].extend_from_slice(&kept);
+        ws.truncate(j);
+        self.watchers[col as usize] = ws;
         conflict
     }
 
@@ -638,8 +612,8 @@ impl XorEngine {
     ) {
         let row = &self.rows[ri as usize];
         let skip = skip_var.map(super::types::Var::index);
-        for c in row.bits.iter_ones() {
-            let v = self.col_var[c] as usize;
+        for &c in &row.cols {
+            let v = self.col_var[c as usize] as usize;
             if Some(v) == skip {
                 continue;
             }
@@ -665,13 +639,6 @@ impl XorEngine {
                 err(format!("var {v} maps to col {c} but not back"));
             }
         }
-        if self.width < self.col_var.len() {
-            err(format!(
-                "width {} < {} columns",
-                self.width,
-                self.col_var.len()
-            ));
-        }
         // Rows: alive count, pivot ownership, RREF shape, watch registration.
         let live = self.rows.iter().filter(|r| r.alive).count();
         if live != self.num_live {
@@ -684,20 +651,31 @@ impl XorEngine {
             if !row.alive {
                 continue;
             }
-            if row.bits.is_zero() {
+            if row.cols.is_empty() {
                 err(format!("live row {ri} is empty"));
                 continue;
             }
-            let pivot = row.pivot as usize;
-            if !row.bits.get(pivot) {
-                err(format!("row {ri} pivot col {pivot} not set in its bits"));
+            // Membership tests below binary-search `cols`, so an
+            // unsorted row would also make them unreliable.
+            if row.cols.windows(2).any(|w| w[0] >= w[1]) {
+                err(format!("row {ri} columns are not strictly ascending"));
             }
-            if self.pivot_row.get(pivot).copied() != Some(ri as u32) {
+            if let Some(&c) = row.cols.iter().find(|&&c| c as usize >= self.col_var.len()) {
+                err(format!(
+                    "row {ri} has col {c} beyond {} columns",
+                    self.col_var.len()
+                ));
+            }
+            let pivot = row.pivot;
+            if row.cols.binary_search(&pivot).is_err() {
+                err(format!("row {ri} pivot col {pivot} not in its columns"));
+            }
+            if self.pivot_row.get(pivot as usize).copied() != Some(ri as u32) {
                 err(format!("row {ri} does not own its pivot col {pivot}"));
             }
             // RREF: no other live row contains this row's pivot column.
             for (rj, other) in self.rows.iter().enumerate() {
-                if rj != ri && other.alive && other.bits.get(pivot) {
+                if rj != ri && other.alive && other.cols.binary_search(&pivot).is_ok() {
                     err(format!("row {rj} contains row {ri}'s pivot col {pivot}"));
                 }
             }
@@ -706,8 +684,8 @@ impl XorEngine {
                     err(format!("live row {ri} has an unset watch"));
                     continue;
                 }
-                if !row.bits.get(w as usize) {
-                    err(format!("row {ri} watches col {w} not in its bits"));
+                if row.cols.binary_search(&w).is_err() {
+                    err(format!("row {ri} watches col {w} not in its columns"));
                 }
                 if !self.watchers[w as usize].contains(&(ri as u32)) {
                     err(format!("row {ri} not registered on watched col {w}"));
@@ -737,9 +715,9 @@ impl XorEngine {
             .filter(|r| r.alive)
             .map(|r| XorClause {
                 lits: r
-                    .bits
-                    .iter_ones()
-                    .map(|c| Lit::positive(Var::from_index(self.col_var[c] as usize)))
+                    .cols
+                    .iter()
+                    .map(|&c| Lit::positive(Var::from_index(self.col_var[c as usize] as usize)))
                     .collect(),
                 rhs: r.rhs,
             })
@@ -747,36 +725,9 @@ impl XorEngine {
     }
 }
 
-/// `dst ^= src` where `src.len() <= dst.len()` (word-level; relies on the
-/// [`BitVec`] tail invariant).
-fn xor_into(dst: &mut BitVec, src: &BitVec) {
-    debug_assert!(src.len() <= dst.len());
-    for (d, s) in dst.as_words_mut().iter_mut().zip(src.as_words()) {
-        *d ^= s;
-    }
-}
-
-/// `dst ^= src`, resizing `dst` up first if `src` is wider.
-fn xor_into_unsized(dst: &mut BitVec, src: &BitVec) {
-    if dst.len() < src.len() {
-        *dst = dst.resized(src.len());
-    }
-    xor_into(dst, src);
-}
-
-/// Index of the lowest set bit at or above `from`.
-fn first_one_from(bits: &BitVec, from: usize) -> Option<usize> {
-    bits.iter_ones().find(|&c| c >= from)
-}
-
-/// Whether exactly one bit is set.
-fn only_one(bits: &BitVec) -> bool {
-    bits.count_ones() == 1
-}
-
 /// Symmetric difference of two sorted deduplicated vectors, in place.
-/// This is the metadata mirror of a GF(2) row xor: elements present in
-/// both sides cancel.
+/// This is a sparse GF(2) row xor (on column lists) and its metadata
+/// mirror (on provenance lists): elements present in both sides cancel.
 fn sym_diff<T: Ord + Copy>(dst: &mut Vec<T>, src: &[T]) {
     if src.is_empty() {
         return;
@@ -856,6 +807,25 @@ mod tests {
     }
 
     #[test]
+    fn sym_diff_matches_a_set_reference() {
+        use gf2::{Rng64, SplitMix64};
+        use std::collections::BTreeSet;
+        let mut rng = SplitMix64::new(0x5D1F);
+        for trial in 0..500 {
+            let mut draw = |n: usize| -> Vec<u32> {
+                let set: BTreeSet<u32> = (0..n).map(|_| rng.gen_index(24) as u32).collect();
+                set.into_iter().collect()
+            };
+            let (mut dst, src) = (draw(trial % 13), draw(trial % 11));
+            let a: BTreeSet<u32> = dst.iter().copied().collect();
+            let b: BTreeSet<u32> = src.iter().copied().collect();
+            let expect: Vec<u32> = a.symmetric_difference(&b).copied().collect();
+            sym_diff(&mut dst, &src);
+            assert_eq!(dst, expect, "trial {trial}: {a:?} ^ {b:?}");
+        }
+    }
+
+    #[test]
     fn engine_reduces_duplicate_rows_to_nothing() {
         let mut eng = XorEngine::default();
         let assigns = vec![LBool::Undef; 4];
@@ -884,6 +854,34 @@ mod tests {
         assert!(eng.add(&[v[0], v[1], v[2]], true, &assigns, &mut units, &mut proof));
         assert_eq!(units, vec![Lit::negative(v[2])]);
         assert_eq!(eng.num_rows(), 1, "the combined row dies into the unit");
+    }
+
+    #[test]
+    fn audit_flags_unsorted_columns() {
+        let mut eng = XorEngine::default();
+        let assigns = vec![LBool::Undef; 4];
+        let mut units = Vec::new();
+        let mut proof: ProofSink = None;
+        let v: Vec<Var> = (0..4).map(Var::from_index).collect();
+        assert!(eng.add(&v, true, &assigns, &mut units, &mut proof));
+        let mut errors = Vec::new();
+        eng.audit(&mut errors);
+        assert!(errors.is_empty(), "{errors:?}");
+        assert_eq!(eng.rows[0].cols, vec![0, 1, 2, 3]);
+        // Out of order, then duplicated: both break the sparse-row shape.
+        eng.rows[0].cols.swap(1, 2);
+        eng.audit(&mut errors);
+        assert!(
+            errors.iter().any(|e| e.contains("not strictly ascending")),
+            "{errors:?}"
+        );
+        errors.clear();
+        eng.rows[0].cols = vec![0, 1, 1, 3];
+        eng.audit(&mut errors);
+        assert!(
+            errors.iter().any(|e| e.contains("not strictly ascending")),
+            "{errors:?}"
+        );
     }
 
     #[test]

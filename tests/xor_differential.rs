@@ -6,7 +6,9 @@
 //! elimination ([`gf2::solve_system`]) as ground truth. All three must
 //! agree on SAT/UNSAT, and every SAT model must satisfy every row parity.
 //! Rank-deficient and inconsistent systems are constructed explicitly on
-//! top of the random sweep.
+//! top of the random sweep. One more test pins the native engine's reduced
+//! form itself: after each incremental add, one live row per unit of rank,
+//! and exported x-lines with exactly the reference solution set.
 
 use dynunlock_repro::{cnf, gf2, satsolver};
 
@@ -242,6 +244,70 @@ fn assumptions_do_not_poison_either_mode() {
             }
             // The instance itself is untouched.
             assert_eq!(enc.solver_mut().solve(), SolveResult::Sat);
+        }
+    }
+}
+
+#[test]
+fn incremental_xor_systems_keep_the_rref_shape() {
+    // Even-weight rows only span even-weight vectors, so no variable is
+    // ever pinned and the engine derives no top-level units: after every
+    // add it must hold exactly one live row per independent constraint
+    // (the rank), and its exported x-lines must accept exactly the
+    // reference solution set. A planted solution keeps every prefix
+    // consistent; redundant rows come from the RNG (more rows than rank).
+    let mut rng = Xoshiro256::new(0x5BA2_5E0F);
+    for trial in 0..40 {
+        let n = 3 + (trial % 8);
+        let planted = BitVec::from_bools((0..n).map(|_| rng.gen_bool()));
+        let mut s = satsolver::Solver::new();
+        let vars: Vec<satsolver::Var> = (0..n).map(|_| s.new_var()).collect();
+        let mut rows: Vec<Row> = Vec::new();
+        for step in 0..n + 3 {
+            let mut coeffs = BitVec::from_bools((0..n).map(|_| rng.gen_bool()));
+            if coeffs.count_ones() % 2 == 1 {
+                coeffs.flip(rng.gen_index(n));
+            }
+            let rhs = coeffs.dot(&planted);
+            // Random literal signs exercise the engine's parity folding.
+            let mut lit_rhs = rhs;
+            let lits: Vec<Lit> = coeffs
+                .iter_ones()
+                .map(|i| {
+                    let positive = rng.gen_bool();
+                    lit_rhs ^= !positive;
+                    Lit::new(vars[i], positive)
+                })
+                .collect();
+            assert!(s.add_xor(&lits, lit_rhs), "trial {trial}: planted system");
+            rows.push((coeffs, rhs));
+
+            let a = BitMatrix::from_rows(rows.iter().map(|(c, _)| c.clone()).collect());
+            let b = BitVec::from_bools(rows.iter().map(|(_, r)| *r));
+            assert_eq!(
+                s.num_xors(),
+                a.rank(),
+                "trial {trial} step {step}: live rows != rank"
+            );
+            let sol = solve_system(&a, &b).expect("planted solution");
+            let cnf = s.to_cnf();
+            assert!(cnf.clauses.is_empty(), "trial {trial}: unexpected units");
+            let mut accepted = 0u128;
+            for bits in 0..1u32 << n {
+                let x: Vec<bool> = (0..n).map(|i| bits >> i & 1 == 1).collect();
+                if cnf.eval(&x) {
+                    accepted += 1;
+                    assert!(
+                        sol.contains(&BitVec::from_bools(x.iter().copied())),
+                        "trial {trial} step {step}: x-lines accept a non-solution {x:?}"
+                    );
+                }
+            }
+            assert_eq!(
+                accepted,
+                sol.count(),
+                "trial {trial} step {step}: x-lines miss solutions"
+            );
         }
     }
 }
