@@ -80,7 +80,6 @@ fn self_test() -> Result<(), String> {
                 size: 1,
                 iters: 1,
                 ns_per_iter: ns,
-                throughput: None,
                 metrics: Vec::new(),
             })
             .collect(),
@@ -108,7 +107,7 @@ fn self_test() -> Result<(), String> {
     std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
     let json = "{\n  \"schema\": 1,\n  \"bench\": \"selftest\",\n  \"smoke\": true,\n  \
                 \"results\": [\n    {\"id\": \"hot\", \"size\": 1, \"iters\": 1, \
-                \"ns_per_iter\": 1250, \"throughput\": null}\n  ]\n}\n";
+                \"ns_per_iter\": 1250}\n  ]\n}\n";
     let path = dir.join("BENCH_selftest.json");
     std::fs::write(&path, json).map_err(|e| e.to_string())?;
     let reread = BenchFile::load(&path).map_err(|e| e.to_string())?;

@@ -298,7 +298,7 @@ impl<'a> Parser<'a> {
 /// view of what [`Reporter`](crate::Reporter) wrote).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CaseResult {
-    /// Case identifier, e.g. `"sim/packed_eval"`.
+    /// Case identifier, e.g. `"xor_solve/native_w64"`.
     pub id: String,
     /// Problem size the case scales with.
     pub size: u64,
@@ -306,9 +306,7 @@ pub struct CaseResult {
     pub iters: u32,
     /// Median nanoseconds per iteration — the compared quantity.
     pub ns_per_iter: f64,
-    /// Recorded throughput `(unit, per_sec)`, if any.
-    pub throughput: Option<(String, f64)>,
-    /// Extra named metrics (e.g. `threads`, `lane_width`).
+    /// Extra named metrics (e.g. `dip_iterations`, `key_width`).
     pub metrics: Vec<(String, f64)>,
 }
 
@@ -322,7 +320,7 @@ impl CaseResult {
 /// One parsed `BENCH_*.json` file.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchFile {
-    /// The bench target name (`"wordpar"`, `"dynunlock"`, …).
+    /// The bench target name (`"xor_solve"`, `"dynunlock"`, …).
     pub bench: String,
     /// Whether the file was produced under `BENCH_SMOKE=1`.
     pub smoke: bool,
@@ -375,15 +373,6 @@ impl BenchFile {
             let size = num("size")? as u64;
             let iters = num("iters")? as u32;
             let ns_per_iter = num("ns_per_iter")?;
-            let throughput = match item.get("throughput") {
-                None | Some(Json::Null) => None,
-                Some(tp) => match (tp.get("unit"), tp.get("per_sec")) {
-                    (Some(Json::Str(unit)), Some(Json::Num(per_sec))) => {
-                        Some((unit.clone(), *per_sec))
-                    }
-                    _ => return Err(schema_err(&format!("case {id:?}: bad throughput object"))),
-                },
-            };
             let mut metrics = Vec::new();
             if let Some(m) = item.get("metrics") {
                 let Json::Obj(pairs) = m else {
@@ -405,7 +394,6 @@ impl BenchFile {
                 size,
                 iters,
                 ns_per_iter,
-                throughput,
                 metrics,
             });
         }
@@ -598,7 +586,6 @@ mod tests {
                     size: 1,
                     iters: 1,
                     ns_per_iter: ns,
-                    throughput: None,
                     metrics: Vec::new(),
                 })
                 .collect(),
@@ -610,11 +597,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("bench-compare-rt-{}", std::process::id()));
         let mut rep = Reporter::new("roundtrip");
         rep.record_timed("case/a", 64, Duration::from_micros(10));
-        rep.add_metric("case/a", "threads", 4.0);
-        rep.add_metric("case/a", "lane_width", 256.0);
-        rep.case_throughput("case/tp", 128, 2, "items/sec", 100.0, || {
-            std::thread::sleep(Duration::from_millis(1));
-        });
+        rep.add_metric("case/a", "dip_iterations", 4.0);
+        rep.add_metric("case/a", "key_width", 64.0);
+        rep.case("case/b", 128, 2, || 1 + 1);
         let path = rep.finish_to(&dir);
         let parsed = BenchFile::load(&path).unwrap();
         std::fs::remove_dir_all(&dir).ok();
@@ -624,12 +609,11 @@ mod tests {
         assert_eq!(a.id, "case/a");
         assert_eq!(a.size, 64);
         assert_eq!(a.ns_per_iter, 10_000.0);
-        assert_eq!(a.metric("threads"), Some(4.0));
-        assert_eq!(a.metric("lane_width"), Some(256.0));
-        let tp = &parsed.results[1];
-        let (unit, per_sec) = tp.throughput.as_ref().expect("throughput recorded");
-        assert_eq!(unit, "items/sec");
-        assert!(*per_sec > 0.0);
+        assert_eq!(a.metric("dip_iterations"), Some(4.0));
+        assert_eq!(a.metric("key_width"), Some(64.0));
+        let b = &parsed.results[1];
+        assert_eq!((b.id.as_str(), b.size, b.iters), ("case/b", 128, 2));
+        assert!(b.metrics.is_empty());
     }
 
     #[test]

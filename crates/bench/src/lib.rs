@@ -86,7 +86,6 @@ struct Record {
     size: u64,
     iters: u32,
     ns_per_iter: f64,
-    throughput: Option<(String, f64)>,
     /// Extra named numbers (insertion-ordered); serialized as a `"metrics"`
     /// object only when non-empty, so cases without metrics keep the exact
     /// schema-1 shape.
@@ -103,12 +102,11 @@ struct Record {
 /// ```json
 /// {
 ///   "schema": 1,
-///   "bench": "wordpar",
+///   "bench": "xor_solve",
 ///   "smoke": false,
 ///   "results": [
-///     {"id": "sim/packed_eval", "size": 4096, "iters": 20,
-///      "ns_per_iter": 1234.5,
-///      "throughput": {"unit": "patterns/sec", "per_sec": 3.3e9}}
+///     {"id": "xor_solve/native_w64", "size": 64, "iters": 5, "ns_per_iter": 1234.5,
+///      "metrics": {"key_width": 64}}
 ///   ]
 /// }
 /// ```
@@ -137,35 +135,7 @@ impl Reporter {
     /// size the case scales with (rows, patterns, variables…).
     pub fn case<T>(&mut self, id: &str, size: u64, iters: u32, f: impl FnMut() -> T) -> Sample {
         let sample = run(id, iters, f);
-        self.record(id, size, sample, None);
-        sample
-    }
-
-    /// Like [`Reporter::case`], additionally recording a throughput of
-    /// `items_per_iter / median` in `unit` (e.g. `"patterns/sec"`).
-    ///
-    /// If the median is below the clock resolution (zero), no throughput
-    /// is recorded — the schema's `per_sec` is always a finite number.
-    pub fn case_throughput<T>(
-        &mut self,
-        id: &str,
-        size: u64,
-        iters: u32,
-        unit: &str,
-        items_per_iter: f64,
-        f: impl FnMut() -> T,
-    ) -> Sample {
-        let sample = run(id, iters, f);
-        let secs = sample.median.as_secs_f64();
-        let throughput = if secs > 0.0 {
-            let per_sec = items_per_iter / secs;
-            println!("{id:<40}        {per_sec:>14.0} {unit}");
-            Some((unit.to_string(), per_sec))
-        } else {
-            println!("{id:<40}        median below clock resolution; no throughput");
-            None
-        };
-        self.record(id, size, sample, throughput);
+        self.record(id, size, sample);
         sample
     }
 
@@ -180,7 +150,7 @@ impl Reporter {
             median: elapsed,
             total: elapsed,
         };
-        self.record(id, size, sample, None);
+        self.record(id, size, sample);
     }
 
     /// Attaches a named metric to the most recently recorded case with
@@ -203,23 +173,14 @@ impl Reporter {
         }
     }
 
-    fn record(&mut self, id: &str, size: u64, sample: Sample, throughput: Option<(String, f64)>) {
+    fn record(&mut self, id: &str, size: u64, sample: Sample) {
         self.results.push(Record {
             id: id.to_string(),
             size,
             iters: sample.iters,
             ns_per_iter: sample.median.as_nanos() as f64,
-            throughput,
             metrics: Vec::new(),
         });
-    }
-
-    /// Recorded throughput (per-sec value) of a case by id, if any.
-    pub fn throughput_of(&self, id: &str) -> Option<f64> {
-        self.results
-            .iter()
-            .find(|r| r.id == id)
-            .and_then(|r| r.throughput.as_ref().map(|(_, v)| *v))
     }
 
     /// Writes `BENCH_<name>.json` into `BENCH_JSON_DIR` (or the current
@@ -257,14 +218,6 @@ impl Reporter {
                 r.iters,
                 json_number(r.ns_per_iter),
             ));
-            match &r.throughput {
-                Some((unit, per_sec)) => out.push_str(&format!(
-                    ", \"throughput\": {{\"unit\": {}, \"per_sec\": {}}}",
-                    json_string(unit),
-                    json_number(*per_sec),
-                )),
-                None => out.push_str(", \"throughput\": null"),
-            }
             if !r.metrics.is_empty() {
                 let body: Vec<String> = r
                     .metrics
@@ -430,13 +383,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("bench-json-test-{}", std::process::id()));
         let mut rep = Reporter::new("selftest");
         rep.case("case/plain", 10, 2, || 1 + 1);
-        // sleep long enough that the median is never zero, so the
-        // throughput record is deterministic
-        rep.case_throughput("case/tp", 20, 2, "items/sec", 100.0, || {
-            std::thread::sleep(Duration::from_millis(1));
-        });
-        assert!(rep.throughput_of("case/tp").is_some());
-        assert!(rep.throughput_of("case/plain").is_none());
         let path = rep.finish_to(&dir);
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_dir_all(&dir).ok();
@@ -447,9 +393,6 @@ mod tests {
             "\"id\": \"case/plain\"",
             "\"size\": 10",
             "\"ns_per_iter\":",
-            "\"throughput\": null",
-            "\"unit\": \"items/sec\"",
-            "\"per_sec\":",
         ] {
             assert!(text.contains(needle), "missing {needle} in:\n{text}");
         }

@@ -23,7 +23,6 @@ const WORD_BITS: usize = 64;
 /// assert!(!v.parity()); // an even number of ones has even parity
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BitVec {
     len: usize,
     words: Vec<u64>,

@@ -10,12 +10,13 @@
 //! * [`BitMatrix`] — a dense row-major matrix of [`BitVec`] rows, used for
 //!   LFSR companion matrices and the scan-obfuscation mask matrices
 //!   `T_in` / `T_out`.
+//! * [`solve_system`] — one-shot Gauss–Jordan elimination of `A x = b`,
+//!   the batch path behind [`BitMatrix::rank`] and
+//!   [`BitMatrix::nullspace`] too.
 //! * [`LinSolver`] — incremental Gaussian elimination: rank, consistency, a
 //!   particular solution and a nullspace basis, plus solution enumeration
-//!   (used to analyze seed-candidate sets).
-//! * [`m4ri`] — blocked batch elimination (Method of the Four Russians);
-//!   the word-parallel fast path behind [`solve_system`],
-//!   [`BitMatrix::rank`] and [`BitMatrix::nullspace`].
+//!   (used to analyze seed-candidate sets). It is also the reference
+//!   [`solve_system`] is tested against.
 //! * [`SplitMix64`] / [`Xoshiro256`] — dependency-free deterministic PRNGs
 //!   so synthetic benchmark generation is reproducible bit-for-bit.
 //!
@@ -34,9 +35,9 @@
 #![warn(missing_docs)]
 
 mod bitvec;
-pub mod m4ri;
 mod matrix;
 mod rng;
+mod rref;
 mod solve;
 
 pub use bitvec::BitVec;

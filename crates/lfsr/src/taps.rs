@@ -50,7 +50,6 @@ const MAXIMAL_TABLE: &[(usize, &[usize])] = &[
 /// matrix invertible — a defense whose PRNG loses state would eventually
 /// cycle into a tiny orbit).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TapSet {
     width: usize,
     taps: Vec<usize>,

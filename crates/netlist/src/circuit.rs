@@ -10,7 +10,6 @@ use crate::{GateKind, NetlistError};
 /// Net ids are dense (`0..num_nets`), so per-net data can live in plain
 /// vectors indexed by [`NetId::index`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NetId(pub(crate) u32);
 
 impl NetId {
@@ -28,7 +27,6 @@ impl fmt::Display for NetId {
 
 /// A combinational gate: `output = kind(inputs...)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Gate {
     /// Boolean function computed by the gate.
     pub kind: GateKind,
@@ -40,7 +38,6 @@ pub struct Gate {
 
 /// A D flip-flop: on each clock edge, `q` takes the value of `d`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Dff {
     /// Next-state (data) input net.
     pub d: NetId,
@@ -81,8 +78,6 @@ pub struct Circuit {
     pub(crate) drivers: Vec<Driver>,
     /// Gate indices in topological order (computed at validation).
     pub(crate) topo_order: Vec<usize>,
-    /// Levelized flattened evaluation schedule (computed at validation).
-    pub(crate) schedule: crate::schedule::EvalSchedule,
 }
 
 impl Circuit {
@@ -131,13 +126,6 @@ impl Circuit {
     /// (inputs and flop outputs are sources).
     pub fn topo_gates(&self) -> &[usize] {
         &self.topo_order
-    }
-
-    /// The precomputed levelized evaluation schedule: gates sorted by
-    /// logic level with all fanin net indices flattened into one array.
-    /// Computed once at construction; evaluators reuse it on every pass.
-    pub fn schedule(&self) -> &crate::schedule::EvalSchedule {
-        &self.schedule
     }
 
     /// The name of a net.

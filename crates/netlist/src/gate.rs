@@ -8,7 +8,6 @@ use std::fmt;
 /// synthesis-style transformations (and in locked netlists), so the IR and
 /// the writer support them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum GateKind {
     /// Identity of a single input.
     Buf,

@@ -10,9 +10,6 @@
 //!   benchmark files can be dropped in unchanged;
 //! * [`topo`] — topological ordering and levelization of the combinational
 //!   core (the basis of simulation and CNF encoding);
-//! * [`schedule`] — the precomputed levelized gate schedule with a
-//!   flattened fanin index, computed once per circuit and reused by every
-//!   evaluation pass (scalar and 64-lane word-parallel alike);
 //! * [`generator`] — a seeded synthetic sequential-circuit generator;
 //! * [`profiles`] — generator profiles pinned to the post-synthesis
 //!   scan-flop counts the paper reports for its ten benchmarks
@@ -45,11 +42,9 @@ mod error;
 mod gate;
 pub mod generator;
 pub mod profiles;
-pub mod schedule;
 pub mod topo;
 
 pub use builder::CircuitBuilder;
 pub use circuit::{Circuit, CircuitStats, Dff, Gate, NetId};
 pub use error::NetlistError;
 pub use gate::GateKind;
-pub use schedule::{EvalSchedule, ScheduledOp};

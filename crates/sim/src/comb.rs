@@ -1,4 +1,4 @@
-//! Levelized evaluation of the combinational core.
+//! Topological-order evaluation of the combinational core.
 
 use netlist::{Circuit, GateKind, NetId};
 
@@ -63,9 +63,7 @@ impl<'c> Evaluator<'c> {
             self.values[dff.q.index()] = state[i];
         }
         // Evaluate each gate by indexing `values` directly — no per-gate
-        // fanin copy. This stays on `topo_gates` order (independent of the
-        // levelized schedule) so it remains a reference implementation for
-        // the word-parallel path.
+        // fanin copy.
         for &gi in c.topo_gates() {
             let gate = &c.gates()[gi];
             let vals = &self.values;

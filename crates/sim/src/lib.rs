@@ -6,28 +6,17 @@
 //! primitives here, and the attack's final verification compares
 //! reconstructed responses against the honest [`ScanChip`].
 //!
-//! * [`Evaluator`] — reusable levelized evaluation of the combinational core;
-//! * [`WidePackedEvaluator`] — the lane-word-parallel counterpart,
-//!   generic over [`LaneWord`]: [`PackedEvaluator`] packs 64 patterns
-//!   per `u64`, [`PackedEvaluator256`] packs 256 per [`W256`] block;
-//! * [`ParPackedEvaluator`] / [`ParPackedScanChip`] — multi-core
-//!   fan-out: lane blocks evaluated across worker threads against the
-//!   shared read-only schedule (`DU_THREADS` / explicit knob);
-//! * [`SeqSim`] / [`PackedSeqSim`] — clock-by-clock functional simulation,
-//!   scalar and 64 lanes at once;
+//! * [`Evaluator`] — reusable topological-order evaluation of the
+//!   combinational core;
+//! * [`SeqSim`] — clock-by-clock functional simulation;
 //! * [`ScanChain`] — the order in which flops are stitched into the chain;
-//! * [`ScanChip`] / [`WidePackedScanChip`] — load / capture / unload test
-//!   access, no obfuscation, scalar and lane-parallel;
+//! * [`ScanChip`] — load / capture / unload test access, no obfuscation;
 //! * [`ScanAccess`] — the oracle interface shared by unlocked and locked
 //!   chips (the attack only ever talks to this trait);
 //! * [`FaultyOracle`] / [`FallibleScanAccess`] — seeded fault injection
 //!   (bit flips, transient errors, dropped sessions, latency) over any
 //!   honest oracle, and the fallible interface fault-tolerant attack
 //!   code consumes ([`Reliable`] lifts a trustworthy oracle into it).
-//!
-//! The scalar paths are the differential-test references for every
-//! packed width and thread count; see DESIGN.md §5 for the data layout
-//! and the thread/lane execution model.
 //!
 //! # Example
 //!
@@ -48,24 +37,12 @@
 
 mod comb;
 mod faulty;
-mod lane;
 mod oracle;
-mod packed;
-mod parallel;
 mod scan;
 mod seq;
 
 pub use comb::Evaluator;
 pub use faulty::{FallibleScanAccess, FaultSpec, FaultyOracle, FaultyStats, OracleFault, Reliable};
-pub use lane::{LaneWord, W256};
 pub use oracle::{check_session_freshness, FreshnessViolation, ScanAccess, ScanResponse};
-pub use packed::{
-    pack_lanes, pack_lanes_wide, try_pack_lanes, try_pack_lanes_wide, unpack_lane,
-    unpack_lane_wide, PackError, PackedEvaluator, PackedEvaluator256, WidePackedEvaluator,
-};
-pub use parallel::{PackedFrame, ParPackedEvaluator, ParPackedScanChip};
-pub use scan::{
-    PackedScanChip, PackedScanChip256, PackedScanResponse, ScanChain, ScanChip, WidePackedScanChip,
-    WidePackedScanResponse,
-};
-pub use seq::{PackedSeqSim, SeqSim};
+pub use scan::{ScanChain, ScanChip};
+pub use seq::SeqSim;

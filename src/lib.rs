@@ -6,8 +6,7 @@
 //!
 //! See the individual crates for the real functionality:
 //!
-//! * [`netlist`], [`sim`], [`lfsr`], [`satsolver`], [`gf2`], [`par`] —
-//!   substrates
+//! * [`netlist`], [`sim`], [`lfsr`], [`satsolver`], [`gf2`] — substrates
 //! * [`scanlock`] — the EFF-Dyn defense and the locked scan-chip oracle
 //! * [`cnf`] — Tseitin encoding of circuits onto the SAT solver
 //! * [`dynunlock`] — the attack: DIP loop plus GF(2) seed recovery
@@ -21,7 +20,6 @@ pub use dynunlock;
 pub use gf2;
 pub use lfsr;
 pub use netlist;
-pub use par;
 pub use proofcheck;
 pub use satsolver;
 pub use scanlock;
