@@ -35,9 +35,9 @@
 #![warn(missing_docs)]
 
 mod bitvec;
+mod m4ri;
 mod matrix;
 mod rng;
-mod rref;
 mod solve;
 
 pub use bitvec::BitVec;

@@ -6,6 +6,10 @@
 //! Rows are word-packed [`BitVec`]s, so each row XOR works 64 columns at
 //! a time. [`LinSolver`](crate::LinSolver) is the incremental reference
 //! the batch path is tested against.
+//!
+//! The module keeps the name of the blocked Method-of-the-Four-Russians
+//! eliminator it used to hold; RREF is unique, so the plain routine
+//! returns the same rows and pivots that one did.
 
 use crate::BitVec;
 

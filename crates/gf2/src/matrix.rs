@@ -198,16 +198,16 @@ impl BitMatrix {
     /// Rank via Gauss–Jordan elimination on a working copy.
     pub fn rank(&self) -> usize {
         let mut work = self.rows.clone();
-        crate::rref::rref(&mut work).len()
+        crate::m4ri::rref(&mut work).len()
     }
 
     /// A basis of the right nullspace `{x : A·x = 0}`. The basis has
     /// `num_cols() - rank()` vectors.
     pub fn nullspace(&self) -> Vec<BitVec> {
         let mut work = self.rows.clone();
-        let pivots = crate::rref::rref(&mut work);
+        let pivots = crate::m4ri::rref(&mut work);
         let nrows = pivots.len();
-        crate::rref::nullspace_from_rref(&work[..nrows], &pivots, self.cols)
+        crate::m4ri::nullspace_from_rref(&work[..nrows], &pivots, self.cols)
     }
 
     /// Inverse of a square matrix, or `None` if singular.

@@ -1,12 +1,11 @@
-//! Minimal scoped-thread fan-out for the workspace's data-parallel hot
-//! paths.
+//! Minimal scoped-thread fan-out: split a slice into contiguous chunks
+//! and run one closure per chunk on its own thread, on plain
+//! [`std::thread::scope`] instead of an external thread pool (the
+//! workspace is dependency-free by design; DESIGN.md §4).
 //!
-//! The packed simulator fans pattern blocks across cores and the M4RI
-//! eliminator fans row chunks across cores; both need exactly one
-//! primitive — *split a slice into contiguous chunks and run one closure
-//! per chunk on its own thread* — so this crate provides that on plain
-//! [`std::thread::scope`] instead of pulling in an external thread pool
-//! (the workspace is dependency-free by design; DESIGN.md §4).
+//! No crate in the workspace depends on this one any more: every attack
+//! phase is single-threaded. The crate is slated for deletion (ROADMAP
+//! item 3).
 //!
 //! Thread-count policy, shared by every caller ([`resolve`]):
 //!

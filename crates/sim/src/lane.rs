@@ -1,19 +1,16 @@
-//! Lane-word abstraction: the packed kernels generic over lane width.
+//! Lane-word abstraction: a per-net storage word holding many independent
+//! simulation lanes.
 //!
-//! PR 5's packed paths were hard-wired to `u64` (64 lanes). [`LaneWord`]
-//! abstracts the per-net storage word so one set of kernels drives any
-//! width: bit `l` of a lane word belongs to *lane* `l`, and every gate
-//! kernel is a bitwise op on whole words. Two widths are provided:
+//! Bit `l` of a lane word belongs to *lane* `l`, and every gate kernel is
+//! a bitwise op on whole words. Two widths are provided:
 //!
-//! * `u64` — 64 lanes, one machine word per net (the PR 5 layout);
-//! * [`W256`] — 256 lanes as a `[u64; 4]` block, so one schedule walk
-//!   drives 256 patterns and the per-gate loop/index overhead amortizes
-//!   over four words (the compiler is free to vectorize the four-word
-//!   ops; DESIGN.md §5).
+//! * `u64` — 64 lanes, one machine word;
+//! * [`W256`] — 256 lanes as a `[u64; 4]` block.
 //!
 //! Within a `W256` block, lane `l` lives in word `l / 64`, bit `l % 64`.
-//! The differential-test harness pins every width against the scalar
-//! `Evaluator` reference.
+//! No simulator in this crate uses lane words any more: every attack
+//! phase runs the scalar [`Evaluator`](crate::Evaluator). The module is
+//! slated for deletion (ROADMAP item 3).
 
 use std::fmt;
 

@@ -16,7 +16,9 @@
 //! * [`FaultyOracle`] / [`FallibleScanAccess`] — seeded fault injection
 //!   (bit flips, transient errors, dropped sessions, latency) over any
 //!   honest oracle, and the fallible interface fault-tolerant attack
-//!   code consumes ([`Reliable`] lifts a trustworthy oracle into it).
+//!   code consumes ([`Reliable`] lifts a trustworthy oracle into it);
+//! * [`LaneWord`] / [`W256`] — multi-lane storage words, left from the
+//!   removed packed simulators and unused.
 //!
 //! # Example
 //!
@@ -37,12 +39,14 @@
 
 mod comb;
 mod faulty;
+mod lane;
 mod oracle;
 mod scan;
 mod seq;
 
 pub use comb::Evaluator;
 pub use faulty::{FallibleScanAccess, FaultSpec, FaultyOracle, FaultyStats, OracleFault, Reliable};
+pub use lane::{LaneWord, W256};
 pub use oracle::{check_session_freshness, FreshnessViolation, ScanAccess, ScanResponse};
 pub use scan::{ScanChain, ScanChip};
 pub use seq::SeqSim;
