@@ -3,7 +3,7 @@
 //! The paper's Tables II/III report, per benchmark, how many SAT (DIP)
 //! iterations and how much solver time DynUnlock needs to break EFF-Dyn.
 //! This crate re-creates that experiment over the synthetic
-//! [`netlist::generator::profiles`] circuits: lock each profile with a
+//! [`netlist::profiles`] circuits: lock each profile with a
 //! random EFF-Dyn instance, run [`dynunlock::unlock`] against the locked
 //! chip as a black-box [`sim::ScanAccess`] oracle, and tabulate the
 //! results. The `dynunlock` bench target prints the table and emits

@@ -7,7 +7,6 @@
 //! literal per scan-out and primary-output bit, and convergence is proved
 //! one output at a time.
 
-use std::fmt;
 use std::time::Duration;
 
 use cnf::{Encoder, XorMode};
@@ -18,7 +17,7 @@ use scanlock::{LockSpec, LockedScanChip};
 use sim::{Reliable, ScanAccess, ScanChain};
 
 use crate::model::MaskBit;
-use crate::robust::{AttackState, RobustConfig, RobustOutcome};
+use crate::robust::{AttackState, DegradeReason, RobustConfig, RobustOutcome};
 
 /// Attack tuning knobs.
 #[derive(Debug, Clone)]
@@ -91,58 +90,6 @@ pub struct Unlock {
     /// (restarts, decisions, conflicts, budget exhaustions, ...).
     pub solver_stats: SolverStats,
 }
-
-/// Why an attack run failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum AttackError {
-    /// The DIP loop did not converge within [`AttackConfig::max_dips`].
-    DipLimit {
-        /// The configured limit that was hit.
-        limit: usize,
-    },
-    /// Oracle responses contradicted the model — the spec, chain, or
-    /// session convention does not describe the oracle.
-    Inconsistent,
-    /// The converged seed failed a verification probe (should be
-    /// impossible against an oracle the model describes).
-    VerificationFailed {
-        /// Probes checked before the mismatch.
-        probes_passed: usize,
-    },
-    /// Certification was requested and the final UNSAT answer could not
-    /// be certified — either the re-solve found a model (the incremental
-    /// solver's answer was wrong) or the emitted proof failed the
-    /// independent check. Both mean a solver soundness bug.
-    Certification {
-        /// Why the certificate could not be produced or checked.
-        reason: String,
-    },
-}
-
-impl fmt::Display for AttackError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AttackError::DipLimit { limit } => {
-                write!(f, "DIP loop did not converge within {limit} iterations")
-            }
-            AttackError::Inconsistent => {
-                write!(f, "oracle responses contradict the lock model")
-            }
-            AttackError::VerificationFailed { probes_passed } => {
-                write!(
-                    f,
-                    "recovered seed failed verification after {probes_passed} probes"
-                )
-            }
-            AttackError::Certification { reason } => {
-                write!(f, "final UNSAT answer failed certification: {reason}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for AttackError {}
 
 /// One symbolic mask hypothesis: its per-position mask literals, built
 /// over one fresh variable per free bit of the mask basis.
@@ -302,12 +249,18 @@ pub(crate) fn output_order(circuit: &Circuit, chain: &ScanChain) -> Vec<usize> {
 /// 3. **Verification**: random probe sessions compare a re-locked chip
 ///    under the recovered seed against the oracle bit-for-bit.
 ///
+/// This is [`AttackState::run`] under [`RobustConfig::strict`] against
+/// an oracle that never faults: the same machine, with no retries,
+/// replication or budget.
+///
 /// # Errors
 ///
-/// [`AttackError::DipLimit`] if the loop does not converge,
-/// [`AttackError::Inconsistent`] if the oracle contradicts the model
-/// (wrong spec/chain/convention), [`AttackError::VerificationFailed`] if
-/// the converged seed fails a probe.
+/// The [`DegradeReason`] the machine stopped with:
+/// [`DegradeReason::DipLimit`] if the loop does not converge,
+/// [`DegradeReason::Inconsistent`] if the oracle contradicts the model
+/// (wrong spec/chain/convention), [`DegradeReason::VerificationFailed`]
+/// if the converged seed fails a probe, [`DegradeReason::Certification`]
+/// if a requested certificate fails.
 ///
 /// # Panics
 ///
@@ -319,11 +272,11 @@ pub fn unlock<O: ScanAccess>(
     spec: &LockSpec,
     oracle: &mut O,
     cfg: &AttackConfig,
-) -> Result<Unlock, AttackError> {
+) -> Result<Unlock, DegradeReason> {
     let state = AttackState::new(circuit, chain, spec, RobustConfig::strict(cfg.clone()));
     match state.run(&mut Reliable(&mut *oracle)) {
         RobustOutcome::Unlocked { unlock, .. } => Ok(unlock),
-        RobustOutcome::Partial(report) => Err(report.reason.into_attack_error()),
+        RobustOutcome::Partial(report) => Err(report.reason),
     }
 }
 
@@ -534,6 +487,31 @@ mod tests {
         let secret = real.random_seed(&mut rng);
         let mut oracle = LockedScanChip::new(&c, chain.clone(), real, secret);
         let err = unlock(&c, &chain, &assumed, &mut oracle, &AttackConfig::default());
-        assert!(err.is_err(), "mismatched model must not verify");
+        assert!(
+            matches!(
+                err,
+                Err(DegradeReason::Inconsistent | DegradeReason::VerificationFailed { .. })
+            ),
+            "mismatched model must not verify: {err:?}"
+        );
+    }
+
+    #[test]
+    fn dip_limit_is_reported_exactly() {
+        // The strict wrapper hands back the machine's own reason: a lock
+        // that needs DIPs stops at a zero DIP allowance with `DipLimit`,
+        // not a folded catch-all.
+        let c = s208_like();
+        let chain = ScanChain::natural(8);
+        let mut rng = Xoshiro256::new(0xA0);
+        let spec = LockSpec::random(TapSet::maximal(8).unwrap(), 8, 5, &mut rng);
+        let secret = spec.random_seed(&mut rng);
+        let mut oracle = LockedScanChip::new(&c, chain.clone(), spec.clone(), secret);
+        let cfg = AttackConfig {
+            max_dips: 0,
+            ..AttackConfig::default()
+        };
+        let err = unlock(&c, &chain, &spec, &mut oracle, &cfg).unwrap_err();
+        assert_eq!(err, DegradeReason::DipLimit { limit: 0 });
     }
 }

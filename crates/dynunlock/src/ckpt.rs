@@ -1,0 +1,456 @@
+//! The `duckpt` checkpoint codec: the [`Checkpoint`] snapshot of an
+//! [`AttackState`](crate::AttackState), its line-oriented text format
+//! (grammar in DESIGN.md §8), and the instance hash that keys it.
+//!
+//! Parsing trusts nothing: every malformed document is a typed
+//! [`CheckpointError::Malformed`] with its line number. What a
+//! well-formed checkpoint claims about the attack is checked against the
+//! live instance and oracle by
+//! [`AttackState::resume`](crate::AttackState::resume).
+
+use std::fmt;
+
+use gf2::BitVec;
+use netlist::Circuit;
+use satsolver::Lit;
+use scanlock::LockSpec;
+use sim::{ScanChain, ScanResponse};
+
+use crate::robust::DipRecord;
+
+/// FNV-1a over the canonical instance description: circuit structure,
+/// chain order, lock spec, capture count. Keys every checkpoint so a
+/// resume against a different instance is rejected before any oracle
+/// traffic.
+pub(crate) fn instance_hash(
+    circuit: &Circuit,
+    chain: &ScanChain,
+    spec: &LockSpec,
+    captures: usize,
+) -> u64 {
+    let chain_order: Vec<usize> = (0..chain.len()).map(|pos| chain.dff_at(pos)).collect();
+    let desc = format!(
+        "{}|{:?}|{:?}|{:?}|{:?}|{chain_order:?}|{spec:?}|{captures}",
+        circuit.name(),
+        circuit.inputs(),
+        circuit.outputs(),
+        circuit.gates(),
+        circuit.num_dffs(),
+    );
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in desc.bytes() {
+        h ^= u64::from(byte);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Why a checkpoint could not be parsed or resumed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum CheckpointError {
+    /// The bytes are not a well-formed `duckpt` document.
+    Malformed {
+        /// 1-based line where parsing failed.
+        line: usize,
+        /// What was wrong.
+        msg: String,
+    },
+    /// The checkpoint was taken for a different instance (circuit, chain,
+    /// spec, or captures differ).
+    InstanceMismatch {
+        /// Hash recorded in the checkpoint.
+        expected: u64,
+        /// Hash of the instance resume was called with.
+        got: u64,
+    },
+    /// The live oracle answered a recorded DIP differently — the bench is
+    /// not the chip this checkpoint came from (or noise exceeded the
+    /// replication factor).
+    OracleMismatch {
+        /// Index of the first diverging DIP.
+        dip: usize,
+    },
+    /// The oracle kept faulting while re-validating the checkpoint.
+    OracleUnavailable,
+    /// The recorded shape or a recorded vector length does not fit the
+    /// instance, or a recorded DIP or learnt clause contradicted the
+    /// rebuilt model — the checkpoint is corrupt or was tampered with.
+    Inconsistent,
+}
+
+impl fmt::Display for CheckpointError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CheckpointError::Malformed { line, msg } => {
+                write!(f, "malformed checkpoint at line {line}: {msg}")
+            }
+            CheckpointError::InstanceMismatch { expected, got } => {
+                write!(
+                    f,
+                    "checkpoint is for instance {expected:016x}, not {got:016x}"
+                )
+            }
+            CheckpointError::OracleMismatch { dip } => {
+                write!(f, "live oracle contradicts recorded DIP {dip}")
+            }
+            CheckpointError::OracleUnavailable => {
+                write!(f, "oracle kept faulting during checkpoint re-validation")
+            }
+            CheckpointError::Inconsistent => {
+                write!(f, "checkpoint contradicts the rebuilt model")
+            }
+        }
+    }
+}
+
+impl std::error::Error for CheckpointError {}
+
+/// Phase recorded in a checkpoint.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum CkptPhase {
+    Running,
+    Converged {
+        seed: BitVec,
+        rank: usize,
+        rows: Vec<(BitVec, bool)>,
+    },
+}
+
+/// A serialized attack snapshot: everything needed to rebuild an
+/// [`AttackState`](crate::AttackState) except the instance itself
+/// (circuit, chain, spec) and the oracle, which the resuming process
+/// supplies.
+///
+/// The byte format is a hand-rolled line-oriented text document (grammar
+/// in DESIGN.md §8) — no serialization dependency, diffable, and stable
+/// across platforms.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Checkpoint {
+    pub(crate) instance: u64,
+    pub(crate) width: usize,
+    pub(crate) cells: usize,
+    pub(crate) captures: usize,
+    pub(crate) oracle_queries: usize,
+    pub(crate) retries: u64,
+    pub(crate) repaired_bits: u64,
+    pub(crate) exhaustions: u32,
+    pub(crate) num_vars: usize,
+    pub(crate) dips: Vec<DipRecord>,
+    pub(crate) learnts: Vec<Vec<Lit>>,
+    pub(crate) phase: CkptPhase,
+}
+
+fn bits_to_str(bits: impl Iterator<Item = bool>) -> String {
+    let s: String = bits.map(|b| if b { '1' } else { '0' }).collect();
+    if s.is_empty() {
+        "-".to_string()
+    } else {
+        s
+    }
+}
+
+fn str_to_bits(s: &str) -> Option<Vec<bool>> {
+    if s == "-" {
+        return Some(Vec::new());
+    }
+    s.chars()
+        .map(|c| match c {
+            '0' => Some(false),
+            '1' => Some(true),
+            _ => None,
+        })
+        .collect()
+}
+
+impl Checkpoint {
+    /// The instance hash this checkpoint is keyed by.
+    pub fn instance(&self) -> u64 {
+        self.instance
+    }
+
+    /// DIP rounds recorded.
+    pub fn dip_count(&self) -> usize {
+        self.dips.len()
+    }
+
+    /// Learnt clauses exported from the warm solver.
+    pub fn learnt_count(&self) -> usize {
+        self.learnts.len()
+    }
+
+    /// Serializes to the `duckpt 1` text format.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        use std::fmt::Write;
+        let mut out = String::new();
+        let _ = writeln!(out, "duckpt 1");
+        let _ = writeln!(out, "instance {:016x}", self.instance);
+        let _ = writeln!(
+            out,
+            "shape width {} cells {} captures {}",
+            self.width, self.cells, self.captures
+        );
+        let _ = writeln!(
+            out,
+            "counters queries {} retries {} repaired {} exhaustions {}",
+            self.oracle_queries, self.retries, self.repaired_bits, self.exhaustions
+        );
+        for d in &self.dips {
+            let _ = writeln!(
+                out,
+                "dip {} {} {} {}",
+                bits_to_str(d.pattern.iter().copied()),
+                bits_to_str(d.pis.iter().copied()),
+                bits_to_str(d.response.scan_out.iter().copied()),
+                bits_to_str(d.response.po.iter().copied()),
+            );
+        }
+        let _ = writeln!(out, "vars {}", self.num_vars);
+        for clause in &self.learnts {
+            let _ = write!(out, "learnt");
+            for l in clause {
+                let _ = write!(out, " {}", l.to_dimacs());
+            }
+            let _ = writeln!(out);
+        }
+        match &self.phase {
+            CkptPhase::Running => {
+                let _ = writeln!(out, "phase running");
+            }
+            CkptPhase::Converged { seed, rank, rows } => {
+                let _ = writeln!(out, "phase converged");
+                for (row, value) in rows {
+                    let _ = writeln!(
+                        out,
+                        "row {} {}",
+                        bits_to_str(row.iter_bits()),
+                        u8::from(*value)
+                    );
+                }
+                let _ = writeln!(out, "seed {}", bits_to_str(seed.iter_bits()));
+                let _ = writeln!(out, "rank {rank}");
+            }
+        }
+        let _ = writeln!(out, "end duckpt");
+        out.into_bytes()
+    }
+
+    /// Parses a `duckpt 1` document.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Malformed`] with the offending line on any
+    /// structural problem.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
+        let text = std::str::from_utf8(bytes).map_err(|_| CheckpointError::Malformed {
+            line: 1,
+            msg: "not utf-8".into(),
+        })?;
+        let err = |line: usize, msg: &str| CheckpointError::Malformed {
+            line,
+            msg: msg.to_string(),
+        };
+        let mut instance = None;
+        let mut shape: Option<(usize, usize, usize)> = None;
+        let mut counters: Option<(usize, u64, u64, u32)> = None;
+        let mut num_vars: Option<usize> = None;
+        let mut dips = Vec::new();
+        let mut learnts = Vec::new();
+        let mut phase: Option<CkptPhase> = None;
+        let mut rows: Vec<(BitVec, bool)> = Vec::new();
+        let mut seed: Option<BitVec> = None;
+        let mut rank: Option<usize> = None;
+        let mut ended = false;
+
+        for (idx, raw) in text.lines().enumerate() {
+            let lineno = idx + 1;
+            let line = raw.trim();
+            if line.is_empty() {
+                continue;
+            }
+            if ended {
+                return Err(err(lineno, "content after end marker"));
+            }
+            let mut fields = line.split_whitespace();
+            let tag = fields.next().expect("non-empty line has a first token");
+            let rest: Vec<&str> = fields.collect();
+            match tag {
+                "duckpt" => {
+                    if lineno != 1 || rest != ["1"] {
+                        return Err(err(lineno, "expected header `duckpt 1`"));
+                    }
+                }
+                "instance" => {
+                    let [h] = rest[..] else {
+                        return Err(err(lineno, "instance wants one hash"));
+                    };
+                    instance = Some(
+                        u64::from_str_radix(h, 16).map_err(|_| err(lineno, "bad instance hash"))?,
+                    );
+                }
+                "shape" => {
+                    let ["width", w, "cells", n, "captures", c] = rest[..] else {
+                        return Err(err(lineno, "bad shape line"));
+                    };
+                    let parse = |s: &str| {
+                        s.parse::<usize>()
+                            .map_err(|_| err(lineno, "bad shape number"))
+                    };
+                    shape = Some((parse(w)?, parse(n)?, parse(c)?));
+                }
+                "counters" => {
+                    let ["queries", q, "retries", r, "repaired", b, "exhaustions", e] = rest[..]
+                    else {
+                        return Err(err(lineno, "bad counters line"));
+                    };
+                    counters = Some((
+                        q.parse().map_err(|_| err(lineno, "bad queries"))?,
+                        r.parse().map_err(|_| err(lineno, "bad retries"))?,
+                        b.parse().map_err(|_| err(lineno, "bad repaired"))?,
+                        e.parse().map_err(|_| err(lineno, "bad exhaustions"))?,
+                    ));
+                }
+                "dip" => {
+                    let [pat, pis, so, po] = rest[..] else {
+                        return Err(err(lineno, "dip wants four bit strings"));
+                    };
+                    let parse = |s: &str| str_to_bits(s).ok_or_else(|| err(lineno, "bad bits"));
+                    dips.push(DipRecord {
+                        pattern: parse(pat)?,
+                        pis: parse(pis)?,
+                        response: ScanResponse {
+                            scan_out: parse(so)?,
+                            po: parse(po)?,
+                        },
+                    });
+                }
+                "vars" => {
+                    let [v] = rest[..] else {
+                        return Err(err(lineno, "vars wants one count"));
+                    };
+                    num_vars = Some(v.parse().map_err(|_| err(lineno, "bad var count"))?);
+                }
+                "learnt" => {
+                    let clause: Result<Vec<Lit>, _> = rest
+                        .iter()
+                        .map(|s| {
+                            s.parse::<i64>()
+                                .ok()
+                                .and_then(Lit::try_from_dimacs)
+                                .ok_or_else(|| err(lineno, "bad literal"))
+                        })
+                        .collect();
+                    learnts.push(clause?);
+                }
+                "phase" => match rest[..] {
+                    ["running"] => phase = Some(CkptPhase::Running),
+                    ["converged"] => {
+                        phase = Some(CkptPhase::Converged {
+                            seed: BitVec::zeros(0),
+                            rank: 0,
+                            rows: Vec::new(),
+                        });
+                    }
+                    _ => return Err(err(lineno, "phase must be running or converged")),
+                },
+                "row" => {
+                    let [bits, value] = rest[..] else {
+                        return Err(err(lineno, "row wants bits and a value"));
+                    };
+                    let row = str_to_bits(bits).ok_or_else(|| err(lineno, "bad row bits"))?;
+                    let value = match value {
+                        "0" => false,
+                        "1" => true,
+                        _ => return Err(err(lineno, "row value must be 0 or 1")),
+                    };
+                    rows.push((BitVec::from_bools(row), value));
+                }
+                "seed" => {
+                    let [bits] = rest[..] else {
+                        return Err(err(lineno, "seed wants one bit string"));
+                    };
+                    seed = Some(BitVec::from_bools(
+                        str_to_bits(bits).ok_or_else(|| err(lineno, "bad seed bits"))?,
+                    ));
+                }
+                "rank" => {
+                    let [k] = rest[..] else {
+                        return Err(err(lineno, "rank wants one number"));
+                    };
+                    rank = Some(k.parse().map_err(|_| err(lineno, "bad rank"))?);
+                }
+                "end" => {
+                    if rest != ["duckpt"] {
+                        return Err(err(lineno, "bad end marker"));
+                    }
+                    ended = true;
+                }
+                _ => return Err(err(lineno, "unknown tag")),
+            }
+        }
+        if !ended {
+            return Err(err(text.lines().count().max(1), "missing end marker"));
+        }
+        let need = |line: usize, what: &str| err(line, &format!("missing {what} section"));
+        let instance = instance.ok_or_else(|| need(1, "instance"))?;
+        let (width, cells, captures) = shape.ok_or_else(|| need(1, "shape"))?;
+        let (oracle_queries, retries, repaired_bits, exhaustions) =
+            counters.ok_or_else(|| need(1, "counters"))?;
+        let num_vars = num_vars.ok_or_else(|| need(1, "vars"))?;
+        let phase = match phase.ok_or_else(|| need(1, "phase"))? {
+            CkptPhase::Running => CkptPhase::Running,
+            CkptPhase::Converged { .. } => {
+                let seed = seed.ok_or_else(|| need(1, "seed"))?;
+                let rank = rank.ok_or_else(|| need(1, "rank"))?;
+                if seed.len() != width || rank > width {
+                    return Err(err(1, "seed/rank inconsistent with width"));
+                }
+                CkptPhase::Converged { seed, rank, rows }
+            }
+        };
+        Ok(Checkpoint {
+            instance,
+            width,
+            cells,
+            captures,
+            oracle_queries,
+            retries,
+            repaired_bits,
+            exhaustions,
+            num_vars,
+            dips,
+            learnts,
+            phase,
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn malformed_checkpoints_are_rejected_with_line_numbers() {
+        for (doc, want_line, why) in [
+            ("", 1, "empty"),
+            ("duckpt 2\nend duckpt\n", 1, "bad version"),
+            ("duckpt 1\ninstance zz\nend duckpt\n", 2, "bad hash"),
+            ("duckpt 1\nfrobnicate\nend duckpt\n", 2, "unknown tag"),
+            ("duckpt 1\ninstance 00\n", 2, "missing end"),
+            ("duckpt 1\nend duckpt\ntrailing\n", 3, "content after end"),
+            (
+                "duckpt 1\nlearnt 99999999999\nend duckpt\n",
+                2,
+                "oversized literal",
+            ),
+            ("duckpt 1\nlearnt 1 0 2\nend duckpt\n", 2, "zero literal"),
+        ] {
+            match Checkpoint::from_bytes(doc.as_bytes()) {
+                Err(CheckpointError::Malformed { line, .. }) => {
+                    assert_eq!(line, want_line, "{why}: doc {doc:?}");
+                }
+                other => panic!("{why}: doc {doc:?} must be rejected, got {other:?}"),
+            }
+        }
+    }
+}

@@ -22,13 +22,15 @@
 //!    whenever every mask bit is observable — then verify against the
 //!    oracle with random probe sessions.
 //!
-//! The [`robust`] module lifts the same loop into a fault-tolerant,
-//! resumable state machine: budgeted SAT calls, retry + backoff against
+//! The loop runs in one engine, the resumable state machine
+//! [`robust::AttackState`]: budgeted SAT calls, retry + backoff against
 //! transient oracle faults, majority-vote repair of bit-flip noise,
-//! checkpoint/resume across process death, and graceful degradation to a
-//! [`robust::PartialReport`] when the attack cannot finish. The classic
-//! [`attack::unlock`] entry point is a strict-configuration wrapper over
-//! it.
+//! checkpoint/resume across process death (the `duckpt` codec is
+//! [`ckpt`]), and graceful degradation to a [`robust::PartialReport`]
+//! when the attack cannot finish. [`attack::unlock`] is that machine in
+//! its strict configuration; it returns the [`Unlock`] or the
+//! [`DegradeReason`] the machine stopped with, so there is one outcome
+//! vocabulary.
 //!
 //! # Example
 //!
@@ -58,12 +60,14 @@
 #![warn(missing_docs)]
 
 pub mod attack;
+pub mod ckpt;
 pub mod model;
 pub mod robust;
 
-pub use attack::{same_class, unlock, AttackConfig, AttackError, Unlock};
+pub use attack::{same_class, unlock, AttackConfig, Unlock};
+pub use ckpt::{Checkpoint, CheckpointError};
 pub use model::{session_masks, SessionMasks};
 pub use robust::{
-    unlock_robust, AttackState, Checkpoint, CheckpointError, DegradeReason, FaultStats,
-    PartialReport, RetryPolicy, RobustConfig, RobustOutcome, Step,
+    AttackState, DegradeReason, FaultStats, PartialReport, RetryPolicy, RobustConfig,
+    RobustOutcome, Step,
 };

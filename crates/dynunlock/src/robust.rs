@@ -1,10 +1,9 @@
-//! Fault-tolerant attack execution: the resumable DIP state machine.
+//! The attack engine: the resumable DIP state machine.
 //!
-//! [`attack::unlock`](crate::attack::unlock) assumes an oracle that never
-//! fails, a SAT call that always terminates, and a process that never
-//! dies. This module drops all three assumptions. The DIP loop becomes an
-//! explicit [`AttackState`] machine driven one [`step`](AttackState::step)
-//! at a time against a [`FallibleScanAccess`] oracle, with:
+//! The DIP loop is an explicit [`AttackState`] machine driven one
+//! [`step`](AttackState::step) at a time against a [`FallibleScanAccess`]
+//! oracle. It does not assume an oracle that never fails, a SAT call that
+//! always terminates, or a process that never dies:
 //!
 //! * **retry + exponential backoff + jitter** on transient oracle faults
 //!   ([`RetryPolicy`]);
@@ -12,20 +11,21 @@
 //!   ([`RobustConfig::replication`]);
 //! * **budgeted solving** — the SAT calls of one step share a
 //!   [`Budget`], and `Unknown` answers leave the machine resumable;
-//! * **checkpoint / resume** — [`AttackState::checkpoint`] serializes the
-//!   run (DIP set, learnt clauses, recovery rows) into a hand-rolled,
-//!   dependency-free text format keyed by an instance hash, and
-//!   [`AttackState::resume`] rebuilds the machine from bytes, re-validating
-//!   every recorded DIP against the live oracle first;
+//! * **checkpoint / resume** — [`AttackState::checkpoint`] snapshots the
+//!   run (DIP set, learnt clauses, recovery rows) as a
+//!   [`Checkpoint`], whose `duckpt` text codec lives in
+//!   [`ckpt`](crate::ckpt), and [`AttackState::resume`] rebuilds the
+//!   machine from one, re-validating every recorded DIP against the live
+//!   oracle first;
 //! * **graceful degradation** — when a budget runs dry or the oracle
 //!   becomes unrepairable, [`AttackState::run`] returns a
 //!   [`PartialReport`] (recovered rank, nullity, per-seed-bit confidence)
 //!   instead of an error.
 //!
-//! The legacy `unlock` entry point is now a thin wrapper over this
-//! machine with a strict no-fault configuration, so both paths exercise
-//! the same loop. See DESIGN.md §8 for the fault model, the checkpoint
-//! grammar, and the degradation contract.
+//! [`unlock`](crate::attack::unlock) is this machine under
+//! [`RobustConfig::strict`], and its error is the machine's
+//! [`DegradeReason`]. See DESIGN.md §8 for the fault model, the
+//! checkpoint grammar, and the degradation contract.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -39,9 +39,8 @@ use satsolver::{Budget, Lit, SolveResult, SolverStats};
 use scanlock::{LockSpec, LockedScanChip};
 use sim::{FallibleScanAccess, ScanAccess, ScanChain, ScanResponse};
 
-use crate::attack::{
-    locked_cone, mask_copy, output_order, AttackConfig, AttackError, MaskCopy, Unlock,
-};
+use crate::attack::{locked_cone, mask_copy, output_order, AttackConfig, MaskCopy, Unlock};
+use crate::ckpt::{instance_hash, Checkpoint, CheckpointError, CkptPhase};
 use crate::model::{session_masks, SessionMasks};
 
 // ---------------------------------------------------------------------
@@ -84,7 +83,7 @@ impl Default for RetryPolicy {
 
 impl RetryPolicy {
     /// No retries at all: the first fault degrades the attack. The policy
-    /// used by the strict (legacy) entry point.
+    /// of [`RobustConfig::strict`].
     pub fn none() -> RetryPolicy {
         RetryPolicy {
             max_retries: 0,
@@ -148,11 +147,10 @@ impl Default for RobustConfig {
 }
 
 impl RobustConfig {
-    /// The no-fault-tolerance configuration the legacy
-    /// [`unlock`](crate::attack::unlock) wrapper runs under: single
-    /// queries, no retries, unlimited solving. Against a reliable oracle
-    /// this reproduces the original attack exactly (same query count,
-    /// same probes, same result).
+    /// The no-fault-tolerance configuration
+    /// [`unlock`](crate::attack::unlock) runs: single queries, no
+    /// retries, unlimited solving. Against a reliable oracle no fault
+    /// handling ever fires, so every query is one DIP or one probe.
     pub fn strict(base: AttackConfig) -> RobustConfig {
         RobustConfig {
             base,
@@ -181,7 +179,9 @@ pub struct FaultStats {
     pub backoff: Duration,
 }
 
-/// Why an attack degraded to a [`PartialReport`] instead of finishing.
+/// Why an attack did not unlock: the error of
+/// [`unlock`](crate::attack::unlock) and the reason of a
+/// [`PartialReport`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum DegradeReason {
@@ -217,25 +217,6 @@ pub enum DegradeReason {
     },
     /// [`AttackState::finish`] was called before the DIP loop converged.
     NotConverged,
-}
-
-impl DegradeReason {
-    /// Maps degradation back onto the legacy error surface (used by the
-    /// strict `unlock` wrapper, where fault-specific reasons cannot
-    /// occur).
-    pub(crate) fn into_attack_error(self) -> AttackError {
-        match self {
-            DegradeReason::DipLimit { limit } => AttackError::DipLimit { limit },
-            DegradeReason::VerificationFailed { probes_passed } => {
-                AttackError::VerificationFailed { probes_passed }
-            }
-            DegradeReason::Certification { reason } => AttackError::Certification { reason },
-            // BudgetExhausted / OracleUnavailable cannot occur under
-            // RobustConfig::strict; fold the remainder into the model
-            // inconsistency bucket.
-            _ => AttackError::Inconsistent,
-        }
-    }
 }
 
 impl fmt::Display for DegradeReason {
@@ -310,23 +291,14 @@ pub struct PartialReport {
 pub enum RobustOutcome {
     /// The attack converged and verified.
     Unlocked {
-        /// The recovered-seed result (same shape as the strict path).
+        /// The recovered-seed result, as [`unlock`](crate::attack::unlock)
+        /// returns it.
         unlock: Unlock,
         /// Fault-handling counters for the run.
         faults: FaultStats,
     },
     /// The attack degraded; here is everything it still knows.
     Partial(PartialReport),
-}
-
-impl RobustOutcome {
-    /// The fault counters, whichever way the run ended.
-    pub fn faults(&self) -> &FaultStats {
-        match self {
-            RobustOutcome::Unlocked { faults, .. } => faults,
-            RobustOutcome::Partial(report) => &report.faults,
-        }
-    }
 }
 
 /// What one [`AttackState::step`] call did.
@@ -354,10 +326,10 @@ pub enum Step {
 /// One DIP round the oracle answered: the stimulus and the (vote-repaired)
 /// response both hypotheses were constrained to reproduce.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct DipRecord {
-    pattern: Vec<bool>,
-    pis: Vec<bool>,
-    response: ScanResponse,
+pub(crate) struct DipRecord {
+    pub(crate) pattern: Vec<bool>,
+    pub(crate) pis: Vec<bool>,
+    pub(crate) response: ScanResponse,
 }
 
 /// State the machine carries once the miter has gone UNSAT.
@@ -561,17 +533,6 @@ impl<'a> AttackState<'a> {
     /// DIP rounds completed so far.
     pub fn dip_count(&self) -> usize {
         self.dips.len()
-    }
-
-    /// Oracle query attempts consumed so far (retries and replicas
-    /// included).
-    pub fn oracle_queries(&self) -> usize {
-        self.oracle_queries
-    }
-
-    /// Fault-handling counters so far.
-    pub fn fault_stats(&self) -> &FaultStats {
-        &self.faults
     }
 
     /// SAT solver work counters so far.
@@ -1002,411 +963,10 @@ impl<'a> AttackState<'a> {
 }
 
 // ---------------------------------------------------------------------
-// Checkpoints
+// Checkpoint and resume (the `duckpt` codec is `crate::ckpt`)
 // ---------------------------------------------------------------------
 
-/// FNV-1a over the canonical instance description: circuit structure,
-/// chain order, lock spec, capture count. Keys every checkpoint so a
-/// resume against a different instance is rejected before any oracle
-/// traffic.
-fn instance_hash(circuit: &Circuit, chain: &ScanChain, spec: &LockSpec, captures: usize) -> u64 {
-    let chain_order: Vec<usize> = (0..chain.len()).map(|pos| chain.dff_at(pos)).collect();
-    let desc = format!(
-        "{}|{:?}|{:?}|{:?}|{:?}|{chain_order:?}|{spec:?}|{captures}",
-        circuit.name(),
-        circuit.inputs(),
-        circuit.outputs(),
-        circuit.gates(),
-        circuit.num_dffs(),
-    );
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in desc.bytes() {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Why a checkpoint could not be parsed or resumed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum CheckpointError {
-    /// The bytes are not a well-formed `duckpt` document.
-    Malformed {
-        /// 1-based line where parsing failed.
-        line: usize,
-        /// What was wrong.
-        msg: String,
-    },
-    /// The checkpoint was taken for a different instance (circuit, chain,
-    /// spec, or captures differ).
-    InstanceMismatch {
-        /// Hash recorded in the checkpoint.
-        expected: u64,
-        /// Hash of the instance resume was called with.
-        got: u64,
-    },
-    /// The live oracle answered a recorded DIP differently — the bench is
-    /// not the chip this checkpoint came from (or noise exceeded the
-    /// replication factor).
-    OracleMismatch {
-        /// Index of the first diverging DIP.
-        dip: usize,
-    },
-    /// The oracle kept faulting while re-validating the checkpoint.
-    OracleUnavailable,
-    /// A recorded DIP or learnt clause contradicted the rebuilt model —
-    /// the checkpoint is corrupt or was tampered with.
-    Inconsistent,
-}
-
-impl fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CheckpointError::Malformed { line, msg } => {
-                write!(f, "malformed checkpoint at line {line}: {msg}")
-            }
-            CheckpointError::InstanceMismatch { expected, got } => {
-                write!(
-                    f,
-                    "checkpoint is for instance {expected:016x}, not {got:016x}"
-                )
-            }
-            CheckpointError::OracleMismatch { dip } => {
-                write!(f, "live oracle contradicts recorded DIP {dip}")
-            }
-            CheckpointError::OracleUnavailable => {
-                write!(f, "oracle kept faulting during checkpoint re-validation")
-            }
-            CheckpointError::Inconsistent => {
-                write!(f, "checkpoint contradicts the rebuilt model")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CheckpointError {}
-
-/// Phase recorded in a checkpoint.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum CkptPhase {
-    Running,
-    Converged {
-        seed: BitVec,
-        rank: usize,
-        rows: Vec<(BitVec, bool)>,
-    },
-}
-
-/// A serialized attack snapshot: everything needed to rebuild an
-/// [`AttackState`] except the instance itself (circuit, chain, spec) and
-/// the oracle, which the resuming process supplies.
-///
-/// The byte format is a hand-rolled line-oriented text document (grammar
-/// in DESIGN.md §8) — no serialization dependency, diffable, and stable
-/// across platforms.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Checkpoint {
-    instance: u64,
-    width: usize,
-    cells: usize,
-    captures: usize,
-    oracle_queries: usize,
-    retries: u64,
-    repaired_bits: u64,
-    exhaustions: u32,
-    num_vars: usize,
-    dips: Vec<DipRecord>,
-    learnts: Vec<Vec<Lit>>,
-    phase: CkptPhase,
-}
-
-fn bits_to_str(bits: impl Iterator<Item = bool>) -> String {
-    let s: String = bits.map(|b| if b { '1' } else { '0' }).collect();
-    if s.is_empty() {
-        "-".to_string()
-    } else {
-        s
-    }
-}
-
-fn str_to_bits(s: &str) -> Option<Vec<bool>> {
-    if s == "-" {
-        return Some(Vec::new());
-    }
-    s.chars()
-        .map(|c| match c {
-            '0' => Some(false),
-            '1' => Some(true),
-            _ => None,
-        })
-        .collect()
-}
-
-impl Checkpoint {
-    /// The instance hash this checkpoint is keyed by.
-    pub fn instance(&self) -> u64 {
-        self.instance
-    }
-
-    /// DIP rounds recorded.
-    pub fn dip_count(&self) -> usize {
-        self.dips.len()
-    }
-
-    /// Learnt clauses exported from the warm solver.
-    pub fn learnt_count(&self) -> usize {
-        self.learnts.len()
-    }
-
-    /// Serializes to the `duckpt 1` text format.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = writeln!(out, "duckpt 1");
-        let _ = writeln!(out, "instance {:016x}", self.instance);
-        let _ = writeln!(
-            out,
-            "shape width {} cells {} captures {}",
-            self.width, self.cells, self.captures
-        );
-        let _ = writeln!(
-            out,
-            "counters queries {} retries {} repaired {} exhaustions {}",
-            self.oracle_queries, self.retries, self.repaired_bits, self.exhaustions
-        );
-        for d in &self.dips {
-            let _ = writeln!(
-                out,
-                "dip {} {} {} {}",
-                bits_to_str(d.pattern.iter().copied()),
-                bits_to_str(d.pis.iter().copied()),
-                bits_to_str(d.response.scan_out.iter().copied()),
-                bits_to_str(d.response.po.iter().copied()),
-            );
-        }
-        let _ = writeln!(out, "vars {}", self.num_vars);
-        for clause in &self.learnts {
-            let _ = write!(out, "learnt");
-            for l in clause {
-                let _ = write!(out, " {}", l.to_dimacs());
-            }
-            let _ = writeln!(out);
-        }
-        match &self.phase {
-            CkptPhase::Running => {
-                let _ = writeln!(out, "phase running");
-            }
-            CkptPhase::Converged { seed, rank, rows } => {
-                let _ = writeln!(out, "phase converged");
-                for (row, value) in rows {
-                    let _ = writeln!(
-                        out,
-                        "row {} {}",
-                        bits_to_str(row.iter_bits()),
-                        u8::from(*value)
-                    );
-                }
-                let _ = writeln!(out, "seed {}", bits_to_str(seed.iter_bits()));
-                let _ = writeln!(out, "rank {rank}");
-            }
-        }
-        let _ = writeln!(out, "end duckpt");
-        out.into_bytes()
-    }
-
-    /// Parses a `duckpt 1` document.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Malformed`] with the offending line on any
-    /// structural problem.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
-        let text = std::str::from_utf8(bytes).map_err(|_| CheckpointError::Malformed {
-            line: 1,
-            msg: "not utf-8".into(),
-        })?;
-        let err = |line: usize, msg: &str| CheckpointError::Malformed {
-            line,
-            msg: msg.to_string(),
-        };
-        let mut instance = None;
-        let mut shape: Option<(usize, usize, usize)> = None;
-        let mut counters: Option<(usize, u64, u64, u32)> = None;
-        let mut num_vars: Option<usize> = None;
-        let mut dips = Vec::new();
-        let mut learnts = Vec::new();
-        let mut phase: Option<CkptPhase> = None;
-        let mut rows: Vec<(BitVec, bool)> = Vec::new();
-        let mut seed: Option<BitVec> = None;
-        let mut rank: Option<usize> = None;
-        let mut ended = false;
-
-        for (idx, raw) in text.lines().enumerate() {
-            let lineno = idx + 1;
-            let line = raw.trim();
-            if line.is_empty() {
-                continue;
-            }
-            if ended {
-                return Err(err(lineno, "content after end marker"));
-            }
-            let mut fields = line.split_whitespace();
-            let tag = fields.next().expect("non-empty line has a first token");
-            let rest: Vec<&str> = fields.collect();
-            match tag {
-                "duckpt" => {
-                    if lineno != 1 || rest != ["1"] {
-                        return Err(err(lineno, "expected header `duckpt 1`"));
-                    }
-                }
-                "instance" => {
-                    let [h] = rest[..] else {
-                        return Err(err(lineno, "instance wants one hash"));
-                    };
-                    instance = Some(
-                        u64::from_str_radix(h, 16).map_err(|_| err(lineno, "bad instance hash"))?,
-                    );
-                }
-                "shape" => {
-                    let ["width", w, "cells", n, "captures", c] = rest[..] else {
-                        return Err(err(lineno, "bad shape line"));
-                    };
-                    let parse = |s: &str| {
-                        s.parse::<usize>()
-                            .map_err(|_| err(lineno, "bad shape number"))
-                    };
-                    shape = Some((parse(w)?, parse(n)?, parse(c)?));
-                }
-                "counters" => {
-                    let ["queries", q, "retries", r, "repaired", b, "exhaustions", e] = rest[..]
-                    else {
-                        return Err(err(lineno, "bad counters line"));
-                    };
-                    counters = Some((
-                        q.parse().map_err(|_| err(lineno, "bad queries"))?,
-                        r.parse().map_err(|_| err(lineno, "bad retries"))?,
-                        b.parse().map_err(|_| err(lineno, "bad repaired"))?,
-                        e.parse().map_err(|_| err(lineno, "bad exhaustions"))?,
-                    ));
-                }
-                "dip" => {
-                    let [pat, pis, so, po] = rest[..] else {
-                        return Err(err(lineno, "dip wants four bit strings"));
-                    };
-                    let parse = |s: &str| str_to_bits(s).ok_or_else(|| err(lineno, "bad bits"));
-                    dips.push(DipRecord {
-                        pattern: parse(pat)?,
-                        pis: parse(pis)?,
-                        response: ScanResponse {
-                            scan_out: parse(so)?,
-                            po: parse(po)?,
-                        },
-                    });
-                }
-                "vars" => {
-                    let [v] = rest[..] else {
-                        return Err(err(lineno, "vars wants one count"));
-                    };
-                    num_vars = Some(v.parse().map_err(|_| err(lineno, "bad var count"))?);
-                }
-                "learnt" => {
-                    let clause: Result<Vec<Lit>, _> = rest
-                        .iter()
-                        .map(|s| {
-                            s.parse::<i64>()
-                                .ok()
-                                .filter(|&c| c != 0)
-                                .map(Lit::from_dimacs)
-                                .ok_or_else(|| err(lineno, "bad literal"))
-                        })
-                        .collect();
-                    learnts.push(clause?);
-                }
-                "phase" => match rest[..] {
-                    ["running"] => phase = Some(CkptPhase::Running),
-                    ["converged"] => {
-                        phase = Some(CkptPhase::Converged {
-                            seed: BitVec::zeros(0),
-                            rank: 0,
-                            rows: Vec::new(),
-                        });
-                    }
-                    _ => return Err(err(lineno, "phase must be running or converged")),
-                },
-                "row" => {
-                    let [bits, value] = rest[..] else {
-                        return Err(err(lineno, "row wants bits and a value"));
-                    };
-                    let row = str_to_bits(bits).ok_or_else(|| err(lineno, "bad row bits"))?;
-                    let value = match value {
-                        "0" => false,
-                        "1" => true,
-                        _ => return Err(err(lineno, "row value must be 0 or 1")),
-                    };
-                    rows.push((BitVec::from_bools(row), value));
-                }
-                "seed" => {
-                    let [bits] = rest[..] else {
-                        return Err(err(lineno, "seed wants one bit string"));
-                    };
-                    seed = Some(BitVec::from_bools(
-                        str_to_bits(bits).ok_or_else(|| err(lineno, "bad seed bits"))?,
-                    ));
-                }
-                "rank" => {
-                    let [k] = rest[..] else {
-                        return Err(err(lineno, "rank wants one number"));
-                    };
-                    rank = Some(k.parse().map_err(|_| err(lineno, "bad rank"))?);
-                }
-                "end" => {
-                    if rest != ["duckpt"] {
-                        return Err(err(lineno, "bad end marker"));
-                    }
-                    ended = true;
-                }
-                _ => return Err(err(lineno, "unknown tag")),
-            }
-        }
-        if !ended {
-            return Err(err(text.lines().count().max(1), "missing end marker"));
-        }
-        let need = |line: usize, what: &str| err(line, &format!("missing {what} section"));
-        let instance = instance.ok_or_else(|| need(1, "instance"))?;
-        let (width, cells, captures) = shape.ok_or_else(|| need(1, "shape"))?;
-        let (oracle_queries, retries, repaired_bits, exhaustions) =
-            counters.ok_or_else(|| need(1, "counters"))?;
-        let num_vars = num_vars.ok_or_else(|| need(1, "vars"))?;
-        let phase = match phase.ok_or_else(|| need(1, "phase"))? {
-            CkptPhase::Running => CkptPhase::Running,
-            CkptPhase::Converged { .. } => {
-                let seed = seed.ok_or_else(|| need(1, "seed"))?;
-                let rank = rank.ok_or_else(|| need(1, "rank"))?;
-                if seed.len() != width || rank > width {
-                    return Err(err(1, "seed/rank inconsistent with width"));
-                }
-                CkptPhase::Converged { seed, rank, rows }
-            }
-        };
-        Ok(Checkpoint {
-            instance,
-            width,
-            cells,
-            captures,
-            oracle_queries,
-            retries,
-            repaired_bits,
-            exhaustions,
-            num_vars,
-            dips,
-            learnts,
-            phase,
-        })
-    }
-}
-
-impl AttackState<'_> {
+impl<'a> AttackState<'a> {
     /// Snapshots the machine into a serializable [`Checkpoint`]: the DIP
     /// set, the warm solver's learnt clauses (exported via
     /// [`satsolver::Solver::learnt_clauses`]), the recovery-matrix rows
@@ -1439,9 +999,7 @@ impl AttackState<'_> {
             phase,
         }
     }
-}
 
-impl<'a> AttackState<'a> {
     /// Rebuilds a machine from a checkpoint, re-validating it against the
     /// live oracle before continuing.
     ///
@@ -1461,6 +1019,7 @@ impl<'a> AttackState<'a> {
     /// the live oracle contradicts a recorded DIP,
     /// [`CheckpointError::OracleUnavailable`] when re-validation queries
     /// keep faulting, [`CheckpointError::Inconsistent`] when the recorded
+    /// shape or vector lengths do not fit the instance or the recorded
     /// data contradicts the rebuilt model.
     pub fn resume<O: FallibleScanAccess>(
         circuit: &'a Circuit,
@@ -1476,6 +1035,21 @@ impl<'a> AttackState<'a> {
                 expected: ckpt.instance,
                 got,
             });
+        }
+        // The hash does not cover the recorded vectors: check every length
+        // against the live instance before any of them reaches the oracle
+        // or the encoder.
+        let (cells, pis, pos) = (chain.len(), circuit.inputs().len(), circuit.outputs().len());
+        let shape = (spec.width(), cells, cfg.base.captures);
+        if (ckpt.width, ckpt.cells, ckpt.captures) != shape
+            || ckpt.dips.iter().any(|d| {
+                d.pattern.len() != cells
+                    || d.pis.len() != pis
+                    || d.response.scan_out.len() != cells
+                    || d.response.po.len() != pos
+            })
+        {
+            return Err(CheckpointError::Inconsistent);
         }
         let mut state = AttackState::new(circuit, chain, spec, cfg);
 
@@ -1552,25 +1126,6 @@ impl<'a> AttackState<'a> {
     }
 }
 
-/// Runs the fault-tolerant attack end to end: build, loop, verify or
-/// degrade. Convenience wrapper over [`AttackState::new`] +
-/// [`AttackState::run`] for callers who don't need stepwise control or
-/// checkpoints.
-///
-/// # Panics
-///
-/// Panics if dimensions disagree (chain vs. circuit flops,
-/// `captures == 0`).
-pub fn unlock_robust<O: FallibleScanAccess>(
-    circuit: &Circuit,
-    chain: &ScanChain,
-    spec: &LockSpec,
-    oracle: &mut O,
-    cfg: &RobustConfig,
-) -> RobustOutcome {
-    AttackState::new(circuit, chain, spec, cfg.clone()).run(oracle)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1629,17 +1184,12 @@ mod tests {
     fn strict_run_matches_legacy_unlock() {
         let f = fixture(12, 6, 0xAB);
         let cfg = RobustConfig::strict(AttackConfig::default());
-        let outcome = unlock_robust(
-            &f.circuit,
-            &f.chain,
-            &f.spec,
-            &mut Reliable(f.oracle()),
-            &cfg,
-        );
+        let outcome =
+            AttackState::new(&f.circuit, &f.chain, &f.spec, cfg).run(&mut Reliable(f.oracle()));
         let RobustOutcome::Unlocked { unlock, faults } = outcome else {
             panic!("reliable oracle must unlock");
         };
-        let legacy = crate::attack::unlock(
+        let wrapped = crate::attack::unlock(
             &f.circuit,
             &f.chain,
             &f.spec,
@@ -1647,9 +1197,9 @@ mod tests {
             &AttackConfig::default(),
         )
         .unwrap();
-        assert_eq!(unlock.seed, legacy.seed);
-        assert_eq!(unlock.dip_iterations, legacy.dip_iterations);
-        assert_eq!(unlock.oracle_queries, legacy.oracle_queries);
+        assert_eq!(unlock.seed, wrapped.seed);
+        assert_eq!(unlock.dip_iterations, wrapped.dip_iterations);
+        assert_eq!(unlock.oracle_queries, wrapped.oracle_queries);
         assert_eq!(faults, FaultStats::default());
     }
 
@@ -1666,7 +1216,7 @@ mod tests {
                 .with_bit_flips(8_000)
                 .with_transients(60_000),
         );
-        let outcome = unlock_robust(&f.circuit, &f.chain, &f.spec, &mut faulty, &cfg);
+        let outcome = AttackState::new(&f.circuit, &f.chain, &f.spec, cfg).run(&mut faulty);
         let RobustOutcome::Unlocked { unlock, faults } = outcome else {
             panic!("vote + retry must repair this schedule");
         };
@@ -1686,7 +1236,7 @@ mod tests {
         };
         // 100% transient: every query fails, retries exhaust.
         let mut dead = FaultyOracle::new(f.oracle(), FaultSpec::new(9).with_transients(1_000_000));
-        let outcome = unlock_robust(&f.circuit, &f.chain, &f.spec, &mut dead, &cfg);
+        let outcome = AttackState::new(&f.circuit, &f.chain, &f.spec, cfg).run(&mut dead);
         let RobustOutcome::Partial(report) = outcome else {
             panic!("a dead oracle cannot unlock");
         };
@@ -1708,13 +1258,8 @@ mod tests {
             max_budget_exhaustions: 2,
             ..RobustConfig::default()
         };
-        let outcome = unlock_robust(
-            &f.circuit,
-            &f.chain,
-            &f.spec,
-            &mut Reliable(f.oracle()),
-            &cfg,
-        );
+        let outcome =
+            AttackState::new(&f.circuit, &f.chain, &f.spec, cfg).run(&mut Reliable(f.oracle()));
         let RobustOutcome::Partial(report) = outcome else {
             panic!("a 1-propagation budget cannot converge");
         };
@@ -1845,26 +1390,6 @@ mod tests {
         let ckpt = state.checkpoint();
         let reparsed = Checkpoint::from_bytes(&ckpt.to_bytes()).unwrap();
         assert_eq!(ckpt, reparsed);
-    }
-
-    #[test]
-    fn malformed_checkpoints_are_rejected_with_line_numbers() {
-        for (doc, _why) in [
-            ("", "empty"),
-            ("duckpt 2\nend duckpt\n", "bad version"),
-            ("duckpt 1\ninstance zz\nend duckpt\n", "bad hash"),
-            ("duckpt 1\nfrobnicate\nend duckpt\n", "unknown tag"),
-            ("duckpt 1\ninstance 00\n", "missing end"),
-            ("duckpt 1\nend duckpt\ntrailing\n", "content after end"),
-        ] {
-            assert!(
-                matches!(
-                    Checkpoint::from_bytes(doc.as_bytes()),
-                    Err(CheckpointError::Malformed { .. })
-                ),
-                "doc {doc:?} must be rejected"
-            );
-        }
     }
 
     #[test]

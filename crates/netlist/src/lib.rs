@@ -6,7 +6,7 @@
 //! * [`Circuit`] — a validated gate-level IR with primary inputs/outputs,
 //!   combinational gates and D flip-flops;
 //! * [`CircuitBuilder`] — ergonomic construction with name management;
-//! * [`bench`] — a reader/writer for the ISCAS-89 `.bench` format, so real
+//! * [`bench`](mod@bench) — a reader/writer for the ISCAS-89 `.bench` format, so real
 //!   benchmark files can be dropped in unchanged;
 //! * [`topo`] — topological ordering and levelization of the combinational
 //!   core (the basis of simulation and CNF encoding);

@@ -171,7 +171,7 @@ fn parse_lit_group(text: &str) -> Option<(Vec<Lit>, &str)> {
         if code == 0 {
             return Some((lits, rest));
         }
-        lits.push(Lit::from_dimacs(code));
+        lits.push(Lit::try_from_dimacs(code)?);
     }
 }
 
@@ -686,6 +686,19 @@ mod tests {
             parse_proof("1 2\n"),
             Err(CheckError::Parse { .. })
         ));
+        for oversized in [
+            "99999999999 0\n",
+            "d -99999999999 0\n",
+            "x 99999999999 0 0 0\n",
+        ] {
+            assert!(
+                matches!(
+                    parse_proof(oversized),
+                    Err(CheckError::Parse { line: 1, .. })
+                ),
+                "{oversized:?} must be rejected"
+            );
+        }
     }
 
     #[test]

@@ -80,22 +80,30 @@ impl Lit {
         }
     }
 
+    /// Parses a DIMACS literal, or `None` if `code == 0` or its variable
+    /// number exceeds [`crate::dimacs::MAX_VARS`] (it would wrap in the
+    /// packed `u32` representation). Parsers of outside input call this.
+    pub fn try_from_dimacs(code: i64) -> Option<Lit> {
+        let magnitude = code.unsigned_abs();
+        if code == 0 || magnitude > crate::dimacs::MAX_VARS as u64 {
+            return None;
+        }
+        Some(Lit::new(Var(magnitude as u32 - 1), code > 0))
+    }
+
     /// Parses a DIMACS literal (nonzero).
     ///
     /// # Panics
     ///
-    /// Panics if `code == 0`, or if the variable number exceeds
-    /// [`crate::dimacs::MAX_VARS`] (it would wrap in the packed `u32`
-    /// representation).
+    /// Panics where [`Lit::try_from_dimacs`] returns `None`.
     pub fn from_dimacs(code: i64) -> Lit {
         assert!(code != 0, "DIMACS literal cannot be 0");
-        let magnitude = code.unsigned_abs();
-        assert!(
-            magnitude <= crate::dimacs::MAX_VARS as u64,
-            "DIMACS variable {magnitude} exceeds the supported maximum"
-        );
-        let var = Var(magnitude as u32 - 1);
-        Lit::new(var, code > 0)
+        Lit::try_from_dimacs(code).unwrap_or_else(|| {
+            panic!(
+                "DIMACS variable {} exceeds the supported maximum",
+                code.unsigned_abs()
+            )
+        })
     }
 }
 
@@ -167,6 +175,11 @@ mod tests {
         }
         assert_eq!(Lit::positive(Var(0)).to_dimacs(), 1);
         assert_eq!(Lit::negative(Var(0)).to_dimacs(), -1);
+        let max = crate::dimacs::MAX_VARS as i64;
+        assert_eq!(Lit::try_from_dimacs(-max).map(Lit::to_dimacs), Some(-max));
+        assert_eq!(Lit::try_from_dimacs(0), None);
+        assert_eq!(Lit::try_from_dimacs(max + 1), None);
+        assert_eq!(Lit::try_from_dimacs(i64::MIN), None);
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! end instead, the way CryptoMiniSat does:
 //!
 //! * [`XorClause`] is the first-class constraint type; [`Constraint`] is
-//!   the stream unit the encoder hands to [`Solver::add_constraint`].
-//! * [`XorEngine`] stores the xor system as **sparse** GF(2) rows — each
+//!   the stream unit the encoder hands to
+//!   [`Solver::add_constraint`](crate::Solver::add_constraint).
+//! * `XorEngine` stores the xor system as **sparse** GF(2) rows — each
 //!   row is the strictly ascending list of its columns, so a row costs its
 //!   weight, not the width of the formula — and keeps it in **reduced
 //!   row-echelon form** by incremental Gauss–Jordan elimination: every

@@ -4,8 +4,8 @@
 //! locks the chip exactly as the uninterrupted run's seed does.
 
 use dynunlock_repro::dynunlock::{
-    same_class, unlock_robust, AttackConfig, AttackState, Checkpoint, CheckpointError,
-    RobustConfig, RobustOutcome, Step,
+    same_class, AttackConfig, AttackState, Checkpoint, CheckpointError, RobustConfig,
+    RobustOutcome, Step,
 };
 use dynunlock_repro::gf2::{BitVec, Xoshiro256};
 use dynunlock_repro::lfsr::TapSet;
@@ -95,13 +95,9 @@ fn killed_64_bit_attack_resumes_to_the_identical_seed() {
     let reference_seed = if cfg!(debug_assertions) {
         inst.secret.clone()
     } else {
-        let reference = match unlock_robust(
-            &inst.circuit,
-            &inst.chain,
-            &inst.spec,
-            &mut Reliable(inst.chip()),
-            &cfg,
-        ) {
+        let reference = match AttackState::new(&inst.circuit, &inst.chain, &inst.spec, cfg.clone())
+            .run(&mut Reliable(inst.chip()))
+        {
             RobustOutcome::Unlocked { unlock, .. } => unlock,
             RobustOutcome::Partial(report) => panic!("reference run degraded: {}", report.reason),
         };
@@ -240,6 +236,50 @@ fn resume_rejects_a_different_chip() {
     )
     .expect_err("a different secret must fail re-validation");
     assert!(matches!(err, CheckpointError::OracleMismatch { .. }));
+}
+
+/// A well-formed checkpoint whose recorded vectors or shape do not fit
+/// the instance is rejected before any oracle query: the instance hash
+/// covers neither, and the file is not trusted.
+#[test]
+fn resume_rejects_tampered_vector_lengths() {
+    let inst = instance(16, 6, 0xE11E);
+    let cfg = RobustConfig::strict(AttackConfig::default());
+    let mut oracle = Reliable(inst.chip());
+    let mut state = AttackState::new(&inst.circuit, &inst.chain, &inst.spec, cfg.clone());
+    while state.dip_count() < 1 {
+        match state.step(&mut oracle) {
+            Step::Dip => {}
+            Step::Converged => return, // nothing recorded to tamper with
+            other => panic!("unexpected step outcome: {other:?}"),
+        }
+    }
+    let text = String::from_utf8(state.checkpoint().to_bytes()).unwrap();
+    let cells = inst.chain.len();
+    // Drop the first bit of the first DIP's pattern.
+    let at = text.find("\ndip ").expect("one DIP recorded") + "\ndip ".len();
+    let truncated_dip = format!("{}{}", &text[..at], &text[at + 1..]);
+    let wrong_shape = text.replacen(
+        &format!("cells {cells} "),
+        &format!("cells {} ", cells + 1),
+        1,
+    );
+    for tampered in [truncated_dip, wrong_shape] {
+        assert_ne!(tampered, text, "the tamper must change the file");
+        let ckpt = Checkpoint::from_bytes(tampered.as_bytes()).expect("still well-formed");
+        let mut untouched = FaultyOracle::new(inst.chip(), FaultSpec::new(1));
+        let err = AttackState::resume(
+            &inst.circuit,
+            &inst.chain,
+            &inst.spec,
+            cfg.clone(),
+            &ckpt,
+            &mut untouched,
+        )
+        .expect_err("a tampered length must be rejected");
+        assert_eq!(err, CheckpointError::Inconsistent);
+        assert_eq!(untouched.stats().queries, 0, "rejected before any query");
+    }
 }
 
 /// Checkpoint bytes must survive an exact serialize → parse → serialize

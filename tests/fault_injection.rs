@@ -12,8 +12,7 @@
 use std::time::Duration;
 
 use dynunlock_repro::dynunlock::{
-    same_class, unlock_robust, AttackConfig, DegradeReason, RetryPolicy, RobustConfig,
-    RobustOutcome,
+    same_class, AttackConfig, AttackState, DegradeReason, RetryPolicy, RobustConfig, RobustOutcome,
 };
 use dynunlock_repro::gf2::{BitVec, Rng64, Xoshiro256};
 use dynunlock_repro::lfsr::TapSet;
@@ -142,7 +141,8 @@ fn recovers_exact_64_bit_seed_through_seeded_faults() {
                 .with_bit_flips(2_000)
                 .with_transients(30_000),
         );
-        let outcome = unlock_robust(&inst.circuit, &inst.chain, &inst.spec, &mut oracle, &cfg);
+        let outcome =
+            AttackState::new(&inst.circuit, &inst.chain, &inst.spec, cfg).run(&mut oracle);
         let RobustOutcome::Unlocked { unlock, faults } = outcome else {
             panic!("instance {i} fault seed {fault_seed:#x}: attack must survive this schedule");
         };
@@ -190,7 +190,7 @@ fn randomized_fault_schedules_never_yield_a_wrong_verified_seed() {
                 .with_transients(transients)
                 .with_drops(drops),
         );
-        match unlock_robust(&inst.circuit, &inst.chain, &inst.spec, &mut oracle, &cfg) {
+        match AttackState::new(&inst.circuit, &inst.chain, &inst.spec, cfg).run(&mut oracle) {
             RobustOutcome::Unlocked { unlock, .. } => {
                 // Verification ran against the (faulty) oracle and passed:
                 // the seed must lock the chip as the secret does.
@@ -230,7 +230,7 @@ fn dead_oracle_degrades_with_retry_accounting() {
         ..RobustConfig::default()
     };
     let mut dead = FaultyOracle::new(inst.chip(), FaultSpec::new(7).with_transients(1_000_000));
-    let outcome = unlock_robust(&inst.circuit, &inst.chain, &inst.spec, &mut dead, &cfg);
+    let outcome = AttackState::new(&inst.circuit, &inst.chain, &inst.spec, cfg).run(&mut dead);
     let RobustOutcome::Partial(report) = outcome else {
         panic!("a dead oracle cannot unlock anything");
     };
@@ -258,7 +258,7 @@ fn budget_exhaustion_reports_partial_confidence() {
         ..RobustConfig::default()
     };
     let mut oracle = FaultyOracle::new(inst.chip(), FaultSpec::new(1));
-    let outcome = unlock_robust(&inst.circuit, &inst.chain, &inst.spec, &mut oracle, &cfg);
+    let outcome = AttackState::new(&inst.circuit, &inst.chain, &inst.spec, cfg).run(&mut oracle);
     let RobustOutcome::Partial(report) = outcome else {
         panic!("a starved budget cannot converge");
     };
@@ -289,13 +289,8 @@ fn majority_vote_repairs_what_single_queries_cannot() {
         ..RobustConfig::default()
     };
     let mut voted_oracle = FaultyOracle::new(inst.chip(), noisy_spec);
-    let outcome = unlock_robust(
-        &inst.circuit,
-        &inst.chain,
-        &inst.spec,
-        &mut voted_oracle,
-        &voted_cfg,
-    );
+    let outcome =
+        AttackState::new(&inst.circuit, &inst.chain, &inst.spec, voted_cfg).run(&mut voted_oracle);
     let RobustOutcome::Unlocked { unlock, faults } = outcome else {
         panic!("replication 3 must survive 0.5% bit flips");
     };
@@ -311,13 +306,9 @@ fn majority_vote_repairs_what_single_queries_cannot() {
     // implies a seed in the secret's class (verification re-queries).
     let single_cfg = RobustConfig::default();
     let mut single_oracle = FaultyOracle::new(inst.chip(), noisy_spec);
-    if let RobustOutcome::Unlocked { unlock, .. } = unlock_robust(
-        &inst.circuit,
-        &inst.chain,
-        &inst.spec,
-        &mut single_oracle,
-        &single_cfg,
-    ) {
+    if let RobustOutcome::Unlocked { unlock, .. } =
+        AttackState::new(&inst.circuit, &inst.chain, &inst.spec, single_cfg).run(&mut single_oracle)
+    {
         assert!(inst.same_class(&unlock.seed, 1), "verified implies correct");
     }
 }
