@@ -40,8 +40,7 @@ fn pigeonhole(holes: usize) -> Cnf {
 /// has even parity). The rows' GF(2) sum makes the parity variables
 /// cancel and says the bodies' joint parity is odd — but the equality
 /// chains force it even. The xor engine cannot see the equalities at
-/// add time, so the refutation needs search and materialized xor
-/// reasons.
+/// add time, so the refutation needs search and xor row reasons.
 fn xor_triangle(k: usize) -> Cnf {
     assert!(
         k >= 2 && k.is_multiple_of(2),

@@ -21,7 +21,8 @@
 //!   the solver warm and resumable;
 //! * native XOR constraints via an in-solver GF(2) engine — incremental
 //!   Gauss–Jordan elimination plus watched-column propagation, with lazy
-//!   reason clauses feeding ordinary conflict analysis ([`xor`]);
+//!   row reasons that conflict analysis reads without allocating a
+//!   clause ([`xor`]);
 //! * DIMACS CNF reading/writing, including the CryptoMiniSat `x`-line
 //!   XOR extension ([`dimacs`]).
 //!

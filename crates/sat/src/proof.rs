@@ -13,15 +13,19 @@
 //!   checker's propagation state small and mirror the solver's learnt-DB
 //!   reduction exactly.
 //! * **Xor-derived clause** — `x <lits> 0 <origin ids> 0 <unit lits> 0`.
-//!   Clauses materialized from the GF(2) engine are *not* RUP in general
+//!   Clauses read off the GF(2) engine's rows are *not* RUP in general
 //!   (that is the whole point of native xor reasoning), so each one is
-//!   logged with its derivation: the set of input xor constraints whose
-//!   GF(2) sum, after substituting the listed top-level unit literals,
-//!   yields the row the clause was read off. Origin ids are **1-based**
-//!   on the wire (`0` is the group terminator): id `k` is the formula's
-//!   `k`-th `x`-line in add order. The checker re-runs the elimination densely
-//!   and verifies the clause against the reconstructed row — no RUP
-//!   involved. See DESIGN.md §7 for the exact soundness argument.
+//!   logged with its derivation. The solver logs one when conflict
+//!   analysis first reads a row reason during an assignment, on every
+//!   conflicting row, and on every level-0 xor implication; an
+//!   implication analysis never reads is never logged. Each line carries
+//!   the set of input xor constraints whose GF(2) sum, after substituting
+//!   the listed top-level unit literals, yields the row the clause was
+//!   read off. Origin ids are **1-based** on the wire (`0` is the group
+//!   terminator): id `k` is the formula's `k`-th `x`-line in add order.
+//!   The checker re-runs the elimination densely and verifies the clause
+//!   against the reconstructed row — no RUP involved. See DESIGN.md §7
+//!   for the exact soundness argument.
 //!
 //! The logger is held behind `Option<Box<dyn ProofLogger>>` in the solver:
 //! when no logger is installed every call site is a single branch on a
@@ -34,7 +38,7 @@ use crate::types::Lit;
 /// Sink for proof steps emitted by a certifying [`crate::Solver`] run.
 ///
 /// Implementations must be cheap: the solver calls these on every learnt
-/// clause, deletion, and xor materialization. [`DratProof`] is the
+/// clause, deletion, and xor reason analysis reads. [`DratProof`] is the
 /// standard in-memory implementation; install a shared handle with
 /// [`crate::Solver::set_proof_logger`] (an `Arc<Mutex<DratProof>>`
 /// implements the trait) and read the accumulated text back after the

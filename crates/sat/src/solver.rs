@@ -4,8 +4,10 @@
 //! two-watched-literal propagation, first-UIP clause learning, VSIDS
 //! branching, phase saving, Luby restarts and activity-driven learnt-clause
 //! database reduction. Clauses live in the [`ClauseDb`] arena; watch lists
-//! and reasons hold [`ClauseRef`] handles and are remapped through the
-//! arena's forwarding table when it compacts.
+//! and clause reasons hold [`ClauseRef`] handles and are remapped through
+//! the arena's forwarding table when it compacts. An xor implication's
+//! reason is its row ([`Reason::Xor`]); analysis reads the row's literals
+//! on demand and nothing enters the arena.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -45,15 +47,20 @@ pub struct SolverStats {
     pub conflicts: u64,
     /// Restarts performed.
     pub restarts: u64,
-    /// Learnt clauses added (including unit learnts).
+    /// Learnt clauses added (including unit learnts): one per conflict
+    /// analyzed above level 0. Xor implications add none (their reason is
+    /// the row itself), so this never exceeds [`SolverStats::conflicts`].
     pub learnt_clauses: u64,
     /// Literals removed from learnt clauses by reason-side minimization.
     pub minimized_literals: u64,
     /// Learnt clauses deleted by database reduction.
     pub deleted_clauses: u64,
-    /// Literals implied by the GF(2) xor engine during search.
+    /// Literals implied by the GF(2) xor engine during search (also
+    /// counted in [`SolverStats::propagations`]). Each keeps its row as
+    /// the reason; none adds a clause.
     pub xor_propagations: u64,
-    /// Conflicts detected by the GF(2) xor engine.
+    /// Conflicts detected by the GF(2) xor engine (also counted in
+    /// [`SolverStats::conflicts`] when found during search).
     pub xor_conflicts: u64,
     /// Solve calls that returned [`SolveResult::Unknown`] because a
     /// [`Budget`] limit tripped.
@@ -108,6 +115,17 @@ enum SearchOutcome {
     OutOfBudget,
 }
 
+/// Why an assigned variable holds its value: the clause that became unit,
+/// or the xor row whose other columns were all assigned. A conflict is
+/// reported the same way (a falsified clause, or a violated row). A row
+/// reason allocates nothing; [`Solver::load_reason`] reads its literals
+/// off the row when analysis asks for them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Reason {
+    Clause(ClauseRef),
+    Xor(u32),
+}
+
 /// A watch-list entry: the watched clause plus a cached *blocker* literal
 /// from the same clause. If the blocker is already true the clause cannot
 /// be unit, and propagation skips it without touching the arena.
@@ -138,9 +156,13 @@ pub struct Solver {
     assigns: Vec<LBool>,
     /// Saved polarity, per variable (phase saving).
     phase: Vec<bool>,
-    /// Implying clause, per assigned variable (`None` for decisions,
-    /// assumptions and top-level units).
-    reason: Vec<Option<ClauseRef>>,
+    /// Implying clause or xor row, per assigned variable (`None` for
+    /// decisions, assumptions and top-level units).
+    reason: Vec<Option<Reason>>,
+    /// Per variable: whether the proof already holds the `x` line of its
+    /// current xor reason. Set the first time analysis reads the reason,
+    /// cleared when the variable is unassigned.
+    xor_logged: Vec<bool>,
     /// Decision level of the assignment, per assigned variable.
     level: Vec<u32>,
     /// Assignment stack in chronological order.
@@ -169,11 +191,9 @@ pub struct Solver {
     xors: XorEngine,
     /// Scratch buffer for xor implications (reused across propagations).
     xor_props: Vec<XorImplication>,
-    /// Scratch buffer for materialized xor reason and conflict clauses.
-    xor_reason: Vec<Lit>,
-    /// A conflict clause materialized from an xor row; it exists only
-    /// while conflict analysis reads it and is reclaimed right after.
-    xor_conflict: Option<ClauseRef>,
+    /// The literals of the reason analysis is reading
+    /// ([`Solver::load_reason`]).
+    reason_lits: Vec<Lit>,
     /// Proof sink for certifying runs ([`Solver::set_proof_logger`]);
     /// `None` (the default) makes every logging site a single branch.
     proof: ProofSink,
@@ -203,6 +223,7 @@ impl Solver {
         self.assigns.push(LBool::Undef);
         self.phase.push(false);
         self.reason.push(None);
+        self.xor_logged.push(false);
         self.level.push(0);
         self.activity.push(0.0);
         self.seen.push(false);
@@ -292,13 +313,36 @@ impl Solver {
         }
     }
 
-    /// Logs an xor-derived clause (a materialized reason or conflict of
-    /// row `row`) if a logger is installed.
-    fn log_xor_derived(&mut self, row: u32, lits: &[Lit]) {
-        if let Some(p) = self.proof.as_mut() {
-            let (origin, units) = self.xors.row_meta(row);
-            p.add_xor_derived(lits, origin, units);
+    /// Logs row `row`'s clause as an `x` line if a logger is installed:
+    /// the trail literal of `implied` (when given) followed by
+    /// `reason_lits`, which [`Solver::load_reason`] just filled from the
+    /// row. An implication is logged once per assignment; a conflict
+    /// every time.
+    fn log_xor_reason(&mut self, row: u32, implied: Option<Var>) {
+        let Some(p) = self.proof.as_mut() else { return };
+        let mut lits = Vec::with_capacity(self.reason_lits.len() + 1);
+        if let Some(v) = implied {
+            let v = v.index();
+            if self.xor_logged[v] {
+                return;
+            }
+            self.xor_logged[v] = true;
+            lits.push(Lit::new(Var::from_index(v), self.assigns[v] == LBool::True));
         }
+        lits.extend_from_slice(&self.reason_lits);
+        let (origin, units) = self.xors.row_meta(row);
+        p.add_xor_derived(&lits, origin, units);
+    }
+
+    /// Records a conflict at decision level 0: logs the refutation (after
+    /// the conflicting row's `x` line, which its RUP check needs) and
+    /// marks the clause set unsatisfiable.
+    fn refute(&mut self, confl: Reason) {
+        if self.proof.is_some() {
+            self.load_reason(confl, None);
+        }
+        self.log_add(&[]);
+        self.ok = false;
     }
 
     /// Whether the clause set has been proven unsatisfiable at the top
@@ -433,13 +477,8 @@ impl Solver {
             }
             1 => {
                 self.unchecked_enqueue(out[0], None);
-                if self.propagate().is_some() {
-                    // Log the refutation before reclaiming the materialized
-                    // conflict: its x-line must still be active for the
-                    // empty clause's RUP check.
-                    self.log_add(&[]);
-                    self.release_xor_conflict();
-                    self.ok = false;
+                if let Some(confl) = self.propagate() {
+                    self.refute(confl);
                 }
                 self.ok
             }
@@ -506,10 +545,8 @@ impl Solver {
                 LBool::Undef => self.unchecked_enqueue(u, None),
             }
         }
-        if self.propagate().is_some() {
-            self.log_add(&[]);
-            self.release_xor_conflict();
-            self.ok = false;
+        if let Some(confl) = self.propagate() {
+            self.refute(confl);
         }
         self.ok
     }
@@ -579,10 +616,8 @@ impl Solver {
         if !self.ok {
             return SolveResult::Unsat;
         }
-        if self.propagate().is_some() {
-            self.log_add(&[]);
-            self.release_xor_conflict();
-            self.ok = false;
+        if let Some(confl) = self.propagate() {
+            self.refute(confl);
             return SolveResult::Unsat;
         }
         self.max_learnts = (self.db.num_original as f64 / 3.0).max(1000.0);
@@ -649,14 +684,11 @@ impl Solver {
                 self.stats.conflicts += 1;
                 if self.decision_level() == 0 {
                     // Conflict independent of any decision or assumption.
-                    self.log_add(&[]);
-                    self.release_xor_conflict();
-                    self.ok = false;
+                    self.refute(confl);
                     return SearchOutcome::Unsat;
                 }
                 let (learnt, backtrack) = self.analyze(confl);
                 self.log_add(&learnt);
-                self.release_xor_conflict();
                 self.cancel_until(backtrack);
                 self.stats.learnt_clauses += 1;
                 if learnt.len() == 1 {
@@ -666,7 +698,7 @@ impl Solver {
                     self.learnts.push(cref);
                     self.attach_clause(cref);
                     self.cla_bump(cref);
-                    self.unchecked_enqueue(learnt[0], Some(cref));
+                    self.unchecked_enqueue(learnt[0], Some(Reason::Clause(cref)));
                 }
                 self.var_inc /= VAR_DECAY;
                 self.cla_inc /= CLA_DECAY;
@@ -745,6 +777,7 @@ impl Solver {
             self.phase[v] = p.is_positive();
             self.assigns[v] = LBool::Undef;
             self.reason[v] = None;
+            self.xor_logged[v] = false;
             self.order.insert(v, &self.activity);
         }
         self.trail.truncate(lim);
@@ -766,7 +799,7 @@ impl Solver {
     }
 
     /// Records `p` as true at the current level with the given reason.
-    fn unchecked_enqueue(&mut self, p: Lit, reason: Option<ClauseRef>) {
+    fn unchecked_enqueue(&mut self, p: Lit, reason: Option<Reason>) {
         let v = p.var().index();
         debug_assert_eq!(self.assigns[v], LBool::Undef);
         self.assigns[v] = LBool::from_bool(p.is_positive());
@@ -797,9 +830,9 @@ impl Solver {
     }
 
     /// Propagates all enqueued assignments. Returns the conflicting clause
-    /// if one is found, `None` when a fixpoint is reached.
-    fn propagate(&mut self) -> Option<ClauseRef> {
-        let mut confl: Option<ClauseRef> = None;
+    /// or xor row if one is found, `None` when a fixpoint is reached.
+    fn propagate(&mut self) -> Option<Reason> {
+        let mut confl: Option<Reason> = None;
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
@@ -858,7 +891,7 @@ impl Solver {
                 };
                 j += 1;
                 if self.lit_value(first) == LBool::False {
-                    confl = Some(cref);
+                    confl = Some(Reason::Clause(cref));
                     self.qhead = self.trail.len();
                     // Copy the rest of the list back verbatim.
                     while i < ws.len() {
@@ -867,7 +900,7 @@ impl Solver {
                         i += 1;
                     }
                 } else {
-                    self.unchecked_enqueue(first, Some(cref));
+                    self.unchecked_enqueue(first, Some(Reason::Clause(cref)));
                 }
             }
             ws.truncate(j);
@@ -886,9 +919,9 @@ impl Solver {
     }
 
     /// Processes the xor rows watching variable `v` after its assignment.
-    /// Implications are enqueued with materialized reason clauses; a
-    /// violated row becomes a materialized (temporary) conflict clause.
-    fn propagate_xor(&mut self, v: usize) -> Option<ClauseRef> {
+    /// An implication is enqueued with its row as the reason; a violated
+    /// row is returned as the conflict. Neither allocates a clause.
+    fn propagate_xor(&mut self, v: usize) -> Option<Reason> {
         let mut props = std::mem::take(&mut self.xor_props);
         props.clear();
         let conflict_row = self.xors.on_assign(v, &self.assigns, &mut props);
@@ -899,85 +932,52 @@ impl Solver {
                 // consistently.
                 LBool::True => {}
                 LBool::Undef => {
-                    let cref = self.materialize_reason(imp.row, imp.lit);
-                    self.unchecked_enqueue(imp.lit, Some(cref));
+                    let reason = Reason::Xor(imp.row);
+                    self.unchecked_enqueue(imp.lit, Some(reason));
                     self.stats.xor_propagations += 1;
+                    // Analysis never reads a level-0 reason, but the proof
+                    // checker needs the unit for later RUP steps.
+                    if self.decision_level() == 0 && self.proof.is_some() {
+                        self.load_reason(reason, Some(imp.lit.var()));
+                    }
                 }
                 // Two rows disagreed on the variable: the later row is now
                 // fully falsified.
                 LBool::False => {
-                    confl = Some(self.materialize_conflict(imp.row));
+                    confl = Some(Reason::Xor(imp.row));
                     break;
                 }
             }
         }
-        if confl.is_none() {
-            if let Some(ri) = conflict_row {
-                confl = Some(self.materialize_conflict(ri));
-            }
-        }
+        let confl = confl.or(conflict_row.map(Reason::Xor));
         if confl.is_some() {
+            self.stats.xor_conflicts += 1;
             self.qhead = self.trail.len();
         }
         self.xor_props = props;
         confl
     }
 
-    /// Builds the clause-shaped reason for an xor implication — the
-    /// implied literal plus the negations of the row's other (assigned)
-    /// literals — as an ordinary learnt clause: attached, subject to
-    /// database reduction (locked while it is a reason), remapped on
-    /// compaction. This is CryptoMiniSat-style lazy reason generation;
-    /// conflict analysis needs no xor-specific code.
-    fn materialize_reason(&mut self, row: u32, implied: Lit) -> ClauseRef {
-        let mut lits = std::mem::take(&mut self.xor_reason);
-        lits.clear();
-        lits.push(implied);
-        self.xors
-            .reason_lits(row, Some(implied.var()), &self.assigns, &mut lits);
-        debug_assert!(lits.len() >= 2);
-        self.log_xor_derived(row, &lits);
-        // Slot 1 carries a highest-level false literal so the watch pair
-        // stays valid across backtracking (same invariant as learnts).
-        let mut max_i = 1;
-        for i in 2..lits.len() {
-            if self.level[lits[i].var().index()] > self.level[lits[max_i].var().index()] {
-                max_i = i;
+    /// Fills `reason_lits` with the false literals `reason` contributes to
+    /// analysis: the clause minus its implied first literal, or the row's
+    /// columns other than `implied`, each read as the literal the
+    /// assignment falsifies. A conflict (`implied == None`) contributes
+    /// every literal. Reading a row logs its `x` line
+    /// ([`Solver::log_xor_reason`]).
+    fn load_reason(&mut self, reason: Reason, implied: Option<Var>) {
+        self.reason_lits.clear();
+        match reason {
+            Reason::Clause(cref) => {
+                let skip = usize::from(implied.is_some());
+                let lits = &self.db.lits(cref)[skip..];
+                self.reason_lits
+                    .extend(lits.iter().map(|&raw| Lit::from_index(raw as usize)));
             }
-        }
-        lits.swap(1, max_i);
-        let cref = self.db.alloc(&lits, true);
-        self.xor_reason = lits;
-        self.learnts.push(cref);
-        self.attach_clause(cref);
-        self.stats.learnt_clauses += 1;
-        cref
-    }
-
-    /// Builds the fully-falsified clause of a violated xor row for
-    /// conflict analysis. The clause is not attached; it lives only until
-    /// [`Solver::release_xor_conflict`] reclaims it.
-    fn materialize_conflict(&mut self, row: u32) -> ClauseRef {
-        let mut lits = std::mem::take(&mut self.xor_reason);
-        lits.clear();
-        self.xors.reason_lits(row, None, &self.assigns, &mut lits);
-        debug_assert!(lits.len() >= 2);
-        self.log_xor_derived(row, &lits);
-        let cref = self.db.alloc(&lits, true);
-        self.xor_reason = lits;
-        self.stats.xor_conflicts += 1;
-        debug_assert!(self.xor_conflict.is_none());
-        self.xor_conflict = Some(cref);
-        cref
-    }
-
-    /// Reclaims the temporary xor conflict clause, if one is outstanding.
-    /// Called at every site that consumes a conflict from
-    /// [`Solver::propagate`].
-    fn release_xor_conflict(&mut self) {
-        if let Some(cref) = self.xor_conflict.take() {
-            self.log_delete(cref);
-            self.db.delete(cref);
+            Reason::Xor(row) => {
+                self.xors
+                    .reason_lits(row, implied, &self.assigns, &mut self.reason_lits);
+                self.log_xor_reason(row, implied);
+            }
         }
     }
 
@@ -987,7 +987,7 @@ impl Solver {
 
     /// First-UIP conflict analysis. Returns the learnt clause (asserting
     /// literal first) and the level to backtrack to.
-    fn analyze(&mut self, confl: ClauseRef) -> (Vec<Lit>, usize) {
+    fn analyze(&mut self, confl: Reason) -> (Vec<Lit>, usize) {
         let mut learnt: Vec<Lit> = vec![Lit::from_index(0)]; // slot 0 = asserting lit
         let mut counter = 0usize; // literals of the current level still to resolve
         let mut p: Option<Lit> = None;
@@ -995,14 +995,16 @@ impl Solver {
         let mut confl = confl;
 
         loop {
-            if self.db.is_learnt(confl) {
-                self.cla_bump(confl);
+            if let Reason::Clause(cref) = confl {
+                if self.db.is_learnt(cref) {
+                    self.cla_bump(cref);
+                }
             }
-            // Skip slot 0 (the literal this clause propagated) on reason
-            // clauses; scan everything on the original conflict.
-            let start = usize::from(p.is_some());
-            for k in start..self.db.len(confl) {
-                let q = self.db.lit(confl, k);
+            // A reason contributes all but the literal it implied; the
+            // original conflict contributes everything.
+            self.load_reason(confl, p.map(Lit::var));
+            for k in 0..self.reason_lits.len() {
+                let q = self.reason_lits[k];
                 let v = q.var().index();
                 if !self.seen[v] && self.level[v] > 0 {
                     self.seen[v] = true;
@@ -1081,15 +1083,17 @@ impl Solver {
     }
 
     /// Whether `p` is redundant in the learnt clause: every path from `p`
-    /// through reason clauses bottoms out in level-0 facts or literals
+    /// through reasons bottoms out in level-0 facts or literals
     /// already in the clause (recursive check, MiniSat's `litRedundant`).
     fn lit_redundant(&mut self, p: Lit, abstract_levels: u32) -> bool {
         let mut stack = vec![p];
         let top = self.analyze_toclear.len();
         while let Some(q) = stack.pop() {
-            let cref = self.reason[q.var().index()].expect("redundancy walk stays on implied lits");
-            for k in 1..self.db.len(cref) {
-                let l = self.db.lit(cref, k);
+            let reason =
+                self.reason[q.var().index()].expect("redundancy walk stays on implied lits");
+            self.load_reason(reason, Some(q.var()));
+            for k in 0..self.reason_lits.len() {
+                let l = self.reason_lits[k];
                 let v = l.var().index();
                 if self.seen[v] || self.level[v] == 0 {
                     continue;
@@ -1150,7 +1154,8 @@ impl Solver {
     /// (such clauses must survive database reduction).
     fn is_locked(&self, cref: ClauseRef) -> bool {
         let c0 = self.db.lit(cref, 0);
-        self.lit_value(c0) == LBool::True && self.reason[c0.var().index()] == Some(cref)
+        self.lit_value(c0) == LBool::True
+            && self.reason[c0.var().index()] == Some(Reason::Clause(cref))
     }
 
     /// Deletes roughly half of the learnt clauses, lowest activity first.
@@ -1209,6 +1214,7 @@ impl Solver {
         for (name, len) in [
             ("phase", self.phase.len()),
             ("reason", self.reason.len()),
+            ("xor_logged", self.xor_logged.len()),
             ("level", self.level.len()),
             ("activity", self.activity.len()),
             ("seen", self.seen.len()),
@@ -1271,23 +1277,54 @@ impl Solver {
         }
 
         // Reasons: the implied literal leads its reason clause and every
-        // other literal is false from no later a level.
+        // other literal is false from no later a level. A row reason above
+        // level 0 is a live row over the implied variable whose other
+        // columns are assigned from no later a level, and the assignment
+        // satisfies it. (Analysis never reads level-0 reasons, and adding
+        // xors at level 0 may reduce or retire their rows.)
         for &p in &self.trail {
             let v = p.var().index();
-            let Some(cref) = self.reason[v] else { continue };
-            if self.db.is_deleted(cref) {
-                errors.push(format!("reason of {p:?} is a deleted clause"));
-                continue;
-            }
-            if self.db.lit(cref, 0) != p {
-                errors.push(format!("reason of {p:?} does not start with it"));
-            }
-            for k in 1..self.db.len(cref) {
-                let q = self.db.lit(cref, k);
-                if self.lit_value(q) != LBool::False {
-                    errors.push(format!("reason of {p:?} has non-false literal {q:?}"));
-                } else if self.level[q.var().index()] > self.level[v] {
-                    errors.push(format!("reason of {p:?} uses a later-level literal {q:?}"));
+            match self.reason[v] {
+                None => {}
+                Some(Reason::Clause(cref)) => {
+                    if self.db.is_deleted(cref) {
+                        errors.push(format!("reason of {p:?} is a deleted clause"));
+                        continue;
+                    }
+                    if self.db.lit(cref, 0) != p {
+                        errors.push(format!("reason of {p:?} does not start with it"));
+                    }
+                    for k in 1..self.db.len(cref) {
+                        let q = self.db.lit(cref, k);
+                        if self.lit_value(q) != LBool::False {
+                            errors.push(format!("reason of {p:?} has non-false literal {q:?}"));
+                        } else if self.level[q.var().index()] > self.level[v] {
+                            errors
+                                .push(format!("reason of {p:?} uses a later-level literal {q:?}"));
+                        }
+                    }
+                }
+                Some(Reason::Xor(_)) if self.level[v] == 0 => {}
+                Some(Reason::Xor(row)) => {
+                    let Some((vars, rhs)) = self.xors.live_row(row) else {
+                        errors.push(format!("reason of {p:?} is dead xor row {row}"));
+                        continue;
+                    };
+                    let (mut has_v, mut parity) = (false, rhs);
+                    for u in vars {
+                        has_v |= u == v;
+                        parity ^= self.assigns[u] == LBool::True;
+                        if self.assigns[u] == LBool::Undef {
+                            errors.push(format!("xor reason of {p:?} has an unassigned column"));
+                        } else if self.level[u] > self.level[v] {
+                            errors.push(format!("xor reason of {p:?} uses a later-level column"));
+                        }
+                    }
+                    if !has_v {
+                        errors.push(format!("xor reason row {row} of {p:?} lacks its variable"));
+                    } else if parity {
+                        errors.push(format!("xor reason row {row} of {p:?} is violated"));
+                    }
                 }
             }
         }
@@ -1295,9 +1332,6 @@ impl Solver {
         // Watches ↔ clause DB: every live clause is watched on exactly its
         // first two literals, every watch entry points at a live clause
         // through the right list, and blockers come from their clause.
-        if self.xor_conflict.is_some() {
-            errors.push("dangling xor conflict clause outside analysis".to_string());
-        }
         let mut watched: HashMap<ClauseRef, Vec<Lit>> = HashMap::new();
         for (i, ws) in self.watches.iter().enumerate() {
             // List `i` fires when `trigger` becomes true: entries watch its
@@ -1374,7 +1408,9 @@ impl Solver {
             }
         }
         for r in self.reason.iter_mut().flatten() {
-            *r = fwd.get(*r);
+            if let Reason::Clause(cref) = r {
+                *cref = fwd.get(*cref);
+            }
         }
         for c in &mut self.learnts {
             *c = fwd.get(*c);
@@ -1684,8 +1720,8 @@ mod tests {
     /// Exhaustive cross-check on small instances: random xor rows plus
     /// random clauses, solver answer vs brute-force enumeration. This
     /// drives the whole xor path — add-time elimination, watched-column
-    /// propagation, reason materialization, conflict analysis — through
-    /// thousands of states.
+    /// propagation, row reasons, conflict analysis — through thousands of
+    /// states.
     #[test]
     fn xor_matches_brute_force_on_random_small_instances() {
         use gf2::{Rng64, SplitMix64};
@@ -1784,8 +1820,8 @@ mod tests {
     }
 
     /// PHP(8, 7) plus "hole `h` is taken" parities: at-most-one clauses
-    /// make each parity exactly-one, so xor propagation and materialized
-    /// xor reasons run throughout the (still unsatisfiable) search.
+    /// make each parity exactly-one, so xor propagation and row reasons
+    /// run throughout the (still unsatisfiable) search.
     fn php_with_parities() -> Solver {
         let (pigeons, holes) = (8, 7);
         let mut s = hard_unsat(holes);
@@ -1798,15 +1834,52 @@ mod tests {
         s
     }
 
+    /// Decides the variables of `order` false (propagating after each)
+    /// until the trail holds an xor implication above level 0. Returns
+    /// each such variable with its row, or an empty list if a conflict
+    /// came first.
+    fn descend_to_row_reasons(
+        s: &mut Solver,
+        order: impl Iterator<Item = usize>,
+    ) -> Vec<(usize, u32)> {
+        for v in order {
+            if s.assigns[v] != LBool::Undef {
+                continue;
+            }
+            s.trail_lim.push(s.trail.len());
+            s.unchecked_enqueue(Lit::negative(Var::from_index(v)), None);
+            if s.propagate().is_some() {
+                return Vec::new();
+            }
+            let rows: Vec<(usize, u32)> = s
+                .trail
+                .iter()
+                .filter_map(|p| match s.reason[p.var().index()] {
+                    Some(Reason::Xor(row)) => Some((p.var().index(), row)),
+                    _ => None,
+                })
+                .filter(|&(u, _)| s.level[u] > 0)
+                .collect();
+            if !rows.is_empty() {
+                return rows;
+            }
+        }
+        Vec::new()
+    }
+
     #[test]
     fn reduce_and_compact_keep_the_state_sound() {
         // Enough conflicts for learnt-clause reduction and arena
-        // compaction to run mid-search, with xor reasons locked on the
-        // trail: every remapped reference must still audit clean, and the
-        // sliced search must reach the one-shot answer.
+        // compaction to run between slices; every remapped reference must
+        // audit clean, and the sliced search must reach the one-shot
+        // answer. Xor implications lock nothing in the arena (their reason
+        // is the row), so the mid-search check below descends to a trail
+        // with row reasons above level 0, reduces and compacts there, and
+        // asks the audit whether those reasons are still valid.
         let mut s = php_with_parities();
         let slice = Budget::new().with_conflicts(500);
         let mut arena_shrank = false;
+        let mut checked_mid_search = false;
         let answer = loop {
             let before = s.db.arena_words();
             let r = s.solve_limited(&[], &slice);
@@ -1816,7 +1889,28 @@ mod tests {
             if r != SolveResult::Unknown {
                 break r;
             }
+            if !checked_mid_search && s.stats().deleted_clauses > 0 {
+                // Pigeons 0..7 out of hole 0 leave its parity to imply
+                // that pigeon 7 takes it.
+                let (pigeons, holes) = (8, 7);
+                let column_major =
+                    (0..holes).flat_map(|h| (0..pigeons).map(move |p| p * holes + h));
+                let rows = descend_to_row_reasons(&mut s, column_major);
+                assert!(!rows.is_empty(), "no row reason above level 0");
+                let words = s.db.arena_words();
+                s.reduce_db();
+                s.compact();
+                assert!(s.db.arena_words() < words, "nothing was reclaimed");
+                let errs = s.audit();
+                assert!(errs.is_empty(), "audit mid-search: {errs:#?}");
+                for (v, row) in rows {
+                    assert_eq!(s.reason[v], Some(Reason::Xor(row)));
+                }
+                s.cancel_until(0);
+                checked_mid_search = true;
+            }
         };
+        assert!(checked_mid_search, "the search ended before a reduction");
         assert_eq!(answer, SolveResult::Unsat);
         assert_eq!(php_with_parities().solve(), answer);
         let st = s.stats();
@@ -1824,6 +1918,84 @@ mod tests {
         // Only compaction ever shrinks the arena.
         assert!(arena_shrank, "the arena never compacted: {st:?}");
         assert!(st.xor_propagations > 0, "no xor reasons: {st:?}");
+    }
+
+    /// 100 variables under 50 random 5-column parities and 250 random
+    /// 3-clauses (fixed seed): unsatisfiable after about 3,000 conflicts,
+    /// with about 8 xor implications per conflict.
+    fn xor_heavy_unsat() -> Solver {
+        use gf2::{Rng64, SplitMix64};
+        let mut rng = SplitMix64::new(7);
+        let n = 100;
+        let mut s = solver_with(n, &[]);
+        let var = |rng: &mut SplitMix64| Var::from_index(rng.gen_index(n));
+        for _ in 0..50 {
+            let lits: Vec<Lit> = (0..5).map(|_| Lit::positive(var(&mut rng))).collect();
+            s.add_xor(&lits, rng.gen_bool());
+        }
+        for _ in 0..250 {
+            let lits: Vec<Lit> = (0..3)
+                .map(|_| Lit::new(var(&mut rng), rng.gen_bool()))
+                .collect();
+            s.add_clause(&lits);
+        }
+        s
+    }
+
+    #[test]
+    fn xor_reasons_stay_out_of_the_clause_database() {
+        // Each conflict adds at most one learnt clause; an xor implication
+        // adds none, however many the search makes.
+        let mut s = xor_heavy_unsat();
+        assert_eq!(s.solve(), SolveResult::Unsat);
+        let st = *s.stats();
+        assert!(
+            st.xor_propagations > st.conflicts,
+            "too few xor implications to tell: {st:?}"
+        );
+        assert!(st.learnt_clauses <= st.conflicts, "{st:?}");
+        assert!(s.num_learnts() as u64 <= st.conflicts, "{st:?}");
+        assert!(s.learnt_clauses().len() as u64 <= st.conflicts, "{st:?}");
+    }
+
+    #[test]
+    fn audit_checks_xor_row_reasons() {
+        // Rows x1 ⊕ x2 ⊕ x3 = 1 and x4 ⊕ x5 = 0 share no column. Deciding
+        // x1, x2 false and x4 true implies x3 at level 2 and x5 at level 3.
+        let mut s = solver_with(5, &[]);
+        assert!(s.add_xor(&[lit(1), lit(2), lit(3)], true));
+        assert!(s.add_xor(&[lit(4), lit(5)], false));
+        for code in [-1, -2, 4] {
+            s.trail_lim.push(s.trail.len());
+            s.unchecked_enqueue(lit(code), None);
+            assert!(s.propagate().is_none());
+        }
+        let (x2, x3, x5) = (1, 2, 4);
+        let (Some(Reason::Xor(row_a)), Some(Reason::Xor(row_b))) = (s.reason[x3], s.reason[x5])
+        else {
+            panic!("x3 and x5 should have row reasons: {:?}", s.reason);
+        };
+        assert_eq!((s.level[x3], s.level[x5]), (2, 3));
+        assert!(s.audit().is_empty(), "{:#?}", s.audit());
+        let flags = |s: &Solver, what: &str| {
+            let errs = s.audit();
+            assert!(
+                errs.iter().any(|e| e.contains(what)),
+                "want {what}: {errs:#?}"
+            );
+        };
+        s.reason[x3] = Some(Reason::Xor(99));
+        flags(&s, "dead xor row");
+        s.reason[x3] = Some(Reason::Xor(row_b));
+        flags(&s, "lacks its variable");
+        s.reason[x3] = Some(Reason::Xor(row_a));
+        s.level[x2] = 3;
+        flags(&s, "later-level column");
+        s.level[x2] = 2;
+        s.assigns[x3] = LBool::False;
+        flags(&s, "is violated");
+        s.assigns[x3] = LBool::True;
+        assert!(s.audit().is_empty(), "{:#?}", s.audit());
     }
 
     #[test]

@@ -25,12 +25,20 @@
 //!   assigned the row walks its column list and either rewatches an
 //!   unassigned column, or has become unit (propagate the last column) or
 //!   fully assigned (check parity, conflict on mismatch).
-//! * Propagations and conflicts are handed back to CDCL as *materialized
-//!   reason clauses* (lazy clause generation): the implied literal plus
-//!   the negations of the row's assigned literals. Reasons live in the
-//!   learnt-clause arena, so first-UIP analysis, recursive minimization,
-//!   assumptions, restarts, and database reduction all work unchanged;
-//!   conflict clauses are temporary and reclaimed right after analysis.
+//! * Reasons are **lazy**, as in CryptoMiniSat: an implication records
+//!   its row as the reason and a violated row is returned as the
+//!   conflict, and no clause is allocated for either. Only when first-UIP
+//!   analysis or recursive minimization reads the reason does the solver
+//!   read the clause off the row — the implied literal plus the negations
+//!   of the row's other (assigned) literals — into one scratch buffer.
+//!   So the learnt-clause database holds learnt clauses only: reasons
+//!   add no watches, do not fill `max_learnts`, and leave database
+//!   reduction alone. Most implications are never read at all.
+//! * Proof logging follows the reads. A certifying run logs a reason's
+//!   `x` line the first time analysis reads it during that assignment,
+//!   logs a conflicting row's `x` line each time, and logs a level-0
+//!   implication when it is made: analysis never reads those, but the
+//!   checker needs the unit for later RUP steps (see [`crate::proof`]).
 //!
 //! Backtracking needs no undo hooks: row operations are linear
 //! combinations (sound regardless of the assignment) and watches are
@@ -476,6 +484,14 @@ impl XorEngine {
         extra.sort_unstable();
         sym_diff(&mut meta, &extra);
         meta
+    }
+
+    /// The variables and parity of row `ri`, or `None` if it is dead
+    /// (for [`Solver::audit`](crate::Solver::audit)'s reason checks).
+    pub(crate) fn live_row(&self, ri: u32) -> Option<(impl Iterator<Item = usize> + '_, bool)> {
+        let row = self.rows.get(ri as usize).filter(|r| r.alive)?;
+        let vars = row.cols.iter().map(|&c| self.col_var[c as usize] as usize);
+        Some((vars, row.rhs))
     }
 
     /// Derivation provenance of row `ri` for proof logging: the input xor

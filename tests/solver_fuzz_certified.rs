@@ -7,7 +7,10 @@
 //! chosen to land on both sides of the SAT/UNSAT boundary; each round
 //! also runs a solve under random assumptions first, so the logged
 //! refutation has to survive assumption-driven learnt clauses and
-//! restarts that happened before the final answer.
+//! restarts that happened before the final answer. A second, xor-heavy
+//! family covers the proof steps of row reasons: the `x` line of a
+//! reason that analysis or minimization reads, and of an xor implication
+//! at level 0.
 
 use dynunlock_repro::gf2::{Rng64, Xoshiro256};
 use dynunlock_repro::proofcheck;
@@ -149,4 +152,76 @@ fn random_instances_audit_clean_and_certify() {
     // solver.
     assert!(sat_rounds > 5, "only {sat_rounds} SAT rounds");
     assert!(unsat_rounds > 5, "only {unsat_rounds} UNSAT rounds");
+}
+
+/// An xor-heavy instance: half as many random 3–5 column parities as
+/// variables, plus 2.5 random 3-clauses per variable. Most land UNSAT
+/// only after a search in which xor implications outnumber conflicts, so
+/// conflict analysis and minimization keep reading row reasons, and
+/// learnt units set off xor propagation at level 0.
+fn xor_heavy_cnf(rng: &mut Xoshiro256) -> Cnf {
+    let num_vars = 16 + rng.gen_range(17) as usize;
+    let mut cnf = Cnf::new(num_vars);
+    let var = |rng: &mut Xoshiro256| Var::from_index(rng.gen_range(num_vars as u64) as usize);
+    for _ in 0..num_vars / 2 {
+        let width = 3 + rng.gen_range(3) as usize;
+        let lits: Vec<Lit> = (0..width).map(|_| Lit::positive(var(rng))).collect();
+        cnf.add_xor(lits, rng.gen_bool());
+    }
+    for _ in 0..num_vars * 5 / 2 {
+        let lits: Vec<Lit> = (0..3).map(|_| Lit::new(var(rng), rng.gen_bool())).collect();
+        cnf.add_clause(lits);
+    }
+    cnf
+}
+
+#[test]
+fn xor_heavy_refutations_certify() {
+    let mut rng = Xoshiro256::new(0x10CA);
+    let rounds = if cfg!(debug_assertions) { 60 } else { 200 };
+    let (mut searched_unsat, mut xor_props, mut conflicts, mut minimized) = (0, 0, 0, 0);
+    for round in 0..rounds {
+        let cnf = xor_heavy_cnf(&mut rng);
+        let shared = DratProof::shared();
+        let mut s = Solver::new();
+        s.set_proof_logger(shared.clone());
+        for _ in 0..cnf.num_vars {
+            s.new_var();
+        }
+        for c in &cnf.clauses {
+            s.add_clause(c);
+        }
+        for x in &cnf.xors {
+            s.add_xor(&x.lits, x.rhs);
+        }
+        if s.solve() != SolveResult::Unsat {
+            continue;
+        }
+        assert_audit_clean(&s, round, "xor-heavy solve");
+        let st = *s.stats();
+        if st.conflicts > 1 {
+            searched_unsat += 1;
+        }
+        xor_props += st.xor_propagations;
+        conflicts += st.conflicts;
+        minimized += st.minimized_literals;
+        drop(s);
+        let guard = shared.lock().unwrap();
+        assert!(guard.is_refutation(), "round {round}: proof not closed");
+        if let Err(e) = proofcheck::check_text(&cnf, guard.text()) {
+            panic!(
+                "round {round}: emitted proof rejected: {e}\n{}",
+                guard.text()
+            );
+        }
+    }
+    assert!(
+        searched_unsat > 10,
+        "only {searched_unsat} refutations needed a search"
+    );
+    assert!(
+        xor_props > conflicts,
+        "xor implications ({xor_props}) should outnumber conflicts ({conflicts})"
+    );
+    assert!(minimized > 0, "minimization never removed a literal");
 }
