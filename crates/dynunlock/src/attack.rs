@@ -240,12 +240,13 @@ pub(crate) fn output_order(circuit: &Circuit, chain: &ScanChain) -> Vec<usize> {
 ///    dependent mask bit is a single xor row in the solver's GF(2)
 ///    engine instead of a Tseitin chain.
 /// 2. **Linear phase**: once every output is closed, read the session
-///    masks off a final model and hand them, as explicit linear forms of
-///    the seed, to [`lfsr::recover::SeedRecovery`]. The seed returned is
-///    the particular solution: the unique seed at full rank, a canonical
-///    member of the functionally equivalent class otherwise. Either way it
-///    may differ from the secret in bits no output observes
-///    ([`same_class`]).
+///    masks off a final model and eliminate them once, as explicit linear
+///    forms of the seed, with [`lfsr::recover::SeedRecovery`]; a partial
+///    report and a converged checkpoint's resume go through the same
+///    elimination. The seed returned is the particular solution: the
+///    unique seed at full rank, a canonical member of the functionally
+///    equivalent class otherwise. Either way it may differ from the
+///    secret in bits no output observes ([`same_class`]).
 /// 3. **Verification**: random probe sessions compare a re-locked chip
 ///    under the recovered seed against the oracle bit-for-bit.
 ///

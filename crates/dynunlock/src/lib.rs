@@ -16,11 +16,12 @@
 //! 2. [`attack::unlock`] — over the free bits, find distinguishing input
 //!    patterns with the incremental CDCL solver one output bit at a time,
 //!    query the oracle, constrain, repeat until no output can differ;
-//! 3. hand the mask values to [`lfsr::recover::SeedRecovery`] and read
-//!    the seed — a functionally equivalent member of the secret's
-//!    equivalence class ([`attack::same_class`]), and the secret itself
-//!    whenever every mask bit is observable — then verify against the
-//!    oracle with random probe sessions.
+//! 3. eliminate the mask values once, as linear forms of the seed
+//!    ([`lfsr::recover::SeedRecovery`]), and read the seed — a
+//!    functionally equivalent member of the secret's equivalence class
+//!    ([`attack::same_class`]), and the secret itself whenever every mask
+//!    bit is observable — then verify against the oracle with random
+//!    probe sessions.
 //!
 //! The loop runs in one engine, the resumable state machine
 //! [`robust::AttackState`]: budgeted SAT calls, retry + backoff against

@@ -32,7 +32,7 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 use cnf::Encoder;
-use gf2::{BitVec, LinSolver, Rng64, SplitMix64};
+use gf2::{BitVec, Rng64, SplitMix64};
 use lfsr::recover::SeedRecovery;
 use netlist::Circuit;
 use satsolver::{Budget, Lit, SolveResult, SolverStats};
@@ -792,30 +792,52 @@ impl<'a> AttackState<'a> {
         Step::Converged
     }
 
-    /// The linear phase over the solver's last model: each mask value is
-    /// a known linear form of the seed, so Gaussian elimination does the
-    /// rest. The seed is the particular solution — the unique seed at
-    /// full rank, a canonical member of the equivalent class otherwise.
-    fn recover(&self) -> Result<Converged, DegradeReason> {
+    /// The session-mask rows, `α` then `β`: the coefficient rows of every
+    /// linear-phase elimination.
+    fn mask_rows(&self) -> impl Iterator<Item = &BitVec> {
+        self.masks.alpha.iter().chain(&self.masks.beta)
+    }
+
+    /// The one elimination of the mask rows: each row of
+    /// [`mask_rows`](Self::mask_rows) with the next of `values`. Also
+    /// returns whether the values were consistent. A contradicting row is
+    /// a dependent one, so the rank and the pinned bits describe the row
+    /// space either way; only the solution needs consistent values.
+    fn eliminate(&self, values: impl IntoIterator<Item = bool>) -> (SeedRecovery, bool) {
+        let mut rec = SeedRecovery::new(self.spec.taps().clone());
+        let mut consistent = true;
+        for (row, value) in self.mask_rows().zip(values) {
+            consistent &= rec.observe_form(row.clone(), value).is_ok();
+        }
+        (rec, consistent)
+    }
+
+    /// The first copy's mask values in the solver's last model, in
+    /// [`mask_rows`](Self::mask_rows) order.
+    fn model_mask_values(&self) -> Result<Vec<bool>, DegradeReason> {
         let lits: Vec<Lit> = self.copies[0]
             .alpha
             .iter()
             .chain(&self.copies[0].beta)
             .copied()
             .collect();
-        let values = model_bits(&self.enc, &lits)?;
-        let mut rec = SeedRecovery::new(self.spec.taps().clone());
-        let mut rows: Vec<(BitVec, bool)> = Vec::with_capacity(values.len());
-        let mask_rows = self.masks.alpha.iter().chain(&self.masks.beta);
-        for (row, value) in mask_rows.zip(values) {
-            rec.observe_form(row.clone(), value)
-                .map_err(|_| DegradeReason::Inconsistent)?;
-            rows.push((row.clone(), value));
+        model_bits(&self.enc, &lits)
+    }
+
+    /// The linear phase over the solver's last model: each mask value is
+    /// a known linear form of the seed, so Gaussian elimination does the
+    /// rest. The seed is the particular solution — the unique seed at
+    /// full rank, a canonical member of the equivalent class otherwise.
+    fn recover(&self) -> Result<Converged, DegradeReason> {
+        let values = self.model_mask_values()?;
+        let (rec, consistent) = self.eliminate(values.iter().copied());
+        if !consistent {
+            return Err(DegradeReason::Inconsistent);
         }
         Ok(Converged {
             seed: rec.solution().particular,
             rank: rec.rank(),
-            rows,
+            rows: self.mask_rows().cloned().zip(values).collect(),
         })
     }
 
@@ -910,40 +932,39 @@ impl<'a> AttackState<'a> {
             },
         };
 
-        // Rank/nullity of the mask row space: a property of the lock,
-        // valid whether or not the loop converged (the values fed here
-        // are placeholders — only the row space matters).
-        let mut rowspace = LinSolver::new(width);
-        for row in self.masks.alpha.iter().chain(&self.masks.beta) {
-            let _ = rowspace.add_equation(row.clone(), false);
-        }
-        let rank = rowspace.rank();
-
-        let (candidate, converged_pin): (Option<BitVec>, Option<SeedRecovery>) = match &self.phase {
+        // One elimination of the mask rows. Its rank and pinned bits
+        // depend only on the rows, so they describe the row space (a
+        // property of the lock) whatever values are fed; the values only
+        // decide the candidate seed.
+        let (rec, candidate, converged) = match &self.phase {
             Phase::Converged(conv) => {
-                let mut rec = SeedRecovery::new(self.spec.taps().clone());
-                for (row, value) in &conv.rows {
-                    let _ = rec.observe_form(row.clone(), *value);
-                }
-                (Some(conv.seed.clone()), Some(rec))
+                let values = conv.rows.iter().map(|&(_, v)| v);
+                (self.eliminate(values).0, Some(conv.seed.clone()), true)
             }
             _ => {
                 // Best current hypothesis: the seed of any mask assignment
                 // consistent with every response so far, if one is
-                // reachable within budget.
+                // reachable within budget. Without one, placeholder
+                // values still give the row space.
                 let budget = self.cfg.solve_budget;
-                let seed = (self.solve(&[], &budget) == SolveResult::Sat)
-                    .then(|| self.recover().ok().map(|conv| conv.seed))
+                let model = (self.solve(&[], &budget) == SolveResult::Sat)
+                    .then(|| self.model_mask_values().ok())
                     .flatten();
-                (seed, None)
+                let (rec, consistent) = match &model {
+                    Some(values) => self.eliminate(values.iter().copied()),
+                    None => self.eliminate(std::iter::repeat(false)),
+                };
+                let seed = (model.is_some() && consistent).then(|| rec.solution().particular);
+                (rec, seed, false)
             }
         };
+        let rank = rec.rank();
 
         let bit_confidence: Vec<f64> = (0..width)
-            .map(|b| match &converged_pin {
-                Some(rec) if rec.pinned_bit(b).is_some() => 1.0,
-                _ if rowspace.pinned_value(b).is_some() => 0.75,
-                _ => 0.5,
+            .map(|b| match rec.pinned_bit(b) {
+                None => 0.5,
+                Some(_) if converged => 1.0,
+                Some(_) => 0.75,
             })
             .collect();
 
@@ -1097,23 +1118,13 @@ impl<'a> AttackState<'a> {
         if let CkptPhase::Converged { seed, rank, rows } = &ckpt.phase {
             // Cross-check the recorded recovery rows against the rebuilt
             // mask forms before trusting the recorded linear phase.
-            let mask_rows: Vec<&BitVec> =
-                state.masks.alpha.iter().chain(&state.masks.beta).collect();
-            if rows.len() != mask_rows.len()
-                || rows
-                    .iter()
-                    .zip(&mask_rows)
-                    .any(|((row, _), mask)| row != *mask)
-            {
+            if !rows.iter().map(|(row, _)| row).eq(state.mask_rows()) {
                 return Err(CheckpointError::Inconsistent);
             }
-            let mut rec = SeedRecovery::new(spec.taps().clone());
-            for (row, value) in rows {
-                if rec.observe_form(row.clone(), *value).is_err() {
-                    return Err(CheckpointError::Inconsistent);
-                }
-            }
-            if rec.rank() != *rank {
+            // The recorded seed and rank must be what the linear phase
+            // makes of the recorded values.
+            let (rec, consistent) = state.eliminate(rows.iter().map(|&(_, v)| v));
+            if !consistent || rec.rank() != *rank || rec.solution().particular != *seed {
                 return Err(CheckpointError::Inconsistent);
             }
             state.phase = Phase::Converged(Converged {
@@ -1327,6 +1338,39 @@ mod tests {
             panic!("converged checkpoint must verify");
         };
         assert_eq!(unlock.seed, seed_before);
+    }
+
+    #[test]
+    fn report_on_a_converged_machine_grades_pinned_bits_as_certain() {
+        // A 24-bit key behind 16 mask rows leaves free seed bits, so both
+        // grades occur.
+        let f = fixture(24, 6, 0x4D);
+        let mut oracle = Reliable(f.oracle());
+        let mut state = AttackState::new(&f.circuit, &f.chain, &f.spec, RobustConfig::default());
+        while !matches!(state.step(&mut oracle), Step::Converged) {}
+        let CkptPhase::Converged { seed, rows, .. } = state.checkpoint().phase else {
+            panic!("a converged machine checkpoints as converged");
+        };
+        let mut rec = SeedRecovery::new(f.spec.taps().clone());
+        for (row, value) in rows {
+            rec.observe_form(row, value).unwrap();
+        }
+
+        let report = state.report();
+        assert_eq!(report.rank, rec.rank());
+        assert_eq!(report.nullity, 24 - rec.rank());
+        assert!(0 < report.rank && report.rank < 24, "rank {}", report.rank);
+        assert_eq!(report.candidate_seed, Some(seed));
+        for (b, &c) in report.bit_confidence.iter().enumerate() {
+            let expect = if rec.pinned_bit(b).is_some() {
+                1.0
+            } else {
+                0.5
+            };
+            assert_eq!(c, expect, "seed bit {b}");
+        }
+        assert!(report.bit_confidence.contains(&1.0));
+        assert!(report.bit_confidence.contains(&0.5));
     }
 
     #[test]

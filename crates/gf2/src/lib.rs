@@ -10,13 +10,14 @@
 //! * [`BitMatrix`] — a dense row-major matrix of [`BitVec`] rows, used for
 //!   LFSR companion matrices and the scan-obfuscation mask matrices
 //!   `T_in` / `T_out`.
+//! * [`LinSolver`] — incremental Gaussian elimination: rank, consistency,
+//!   pinned variables, a particular solution and a nullspace basis. The
+//!   attack's seed recovery runs on it.
 //! * [`solve_system`] — one-shot Gauss–Jordan elimination of `A x = b`,
 //!   the batch path behind [`BitMatrix::rank`] and
-//!   [`BitMatrix::nullspace`] too.
-//! * [`LinSolver`] — incremental Gaussian elimination: rank, consistency, a
-//!   particular solution and a nullspace basis, plus solution enumeration
-//!   (used to analyze seed-candidate sets). It is also the reference
-//!   [`solve_system`] is tested against.
+//!   [`BitMatrix::nullspace`] too. The attack runs it only to write each
+//!   dependent mask row over the independent ones; [`LinSolver`] is its
+//!   test reference.
 //! * [`SplitMix64`] / [`Xoshiro256`] — dependency-free deterministic PRNGs
 //!   so synthetic benchmark generation is reproducible bit-for-bit.
 //!
@@ -35,9 +36,9 @@
 #![warn(missing_docs)]
 
 mod bitvec;
-mod m4ri;
 mod matrix;
 mod rng;
+mod rref;
 mod solve;
 
 pub use bitvec::BitVec;

@@ -98,16 +98,6 @@ impl BitMatrix {
         &mut self.rows[r]
     }
 
-    /// Replaces row `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the new row length differs from `num_cols`.
-    pub fn set_row(&mut self, r: usize, row: BitVec) {
-        assert_eq!(row.len(), self.cols, "row length mismatch");
-        self.rows[r] = row;
-    }
-
     /// Appends a row.
     ///
     /// # Panics
@@ -198,38 +188,16 @@ impl BitMatrix {
     /// Rank via Gauss–Jordan elimination on a working copy.
     pub fn rank(&self) -> usize {
         let mut work = self.rows.clone();
-        crate::m4ri::rref(&mut work).len()
+        crate::rref::rref(&mut work).len()
     }
 
     /// A basis of the right nullspace `{x : A·x = 0}`. The basis has
     /// `num_cols() - rank()` vectors.
     pub fn nullspace(&self) -> Vec<BitVec> {
         let mut work = self.rows.clone();
-        let pivots = crate::m4ri::rref(&mut work);
+        let pivots = crate::rref::rref(&mut work);
         let nrows = pivots.len();
-        crate::m4ri::nullspace_from_rref(&work[..nrows], &pivots, self.cols)
-    }
-
-    /// Inverse of a square matrix, or `None` if singular.
-    pub fn inverse(&self) -> Option<BitMatrix> {
-        assert_eq!(self.num_rows(), self.cols, "inverse requires square matrix");
-        let n = self.cols;
-        let mut work = self.rows.clone();
-        let mut inv = BitMatrix::identity(n);
-        for col in 0..n {
-            let p = (col..n).find(|&r| work[r].get(col))?;
-            work.swap(col, p);
-            inv.rows.swap(col, p);
-            let pivot_row = work[col].clone();
-            let pivot_inv = inv.rows[col].clone();
-            for (r, (wrow, irow)) in work.iter_mut().zip(inv.rows.iter_mut()).enumerate() {
-                if r != col && wrow.get(col) {
-                    wrow.xor_assign(&pivot_row);
-                    irow.xor_assign(&pivot_inv);
-                }
-            }
-        }
-        Some(inv)
+        crate::rref::nullspace_from_rref(&work[..nrows], &pivots, self.cols)
     }
 
     /// Whether this is a square identity matrix.
@@ -335,26 +303,6 @@ mod tests {
         m.set(0, 0, true);
         m.set(1, 0, true); // duplicate column info
         assert_eq!(m.rank(), 1);
-    }
-
-    #[test]
-    fn inverse_roundtrip() {
-        // Find an invertible random matrix and verify A * A^-1 = I.
-        for seed in 0..20 {
-            let a = random_square(16, seed);
-            if let Some(inv) = a.inverse() {
-                assert!(a.mul(&inv).is_identity(), "seed {seed}");
-                assert!(inv.mul(&a).is_identity(), "seed {seed}");
-                return;
-            }
-        }
-        panic!("no invertible 16x16 matrix in 20 random draws (wildly improbable)");
-    }
-
-    #[test]
-    fn singular_has_no_inverse() {
-        let m = BitMatrix::zeros(4, 4);
-        assert!(m.inverse().is_none());
     }
 
     #[test]

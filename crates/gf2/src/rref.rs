@@ -4,12 +4,9 @@
 //! [`BitMatrix::nullspace`](crate::BitMatrix::nullspace).
 //!
 //! Rows are word-packed [`BitVec`]s, so each row XOR works 64 columns at
-//! a time. [`LinSolver`](crate::LinSolver) is the incremental reference
-//! the batch path is tested against.
-//!
-//! The module keeps the name of the blocked Method-of-the-Four-Russians
-//! eliminator it used to hold; RREF is unique, so the plain routine
-//! returns the same rows and pivots that one did.
+//! a time. The differential tests check this routine against the
+//! incremental [`LinSolver`](crate::LinSolver); RREF is unique, so any
+//! correct elimination gives the same rows and pivots.
 
 use crate::BitVec;
 

@@ -43,29 +43,6 @@ impl LinSolution {
         }
     }
 
-    /// Enumerates up to `cap` solutions (Gray-code order starting from the
-    /// particular solution).
-    pub fn enumerate(&self, cap: usize) -> Vec<BitVec> {
-        let mut out = Vec::new();
-        let mut current = self.particular.clone();
-        out.push(current.clone());
-        if self.nullspace.is_empty() {
-            return out;
-        }
-        let total = self.count().min(cap as u128);
-        let mut i: u128 = 1;
-        while (out.len() as u128) < total {
-            // Gray code: flip the basis vector indexed by the lowest set bit
-            // of the counter; each step changes current by exactly one basis
-            // vector, visiting all combinations.
-            let bit = i.trailing_zeros() as usize;
-            current.xor_assign(&self.nullspace[bit]);
-            out.push(current.clone());
-            i += 1;
-        }
-        out
-    }
-
     /// Whether `x` belongs to the solution set. Cost is one Gaussian
     /// elimination of the basis plus a reduction of `x ⊕ particular`.
     pub fn contains(&self, x: &BitVec) -> bool {
@@ -104,9 +81,10 @@ impl LinSolution {
 ///
 /// Rows (equations `coeffs · x = rhs`) can be added one at a time; the
 /// solver maintains an echelon form so consistency is detected immediately
-/// and queries (`rank`, [`LinSolver::solve`]) stay cheap. This is the tool
-/// the attack uses to reason about which seed bits are pinned by the
-/// recovered key-stream information.
+/// and queries (`rank`, [`LinSolver::solve`]) stay cheap. This is the
+/// attack's production elimination: it finds the independent session-mask
+/// rows, and the seed recovery eliminates the converged mask values on it
+/// to read the seed and the seed bits those values pin.
 ///
 /// # Example
 ///
@@ -252,8 +230,10 @@ impl LinSolver {
 /// One-shot solve of `A·x = b` via Gauss–Jordan elimination of the
 /// augmented matrix `[A | b]`.
 ///
-/// The incremental [`LinSolver`] path is the scalar reference for this
-/// batch routine; differential tests assert they agree.
+/// The attack runs it in one place: writing each dependent session-mask
+/// row over the independent ones. Its test reference is the incremental
+/// [`LinSolver`]; differential tests assert the two agree on consistency,
+/// particular solution and nullity.
 ///
 /// # Errors
 ///
@@ -278,7 +258,7 @@ pub fn solve_system(a: &BitMatrix, b: &BitVec) -> Result<LinSolution, SolveError
             aug
         })
         .collect();
-    let pivots = crate::m4ri::rref(&mut rows);
+    let pivots = crate::rref::rref(&mut rows);
     // A pivot in the rhs column is a row reading `0 = 1`.
     if pivots.last() == Some(&cols) {
         return Err(SolveError);
@@ -295,7 +275,7 @@ pub fn solve_system(a: &BitMatrix, b: &BitVec) -> Result<LinSolution, SolveError
         .iter()
         .map(|r| r.resized(cols))
         .collect();
-    let nullspace = crate::m4ri::nullspace_from_rref(&coeff_rows, &pivots, cols);
+    let nullspace = crate::rref::nullspace_from_rref(&coeff_rows, &pivots, cols);
     Ok(LinSolution {
         particular,
         nullspace,
@@ -362,30 +342,6 @@ mod tests {
             assert!(a.mul_vec(n).is_zero());
         }
         assert!(sol.contains(&x));
-    }
-
-    #[test]
-    fn enumerate_yields_distinct_valid_solutions() {
-        let mut rng = Xoshiro256::new(1);
-        let a = BitMatrix::random(4, 7, &mut rng);
-        let x = BitVec::random(7, &mut rng);
-        let b = a.mul_vec(&x);
-        let sol = solve_system(&a, &b).unwrap();
-        let sols = sol.enumerate(1000);
-        assert_eq!(sols.len() as u128, sol.count().min(1000));
-        let mut set = std::collections::HashSet::new();
-        for s in &sols {
-            assert_eq!(a.mul_vec(s), b, "enumerated vector must solve system");
-            assert!(set.insert(s.clone()), "solutions must be distinct");
-        }
-    }
-
-    #[test]
-    fn enumerate_respects_cap() {
-        let s = LinSolver::new(10); // empty system: 1024 solutions
-        let sol = s.solve().unwrap();
-        assert_eq!(sol.count(), 1024);
-        assert_eq!(sol.enumerate(100).len(), 100);
     }
 
     #[test]

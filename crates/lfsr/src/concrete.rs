@@ -99,51 +99,6 @@ impl Lfsr {
     }
 }
 
-/// A Galois LFSR over the same tap positions: the shifted-out bit is XORed
-/// into the tapped positions instead of the tapped positions feeding the
-/// input bit. Provided for completeness (some DOS-style implementations
-/// use the Galois form); the attack model consumes any linear update
-/// through its companion matrix.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GaloisLfsr {
-    taps: TapSet,
-    state: BitVec,
-}
-
-impl GaloisLfsr {
-    /// Creates a Galois LFSR with the given seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seed.len() != taps.width()`.
-    pub fn new(taps: TapSet, seed: BitVec) -> Self {
-        assert_eq!(seed.len(), taps.width(), "seed width mismatch");
-        GaloisLfsr { taps, state: seed }
-    }
-
-    /// Current state.
-    pub fn state(&self) -> &BitVec {
-        &self.state
-    }
-
-    /// Advances one clock: shift up; if the dropped bit (`width-1`) was
-    /// set, XOR it into every tapped position (after the shift), and into
-    /// bit 0.
-    pub fn step(&mut self) {
-        let w = self.state.len();
-        let dropped = self.state.get(w - 1);
-        shift_up_words(&mut self.state);
-        if dropped {
-            self.state.flip(0);
-            for &t in self.taps.taps() {
-                if t != w - 1 {
-                    self.state.flip(t + 1);
-                }
-            }
-        }
-    }
-}
-
 /// Word-level register shift `s'[j] = s[j-1]` with `s'[0] = 0`: each word
 /// shifts left by one and takes the previous word's top bit as carry.
 fn shift_up_words(state: &mut BitVec) {
@@ -234,27 +189,6 @@ mod tests {
         let mut sum = l1.state().clone();
         sum.xor_assign(l2.state());
         assert_eq!(&sum, lx.state());
-    }
-
-    #[test]
-    fn galois_step_is_invertible_walk() {
-        // A Galois LFSR with valid taps must not collapse two states: walk
-        // 1000 steps and require all distinct from a nonzero start.
-        let taps = TapSet::maximal(12).unwrap();
-        let mut g = GaloisLfsr::new(taps, BitVec::unit(12, 3));
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..1000 {
-            assert!(seen.insert(g.state().clone()), "state repeated early");
-            g.step();
-        }
-    }
-
-    #[test]
-    fn galois_zero_fixed_point() {
-        let taps = TapSet::maximal(8).unwrap();
-        let mut g = GaloisLfsr::new(taps, BitVec::zeros(8));
-        g.step();
-        assert!(g.state().is_zero());
     }
 
     #[test]

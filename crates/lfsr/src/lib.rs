@@ -10,11 +10,10 @@
 //!   sets for common widths, and verified generation for arbitrary widths
 //!   (the paper sweeps key sizes 128–368);
 //! * [`Lfsr`] — the concrete Fibonacci LFSR the locked chip clocks;
-//! * [`GaloisLfsr`] — the Galois form, for completeness;
 //! * [`SymbolicLfsr`] — every state bit at every cycle as a [`gf2::BitVec`]
 //!   linear form over the seed bits (row of the companion-matrix power);
-//! * [`recover`] — seed recovery from scattered key-stream observations by
-//!   Gaussian elimination, the linear-algebra core reused by the attack.
+//! * [`recover`] — seed recovery from observed linear forms of the seed
+//!   by Gaussian elimination: the attack's linear phase.
 //!
 //! # Conventions
 //!
@@ -45,7 +44,7 @@ pub mod recover;
 mod symbolic;
 mod taps;
 
-pub use concrete::{GaloisLfsr, Lfsr};
+pub use concrete::Lfsr;
 pub use error::LfsrError;
 pub use symbolic::SymbolicLfsr;
 pub use taps::TapSet;

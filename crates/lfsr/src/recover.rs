@@ -1,60 +1,44 @@
-//! Seed recovery from scattered key-stream observations.
+//! Seed recovery from observed linear forms of the seed.
 //!
-//! If an attacker learns (or hypothesizes) the value of LFSR bit `j` at
-//! cycle `t` — for any collection of `(t, j)` pairs — each observation is
-//! one linear equation `row_j(A^t) · seed = bit`. Gaussian elimination
-//! then pins the seed once `width` independent equations accumulate.
-//!
-//! The SAT attack produces such information implicitly (the CNF the paper
-//! dumps "may reveal some of the seed bits"); this module is the explicit
-//! linear-algebra version, used by tests, by the brute-force refinement
-//! stage, and as a standalone demonstration of why per-cycle re-keying
-//! adds no entropy beyond the seed.
+//! Every LFSR state bit at every cycle is a known linear form of the
+//! seed ([`SymbolicLfsr`](crate::SymbolicLfsr) computes them), and so is
+//! any XOR of such bits — DynUnlock's session masks are exactly that.
+//! Each observed value is one equation `row · seed = value`; Gaussian
+//! elimination pins the seed once `width` independent equations
+//! accumulate. The attack feeds its converged mask values through here.
 
 use gf2::{BitVec, LinSolution, LinSolver, SolveError};
 
-use crate::{SymbolicLfsr, TapSet};
+use crate::TapSet;
 
-/// One observed key-stream bit: LFSR bit `bit_index` at cycle `cycle` had
-/// value `value`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Observation {
-    /// Cycle count after reset (0 = the seed itself).
-    pub cycle: u64,
-    /// Which state bit was observed.
-    pub bit_index: usize,
-    /// The observed value.
-    pub value: bool,
-}
-
-/// Incrementally recovers an LFSR seed from observations.
+/// Incrementally recovers an LFSR seed from observed linear forms.
 ///
 /// # Example
 ///
 /// ```
 /// use gf2::BitVec;
-/// use lfsr::{Lfsr, TapSet};
-/// use lfsr::recover::{Observation, SeedRecovery};
+/// use lfsr::{Lfsr, SymbolicLfsr, TapSet};
+/// use lfsr::recover::SeedRecovery;
 ///
 /// let taps = TapSet::maximal(8).unwrap();
 /// let secret = BitVec::from_u64(8, 0b1011_0010);
 /// let mut chip = Lfsr::new(taps.clone(), secret.clone());
+/// let mut sym = SymbolicLfsr::new(taps.clone());
 /// let mut rec = SeedRecovery::new(taps);
 ///
 /// // watch bit 0 for 8 consecutive cycles
-/// for cycle in 0..8 {
-///     rec.observe(Observation { cycle, bit_index: 0, value: chip.bit(0) }).unwrap();
+/// for _ in 0..8 {
+///     rec.observe_form(sym.row(0).clone(), chip.bit(0)).unwrap();
 ///     chip.step();
+///     sym.step();
 /// }
-/// assert_eq!(rec.unique_seed(), Some(secret));
+/// assert_eq!(rec.rank(), 8);
+/// assert_eq!(rec.solution().particular, secret);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SeedRecovery {
     taps: TapSet,
     solver: LinSolver,
-    /// Cached symbolic register, advanced monotonically; observations at
-    /// earlier cycles restart it (rare in practice).
-    sym: SymbolicLfsr,
 }
 
 impl SeedRecovery {
@@ -62,36 +46,20 @@ impl SeedRecovery {
     /// knows the taps from reverse engineering — threat-model assumption).
     pub fn new(taps: TapSet) -> Self {
         SeedRecovery {
-            sym: SymbolicLfsr::new(taps.clone()),
             solver: LinSolver::new(taps.width()),
             taps,
         }
     }
 
-    /// Adds one observation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolveError`] if the observation contradicts earlier ones
-    /// (meaning the observations did not come from one seed, or the tap
-    /// model is wrong).
-    pub fn observe(&mut self, obs: Observation) -> Result<bool, SolveError> {
-        let row = self.row_at(obs.cycle, obs.bit_index);
-        self.solver.add_equation(row, obs.value)
-    }
-
     /// Adds one observed *linear form*: `row · seed = value` for an
-    /// arbitrary coefficient row over the seed bits.
-    ///
-    /// Single key-stream bits are the `row_j(A^t)` special case handled by
-    /// [`observe`](SeedRecovery::observe); attacks that watch a bit only
-    /// through XOR masks (DynUnlock's affine session masks are XORs of
-    /// several keystream bits) learn sums of such rows instead, and feed
-    /// them in here. Returns whether the equation was independent.
+    /// arbitrary coefficient row over the seed bits. Returns whether the
+    /// equation was independent.
     ///
     /// # Errors
     ///
-    /// Returns [`SolveError`] if the equation contradicts earlier ones.
+    /// Returns [`SolveError`] if the equation contradicts earlier ones
+    /// (meaning the observations did not come from one seed, or the tap
+    /// model is wrong); the recovery is left unchanged.
     ///
     /// # Panics
     ///
@@ -100,65 +68,9 @@ impl SeedRecovery {
         self.solver.add_equation(row, value)
     }
 
-    /// Adds one observed XOR of key-stream bits: the sum over GF(2) of
-    /// LFSR bit `j` at cycle `t` for every `(t, j)` in `terms` equals
-    /// `value`.
-    ///
-    /// Convenience wrapper building the coefficient row for
-    /// [`observe_form`](SeedRecovery::observe_form) from the symbolic
-    /// register. A term repeated an even number of times cancels, as XOR
-    /// demands.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolveError`] on contradiction with earlier observations.
-    pub fn observe_combination(
-        &mut self,
-        terms: &[(u64, usize)],
-        value: bool,
-    ) -> Result<bool, SolveError> {
-        let mut row = BitVec::zeros(self.taps.width());
-        for &(cycle, bit) in terms {
-            row.xor_assign(&self.row_at(cycle, bit));
-        }
-        self.observe_form(row, value)
-    }
-
-    /// Adds a batch of observations, returning how many were independent.
-    ///
-    /// Observations are sorted by cycle first so the cached symbolic
-    /// register advances monotonically (one word-parallel
-    /// [`SymbolicLfsr::run`] sweep) instead of restarting on every
-    /// out-of-order cycle.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolveError`] at the first contradictory observation; all
-    /// observations before it (in cycle order) remain incorporated.
-    pub fn observe_all(
-        &mut self,
-        obs: impl IntoIterator<Item = Observation>,
-    ) -> Result<usize, SolveError> {
-        let mut batch: Vec<Observation> = obs.into_iter().collect();
-        batch.sort_by_key(|o| o.cycle);
-        let mut independent = 0;
-        for o in batch {
-            if self.observe(o)? {
-                independent += 1;
-            }
-        }
-        Ok(independent)
-    }
-
     /// Number of independent equations gathered so far.
     pub fn rank(&self) -> usize {
         self.solver.rank()
-    }
-
-    /// Number of seed candidates still consistent (`2^nullity`), saturated
-    /// at `u128::MAX`.
-    pub fn candidate_count(&self) -> u128 {
-        self.solution().count()
     }
 
     /// The affine solution set.
@@ -166,12 +78,6 @@ impl SeedRecovery {
         self.solver
             .solve()
             .expect("solver state is consistent by construction")
-    }
-
-    /// The seed, if uniquely determined.
-    pub fn unique_seed(&self) -> Option<BitVec> {
-        let sol = self.solution();
-        sol.nullspace.is_empty().then_some(sol.particular)
     }
 
     /// Value of seed bit `bit_index` if the equations gathered so far pin
@@ -186,45 +92,39 @@ impl SeedRecovery {
         assert!(bit_index < self.taps.width(), "bit index out of range");
         self.solver.pinned_value(bit_index)
     }
-
-    /// Enumerates up to `cap` candidate seeds.
-    pub fn candidates(&self, cap: usize) -> Vec<BitVec> {
-        self.solution().enumerate(cap)
-    }
-
-    fn row_at(&mut self, cycle: u64, bit_index: usize) -> BitVec {
-        assert!(bit_index < self.taps.width(), "bit index out of range");
-        if self.sym.steps_taken() > cycle {
-            self.sym = SymbolicLfsr::new(self.taps.clone());
-        }
-        self.sym.run(cycle - self.sym.steps_taken());
-        self.sym.row(bit_index).clone()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Lfsr;
+    use crate::{Lfsr, SymbolicLfsr};
     use gf2::{Rng64, SplitMix64};
 
-    fn watch(
+    /// The `(form, value)` of state bits `0..bits` at every cycle in
+    /// `0..cycles`, cycle-major: `stream[t * bits + j]` is bit `j` at
+    /// cycle `t`, read off a symbolic and a concrete register together.
+    fn keystream(taps: &TapSet, secret: &BitVec, cycles: u64, bits: usize) -> Vec<(BitVec, bool)> {
+        let mut sym = SymbolicLfsr::new(taps.clone());
+        let mut chip = Lfsr::new(taps.clone(), secret.clone());
+        let mut stream = Vec::new();
+        for _ in 0..cycles {
+            for j in 0..bits {
+                stream.push((sym.row(j).clone(), chip.bit(j)));
+            }
+            sym.step();
+            chip.step();
+        }
+        stream
+    }
+
+    fn recover<'a>(
         taps: &TapSet,
-        secret: &BitVec,
-        cycles: impl IntoIterator<Item = (u64, usize)>,
+        obs: impl IntoIterator<Item = &'a (BitVec, bool)>,
     ) -> SeedRecovery {
         let mut rec = SeedRecovery::new(taps.clone());
-        let mut chip = Lfsr::new(taps.clone(), secret.clone());
-        let mut obs: Vec<(u64, usize)> = cycles.into_iter().collect();
-        obs.sort_unstable();
-        for (cycle, bit) in obs {
-            chip.run(cycle - chip.steps_taken());
-            rec.observe(Observation {
-                cycle,
-                bit_index: bit,
-                value: chip.bit(bit),
-            })
-            .expect("honest observations are consistent");
+        for (row, value) in obs {
+            rec.observe_form(row.clone(), *value)
+                .expect("honest observations are consistent");
         }
         rec
     }
@@ -233,8 +133,9 @@ mod tests {
     fn consecutive_bit0_observations_pin_seed() {
         let taps = TapSet::maximal(16).unwrap();
         let secret = BitVec::from_u64(16, 0xBEEF);
-        let rec = watch(&taps, &secret, (0..16).map(|c| (c, 0)));
-        assert_eq!(rec.unique_seed(), Some(secret));
+        let rec = recover(&taps, &keystream(&taps, &secret, 16, 1));
+        assert_eq!(rec.rank(), 16);
+        assert_eq!(rec.solution().particular, secret);
     }
 
     #[test]
@@ -242,23 +143,24 @@ mod tests {
         let taps = TapSet::maximal(12).unwrap();
         let mut rng = SplitMix64::new(7);
         let secret = BitVec::random(12, &mut rng);
-        // random (cycle, bit) pairs; 30 of them almost surely span 12 dims
-        let obs: Vec<(u64, usize)> = (0..30)
-            .map(|_| (rng.gen_range(200), rng.gen_index(12)))
+        let stream = keystream(&taps, &secret, 200, 12);
+        // random (cycle, bit) picks; 30 of them almost surely span 12 dims
+        let picks: Vec<&(BitVec, bool)> = (0..30)
+            .map(|_| &stream[rng.gen_index(stream.len())])
             .collect();
-        let rec = watch(&taps, &secret, obs);
-        assert_eq!(rec.unique_seed(), Some(secret));
+        let rec = recover(&taps, picks);
+        assert_eq!(rec.rank(), 12);
+        assert_eq!(rec.solution().particular, secret);
     }
 
     #[test]
     fn underdetermined_keeps_true_seed_among_candidates() {
         let taps = TapSet::maximal(10).unwrap();
         let secret = BitVec::from_u64(10, 0b11_0110_0101 & 0x3FF);
-        let rec = watch(&taps, &secret, (0..6).map(|c| (c, 0)));
-        assert!(rec.unique_seed().is_none());
-        assert_eq!(rec.candidate_count(), 1 << 4);
-        let cands = rec.candidates(1 << 10);
-        assert!(cands.contains(&secret));
+        let rec = recover(&taps, &keystream(&taps, &secret, 6, 1));
+        let sol = rec.solution();
+        assert_eq!(sol.nullity(), 4);
+        assert!(sol.contains(&secret));
     }
 
     #[test]
@@ -266,7 +168,7 @@ mod tests {
         let taps = TapSet::maximal(10).unwrap();
         let secret = BitVec::from_u64(10, 0b11_0110_0101 & 0x3FF);
         // Cycle-0 observations of bits 0..4 pin exactly those seed bits.
-        let rec = watch(&taps, &secret, (0..4).map(|b| (0, b as usize)));
+        let rec = recover(&taps, &keystream(&taps, &secret, 1, 4));
         for b in 0..4 {
             assert_eq!(rec.pinned_bit(b), Some(secret.get(b)), "bit {b}");
         }
@@ -274,9 +176,9 @@ mod tests {
             (4..10).all(|b| rec.pinned_bit(b).is_none()),
             "unobserved bits must stay free"
         );
-        // Full watch pins everything, consistently with unique_seed.
-        let full = watch(&taps, &secret, (0..10).map(|c| (c, 0)));
-        let seed = full.unique_seed().unwrap();
+        // Full watch pins everything, consistently with the solution.
+        let full = recover(&taps, &keystream(&taps, &secret, 10, 1));
+        let seed = full.solution().particular;
         for b in 0..10 {
             assert_eq!(full.pinned_bit(b), Some(seed.get(b)));
         }
@@ -286,101 +188,21 @@ mod tests {
     fn contradiction_is_reported() {
         let taps = TapSet::maximal(8).unwrap();
         let mut rec = SeedRecovery::new(taps);
-        rec.observe(Observation {
-            cycle: 0,
-            bit_index: 3,
-            value: true,
-        })
-        .unwrap();
-        let err = rec.observe(Observation {
-            cycle: 0,
-            bit_index: 3,
-            value: false,
-        });
-        assert!(err.is_err());
+        rec.observe_form(BitVec::unit(8, 3), true).unwrap();
+        assert!(rec.observe_form(BitVec::unit(8, 3), false).is_err());
+        assert_eq!(rec.rank(), 1, "the recovery is left unchanged");
     }
 
     #[test]
     fn duplicate_observation_is_dependent() {
         let taps = TapSet::maximal(8).unwrap();
+        let secret = BitVec::from_u64(8, 0x5C);
+        let stream = keystream(&taps, &secret, 6, 3);
+        let (row, value) = stream[5 * 3 + 2].clone();
         let mut rec = SeedRecovery::new(taps);
-        assert!(rec
-            .observe(Observation {
-                cycle: 5,
-                bit_index: 2,
-                value: true
-            })
-            .unwrap());
-        assert!(!rec
-            .observe(Observation {
-                cycle: 5,
-                bit_index: 2,
-                value: true
-            })
-            .unwrap());
+        assert!(rec.observe_form(row.clone(), value).unwrap());
+        assert!(!rec.observe_form(row, value).unwrap());
         assert_eq!(rec.rank(), 1);
-    }
-
-    #[test]
-    fn observe_all_matches_one_at_a_time() {
-        let taps = TapSet::maximal(12).unwrap();
-        let mut rng = SplitMix64::new(13);
-        let secret = BitVec::random(12, &mut rng);
-        let pairs: Vec<(u64, usize)> = (0..25)
-            .map(|_| (rng.gen_range(100), rng.gen_index(12)))
-            .collect();
-        // collect the true values
-        let mut chip = Lfsr::new(taps.clone(), secret.clone());
-        let mut sorted = pairs.clone();
-        sorted.sort_unstable();
-        let mut values = std::collections::HashMap::new();
-        for &(cycle, bit) in &sorted {
-            chip.run(cycle - chip.steps_taken());
-            values.insert((cycle, bit), chip.bit(bit));
-        }
-        let observations: Vec<Observation> = pairs
-            .iter()
-            .map(|&(cycle, bit)| Observation {
-                cycle,
-                bit_index: bit,
-                value: values[&(cycle, bit)],
-            })
-            .collect();
-
-        // batch (deliberately unsorted input)
-        let mut batch = SeedRecovery::new(taps.clone());
-        let independent = batch.observe_all(observations.clone()).unwrap();
-        assert_eq!(independent, batch.rank());
-
-        // one-at-a-time reference, sorted ascending
-        let mut single = SeedRecovery::new(taps);
-        let mut obs_sorted = observations;
-        obs_sorted.sort_by_key(|o| o.cycle);
-        for o in obs_sorted {
-            single.observe(o).unwrap();
-        }
-        assert_eq!(batch.rank(), single.rank());
-        assert_eq!(batch.solution(), single.solution());
-    }
-
-    #[test]
-    fn observe_all_reports_contradiction() {
-        let taps = TapSet::maximal(8).unwrap();
-        let mut rec = SeedRecovery::new(taps);
-        let err = rec.observe_all([
-            Observation {
-                cycle: 2,
-                bit_index: 1,
-                value: true,
-            },
-            Observation {
-                cycle: 2,
-                bit_index: 1,
-                value: false,
-            },
-        ]);
-        assert!(err.is_err());
-        assert_eq!(rec.rank(), 1, "first observation survives");
     }
 
     #[test]
@@ -390,82 +212,34 @@ mod tests {
         let taps = TapSet::maximal(12).unwrap();
         let mut rng = SplitMix64::new(21);
         let secret = BitVec::random(12, &mut rng);
-        let mut rec = SeedRecovery::new(taps.clone());
-        let mut chip = Lfsr::new(taps, secret.clone());
-        let mut stream = Vec::new(); // (cycle, bit) -> value, bits 0..3
-        for cycle in 0..40u64 {
-            for bit in 0..3 {
-                stream.push(((cycle, bit), chip.bit(bit)));
+        let stream = keystream(&taps, &secret, 40, 3);
+        let mut rec = SeedRecovery::new(taps);
+        while rec.rank() < 12 {
+            let mut row = BitVec::zeros(12);
+            let mut value = false;
+            for _ in 0..2 + rng.gen_index(3) {
+                let (r, v) = &stream[rng.gen_index(stream.len())];
+                row.xor_assign(r);
+                value ^= v;
             }
-            chip.step();
-        }
-        while rec.unique_seed().is_none() {
-            let k = 2 + rng.gen_index(3);
-            let picks: Vec<usize> = (0..k).map(|_| rng.gen_index(stream.len())).collect();
-            let terms: Vec<(u64, usize)> = picks.iter().map(|&i| stream[i].0).collect();
-            let value = picks.iter().fold(false, |acc, &i| acc ^ stream[i].1);
-            rec.observe_combination(&terms, value)
+            rec.observe_form(row, value)
                 .expect("honest combinations are consistent");
         }
-        assert_eq!(rec.unique_seed(), Some(secret));
+        assert_eq!(rec.solution().particular, secret);
     }
 
     #[test]
     fn repeated_terms_cancel() {
         let taps = TapSet::maximal(8).unwrap();
+        let stream = keystream(&taps, &BitVec::from_u64(8, 0x3A), 4, 2);
+        let (x, _) = &stream[3 * 2 + 1];
+        let mut twice = x.clone();
+        twice.xor_assign(x);
         let mut rec = SeedRecovery::new(taps);
         // x ⊕ x = 0: an even repetition is the trivially-true equation...
-        assert!(!rec.observe_combination(&[(3, 1), (3, 1)], false).unwrap());
+        assert!(!rec.observe_form(twice.clone(), false).unwrap());
         assert_eq!(rec.rank(), 0);
         // ...and claiming it equals 1 is a contradiction.
-        assert!(rec.observe_combination(&[(3, 1), (3, 1)], true).is_err());
-    }
-
-    #[test]
-    fn observe_form_matches_observe() {
-        let taps = TapSet::maximal(10).unwrap();
-        let secret = BitVec::from_u64(10, 0x155 & 0x3FF);
-        let mut chip = Lfsr::new(taps.clone(), secret.clone());
-        let mut via_obs = SeedRecovery::new(taps.clone());
-        let mut via_form = SeedRecovery::new(taps);
-        for cycle in 0..10u64 {
-            let value = chip.bit(0);
-            via_obs
-                .observe(Observation {
-                    cycle,
-                    bit_index: 0,
-                    value,
-                })
-                .unwrap();
-            let row = via_form.row_at(cycle, 0);
-            via_form.observe_form(row, value).unwrap();
-            chip.step();
-        }
-        assert_eq!(via_obs.rank(), via_form.rank());
-        assert_eq!(via_obs.solution(), via_form.solution());
-        assert_eq!(via_form.unique_seed(), Some(secret));
-    }
-
-    #[test]
-    fn out_of_order_cycles_allowed() {
-        let taps = TapSet::maximal(10).unwrap();
-        let secret = BitVec::from_u64(10, 0x2A5 & 0x3FF);
-        // descending cycle order forces the symbolic register restart path
-        let mut rec = SeedRecovery::new(taps.clone());
-        let mut chip = Lfsr::new(taps, secret.clone());
-        let mut values = Vec::new();
-        for _ in 0..10u64 {
-            values.push(chip.bit(0));
-            chip.step();
-        }
-        for c in (0..10u64).rev() {
-            rec.observe(Observation {
-                cycle: c,
-                bit_index: 0,
-                value: values[c as usize],
-            })
-            .unwrap();
-        }
-        assert_eq!(rec.unique_seed(), Some(secret));
+        assert!(rec.observe_form(twice, true).is_err());
     }
 }

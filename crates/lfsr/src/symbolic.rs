@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use gf2::{BitMatrix, BitVec};
+use gf2::BitVec;
 
 use crate::TapSet;
 
@@ -39,10 +39,8 @@ pub struct SymbolicLfsr {
     taps: TapSet,
     /// `rows[j]` is the linear form of state bit `j`.
     rows: VecDeque<BitVec>,
-    /// Reused feedback accumulator: `step` swaps it with the evicted row,
-    /// so batch stepping allocates nothing after construction.
+    /// Reused feedback accumulator: `step` swaps it with the evicted row.
     scratch: BitVec,
-    steps: u64,
 }
 
 impl SymbolicLfsr {
@@ -55,18 +53,7 @@ impl SymbolicLfsr {
             taps,
             rows,
             scratch: BitVec::zeros(w),
-            steps: 0,
         }
-    }
-
-    /// The tap set.
-    pub fn taps(&self) -> &TapSet {
-        &self.taps
-    }
-
-    /// Steps taken so far.
-    pub fn steps_taken(&self) -> u64 {
-        self.steps
     }
 
     /// Linear form of state bit `j` at the current time.
@@ -79,7 +66,8 @@ impl SymbolicLfsr {
     ///
     /// The accumulation is word-parallel (`xor_assign` works 64 seed
     /// coefficients per instruction) and allocation-free: the evicted
-    /// bottom row's storage is recycled as the next feedback accumulator.
+    /// bottom row's storage is recycled as the next feedback accumulator,
+    /// so walking many cycles allocates nothing after construction.
     pub fn step(&mut self) {
         self.scratch.as_words_mut().fill(0);
         for &t in self.taps.taps() {
@@ -88,21 +76,6 @@ impl SymbolicLfsr {
         let mut evicted = self.rows.pop_back().expect("width is at least 1");
         std::mem::swap(&mut evicted, &mut self.scratch);
         self.rows.push_front(evicted);
-        self.steps += 1;
-    }
-
-    /// Advances `n` cycles. This is the batch path the attack walks for
-    /// `2·FF + captures` cycles per model build; it reuses one scratch row
-    /// across all `n` steps.
-    pub fn run(&mut self, n: u64) {
-        for _ in 0..n {
-            self.step();
-        }
-    }
-
-    /// The full state matrix `A^t` (row `j` = form of bit `j`).
-    pub fn state_matrix(&self) -> BitMatrix {
-        BitMatrix::from_rows(self.rows.iter().cloned().collect())
     }
 }
 
@@ -110,13 +83,19 @@ impl SymbolicLfsr {
 mod tests {
     use super::*;
     use crate::Lfsr;
-    use gf2::SplitMix64;
+    use gf2::{BitMatrix, SplitMix64};
+
+    fn rows(sym: &SymbolicLfsr, width: usize) -> BitMatrix {
+        BitMatrix::from_rows((0..width).map(|j| sym.row(j).clone()).collect())
+    }
 
     #[test]
     fn time_zero_is_identity() {
         let taps = TapSet::maximal(8).unwrap();
         let sym = SymbolicLfsr::new(taps);
-        assert!(sym.state_matrix().is_identity());
+        for j in 0..8 {
+            assert_eq!(sym.row(j), &BitVec::unit(8, j), "bit {j}");
+        }
     }
 
     #[test]
@@ -126,7 +105,10 @@ mod tests {
         let mut sym = SymbolicLfsr::new(taps);
         for t in 1..=40u64 {
             sym.step();
-            assert_eq!(sym.state_matrix(), a.pow(t), "cycle {t}");
+            let power = a.pow(t);
+            for j in 0..12 {
+                assert_eq!(sym.row(j), power.row(j), "bit {j} at cycle {t}");
+            }
         }
     }
 
@@ -153,20 +135,9 @@ mod tests {
         // A^t is invertible for all t when taps include width-1.
         let taps = TapSet::maximal(10).unwrap();
         let mut sym = SymbolicLfsr::new(taps);
-        sym.run(123);
-        assert_eq!(sym.state_matrix().rank(), 10);
-    }
-
-    #[test]
-    fn run_equals_repeated_step() {
-        let taps = TapSet::maximal(9).unwrap();
-        let mut a = SymbolicLfsr::new(taps.clone());
-        let mut b = SymbolicLfsr::new(taps);
-        a.run(17);
-        for _ in 0..17 {
-            b.step();
+        for _ in 0..123 {
+            sym.step();
         }
-        assert_eq!(a.state_matrix(), b.state_matrix());
-        assert_eq!(a.steps_taken(), 17);
+        assert_eq!(rows(&sym, 10).rank(), 10);
     }
 }

@@ -282,6 +282,57 @@ fn resume_rejects_tampered_vector_lengths() {
     }
 }
 
+/// A converged checkpoint whose recorded seed is not the one its recorded
+/// mask values give is rejected: resume would otherwise hand back (and,
+/// without verification probes, report) a seed the rows do not support.
+#[test]
+fn resume_rejects_a_tampered_converged_seed() {
+    let inst = instance(8, 5, 3);
+    let cfg = RobustConfig::strict(AttackConfig {
+        verify_queries: 0,
+        ..AttackConfig::default()
+    });
+    let mut oracle = Reliable(inst.chip());
+    let mut state = AttackState::new(&inst.circuit, &inst.chain, &inst.spec, cfg.clone());
+    loop {
+        match state.step(&mut oracle) {
+            Step::Dip => {}
+            Step::Converged => break,
+            other => panic!("unexpected step outcome: {other:?}"),
+        }
+    }
+    let text = String::from_utf8(state.checkpoint().to_bytes()).unwrap();
+    // Flip the first bit of the recorded seed.
+    let at = text
+        .find("\nseed ")
+        .expect("a converged checkpoint records its seed")
+        + "\nseed ".len();
+    let flipped = if &text[at..=at] == "0" { "1" } else { "0" };
+    let tampered = format!("{}{flipped}{}", &text[..at], &text[at + 1..]);
+
+    let resume = |text: &str, oracle: &mut Reliable<LockedScanChip<'_>>| {
+        let ckpt = Checkpoint::from_bytes(text.as_bytes()).expect("well-formed");
+        AttackState::resume(
+            &inst.circuit,
+            &inst.chain,
+            &inst.spec,
+            cfg.clone(),
+            &ckpt,
+            oracle,
+        )
+        .map(|_| ())
+    };
+    assert_eq!(
+        resume(&text, &mut oracle),
+        Ok(()),
+        "the untouched file resumes"
+    );
+    assert_eq!(
+        resume(&tampered, &mut oracle),
+        Err(CheckpointError::Inconsistent)
+    );
+}
+
 /// Checkpoint bytes must survive an exact serialize → parse → serialize
 /// round trip (the format is the contract, not the in-memory struct).
 #[test]
