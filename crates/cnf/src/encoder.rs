@@ -96,12 +96,6 @@ impl Encoder {
         &mut self.solver
     }
 
-    /// Consumes the encoder, returning the solver with everything encoded
-    /// so far.
-    pub fn into_solver(self) -> Solver {
-        self.solver
-    }
-
     /// A fresh, unconstrained literal.
     pub fn fresh(&mut self) -> Lit {
         Lit::positive(self.solver.new_var())
@@ -145,12 +139,6 @@ impl Encoder {
         }
     }
 
-    /// Adds one constraint-stream element. Returns `false` if the solver
-    /// became unsatisfiable.
-    pub fn assert_constraint(&mut self, constraint: &Constraint) -> bool {
-        self.solver.add_constraint(constraint)
-    }
-
     /// Adds a clause. Returns `false` if the solver became unsatisfiable.
     pub fn assert_clause(&mut self, lits: &[Lit]) -> bool {
         self.solver.add_clause(lits)
@@ -173,11 +161,6 @@ impl Encoder {
     /// Pins a literal true. Returns `false` on conflict.
     pub fn assert_lit(&mut self, lit: Lit) -> bool {
         self.solver.add_clause(&[lit])
-    }
-
-    /// Constrains two literals to be equal. Returns `false` on conflict.
-    pub fn assert_equal(&mut self, a: Lit, b: Lit) -> bool {
-        self.solver.add_clause(&[!a, b]) && self.solver.add_clause(&[a, !b])
     }
 
     /// A literal equal to `a ⊕ b`.

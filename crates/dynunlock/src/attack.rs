@@ -2,8 +2,8 @@
 //!
 //! The search space is the mask basis, not the seed: each of the two
 //! hypotheses is one fresh SAT variable per free mask bit (see
-//! [`model`](crate::model)), and the seed is recovered from the converged
-//! mask values by Gaussian elimination. The miter keeps one difference
+//! [`model`](crate::model)), and the seed is the basis's map of the
+//! converged free bits. The miter keeps one difference
 //! literal per scan-out and primary-output bit, and convergence is proved
 //! one output at a time.
 
@@ -239,14 +239,14 @@ pub(crate) fn output_order(circuit: &Circuit, chain: &ScanChain) -> Vec<usize> {
 ///    only appends constraints. Under the default [`XorMode::Native`] a
 ///    dependent mask bit is a single xor row in the solver's GF(2)
 ///    engine instead of a Tseitin chain.
-/// 2. **Linear phase**: once every output is closed, read the session
-///    masks off a final model and eliminate them once, as explicit linear
-///    forms of the seed, with [`lfsr::recover::SeedRecovery`]; a partial
-///    report and a converged checkpoint's resume go through the same
-///    elimination. The seed returned is the particular solution: the
-///    unique seed at full rank, a canonical member of the functionally
-///    equivalent class otherwise. Either way it may differ from the
-///    secret in bits no output observes ([`same_class`]).
+/// 2. **Linear phase**: once every output is closed, read the free mask
+///    bits off a final model and map them to the seed through the mask
+///    basis built before the loop (the XOR of their dual seeds), with no
+///    further elimination. The seed returned is the particular solution
+///    of the mask system: the unique seed at full rank, a canonical
+///    member of the functionally equivalent class otherwise. Either way
+///    it may differ from the secret in bits no output observes
+///    ([`same_class`]).
 /// 3. **Verification**: random probe sessions compare a re-locked chip
 ///    under the recovered seed against the oracle bit-for-bit.
 ///

@@ -16,7 +16,7 @@ use satsolver::Lit;
 use scanlock::LockSpec;
 use sim::{ScanChain, ScanResponse};
 
-use crate::robust::DipRecord;
+use crate::robust::{Converged, DipRecord};
 
 /// FNV-1a over the canonical instance description: circuit structure,
 /// chain order, lock spec, capture count. Keys every checkpoint so a
@@ -110,11 +110,9 @@ impl std::error::Error for CheckpointError {}
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum CkptPhase {
     Running,
-    Converged {
-        seed: BitVec,
-        rank: usize,
-        rows: Vec<(BitVec, bool)>,
-    },
+    /// The converged free mask bits and the seed the mask basis maps
+    /// them to.
+    Converged(Converged),
 }
 
 /// A serialized attack snapshot: everything needed to rebuild an
@@ -174,11 +172,6 @@ impl Checkpoint {
         self.dips.len()
     }
 
-    /// Learnt clauses exported from the warm solver.
-    pub fn learnt_count(&self) -> usize {
-        self.learnts.len()
-    }
-
     /// Serializes to the `duckpt 1` text format.
     pub fn to_bytes(&self) -> Vec<u8> {
         use std::fmt::Write;
@@ -217,18 +210,10 @@ impl Checkpoint {
             CkptPhase::Running => {
                 let _ = writeln!(out, "phase running");
             }
-            CkptPhase::Converged { seed, rank, rows } => {
+            CkptPhase::Converged(Converged { free, seed }) => {
                 let _ = writeln!(out, "phase converged");
-                for (row, value) in rows {
-                    let _ = writeln!(
-                        out,
-                        "row {} {}",
-                        bits_to_str(row.iter_bits()),
-                        u8::from(*value)
-                    );
-                }
+                let _ = writeln!(out, "free {}", bits_to_str(free.iter().copied()));
                 let _ = writeln!(out, "seed {}", bits_to_str(seed.iter_bits()));
-                let _ = writeln!(out, "rank {rank}");
             }
         }
         let _ = writeln!(out, "end duckpt");
@@ -257,9 +242,8 @@ impl Checkpoint {
         let mut dips = Vec::new();
         let mut learnts = Vec::new();
         let mut phase: Option<CkptPhase> = None;
-        let mut rows: Vec<(BitVec, bool)> = Vec::new();
+        let mut free: Option<Vec<bool>> = None;
         let mut seed: Option<BitVec> = None;
-        let mut rank: Option<usize> = None;
         let mut ended = false;
 
         for (idx, raw) in text.lines().enumerate() {
@@ -345,25 +329,18 @@ impl Checkpoint {
                 "phase" => match rest[..] {
                     ["running"] => phase = Some(CkptPhase::Running),
                     ["converged"] => {
-                        phase = Some(CkptPhase::Converged {
+                        phase = Some(CkptPhase::Converged(Converged {
+                            free: Vec::new(),
                             seed: BitVec::zeros(0),
-                            rank: 0,
-                            rows: Vec::new(),
-                        });
+                        }));
                     }
                     _ => return Err(err(lineno, "phase must be running or converged")),
                 },
-                "row" => {
-                    let [bits, value] = rest[..] else {
-                        return Err(err(lineno, "row wants bits and a value"));
+                "free" => {
+                    let [bits] = rest[..] else {
+                        return Err(err(lineno, "free wants one bit string"));
                     };
-                    let row = str_to_bits(bits).ok_or_else(|| err(lineno, "bad row bits"))?;
-                    let value = match value {
-                        "0" => false,
-                        "1" => true,
-                        _ => return Err(err(lineno, "row value must be 0 or 1")),
-                    };
-                    rows.push((BitVec::from_bools(row), value));
+                    free = Some(str_to_bits(bits).ok_or_else(|| err(lineno, "bad free bits"))?);
                 }
                 "seed" => {
                     let [bits] = rest[..] else {
@@ -372,12 +349,6 @@ impl Checkpoint {
                     seed = Some(BitVec::from_bools(
                         str_to_bits(bits).ok_or_else(|| err(lineno, "bad seed bits"))?,
                     ));
-                }
-                "rank" => {
-                    let [k] = rest[..] else {
-                        return Err(err(lineno, "rank wants one number"));
-                    };
-                    rank = Some(k.parse().map_err(|_| err(lineno, "bad rank"))?);
                 }
                 "end" => {
                     if rest != ["duckpt"] {
@@ -399,13 +370,13 @@ impl Checkpoint {
         let num_vars = num_vars.ok_or_else(|| need(1, "vars"))?;
         let phase = match phase.ok_or_else(|| need(1, "phase"))? {
             CkptPhase::Running => CkptPhase::Running,
-            CkptPhase::Converged { .. } => {
+            CkptPhase::Converged(_) => {
+                let free = free.ok_or_else(|| need(1, "free"))?;
                 let seed = seed.ok_or_else(|| need(1, "seed"))?;
-                let rank = rank.ok_or_else(|| need(1, "rank"))?;
-                if seed.len() != width || rank > width {
-                    return Err(err(1, "seed/rank inconsistent with width"));
+                if seed.len() != width || free.len() > width {
+                    return Err(err(1, "seed/free inconsistent with width"));
                 }
-                CkptPhase::Converged { seed, rank, rows }
+                CkptPhase::Converged(Converged { free, seed })
             }
         };
         Ok(Checkpoint {
@@ -429,6 +400,17 @@ impl Checkpoint {
 mod tests {
     use super::*;
 
+    /// A converged document complete but for its `free` line.
+    const CONVERGED_WITHOUT_FREE: &str = "duckpt 1
+instance 00
+shape width 2 cells 1 captures 1
+counters queries 0 retries 0 repaired 0 exhaustions 0
+vars 0
+phase converged
+seed 01
+end duckpt
+";
+
     #[test]
     fn malformed_checkpoints_are_rejected_with_line_numbers() {
         for (doc, want_line, why) in [
@@ -444,6 +426,13 @@ mod tests {
                 "oversized literal",
             ),
             ("duckpt 1\nlearnt 1 0 2\nend duckpt\n", 2, "zero literal"),
+            ("duckpt 1\nfree 01x\nend duckpt\n", 2, "bad free bits"),
+            (
+                "duckpt 1\nfree 01 10\nend duckpt\n",
+                2,
+                "two free bit strings",
+            ),
+            (CONVERGED_WITHOUT_FREE, 1, "missing free"),
         ] {
             match Checkpoint::from_bytes(doc.as_bytes()) {
                 Err(CheckpointError::Malformed { line, .. }) => {
@@ -452,5 +441,10 @@ mod tests {
                 other => panic!("{why}: doc {doc:?} must be rejected, got {other:?}"),
             }
         }
+        let with_free = CONVERGED_WITHOUT_FREE.replace("seed", "free 1\nseed");
+        assert!(
+            Checkpoint::from_bytes(with_free.as_bytes()).is_ok(),
+            "only the free line was missing"
+        );
     }
 }

@@ -7,18 +7,18 @@
 //! masking collapses to *fixed affine masks* — each mask bit an explicit
 //! GF(2) linear form of the seed ([`model`]). The attack ([`attack`])
 //! then runs a standard SAT-attack DIP loop over a pair of symbolic mask
-//! hypotheses and finishes with plain Gaussian elimination:
+//! hypotheses and reads the seed off the result with GF(2) algebra:
 //!
 //! 1. [`model::session_masks`] — derive the load/unload masks `α`, `β` as
 //!    linear forms of the seed via one symbolic LFSR walk, and their
 //!    basis — the independent mask rows as free bits, every other mask
-//!    bit as a parity of them;
+//!    bit as a parity of them, and one dual seed per free bit that maps
+//!    free-bit values back to a seed;
 //! 2. [`attack::unlock`] — over the free bits, find distinguishing input
 //!    patterns with the incremental CDCL solver one output bit at a time,
 //!    query the oracle, constrain, repeat until no output can differ;
-//! 3. eliminate the mask values once, as linear forms of the seed
-//!    ([`lfsr::recover::SeedRecovery`]), and read the seed — a
-//!    functionally equivalent member of the secret's equivalence class
+//! 3. read the converged free bits off a model and XOR their dual seeds —
+//!    a functionally equivalent member of the secret's equivalence class
 //!    ([`attack::same_class`]), and the secret itself whenever every mask
 //!    bit is observable — then verify against the oracle with random
 //!    probe sessions.

@@ -23,10 +23,12 @@
 //! one SAT variable per hypothesis; a dependent bit becomes one native
 //! parity over free bits (a single GF(2) row in the solver's xor engine
 //! under the default mode), and a zero row folds to constant false. When
-//! the masks are independent no xor rows are left at all. The seed only
-//! comes back in the linear phase, from the converged mask values.
+//! the masks are independent no xor rows are left at all. The basis also
+//! carries the map from free-bit values back to the seed, so the linear
+//! phase reads the seed off the converged free bits without another
+//! elimination.
 
-use gf2::{solve_system, BitMatrix, BitVec, LinSolver};
+use gf2::{BitVec, LinSolver};
 use lfsr::SymbolicLfsr;
 use scanlock::LockSpec;
 
@@ -39,6 +41,74 @@ pub(crate) enum MaskBit {
     /// A row in the span of earlier rows: the XOR of these free bits
     /// (empty for a zero row, which is constant false).
     Sum(Vec<usize>),
+}
+
+/// The mask row space over its free bits, and the way back to the seed
+/// ([`SessionMasks::basis`]): free bit `j` has a *dual seed* `d_j`, zero
+/// off the pivot columns, on which free row `j` is 1 and every other free
+/// row 0.
+#[derive(Debug, Clone)]
+pub(crate) struct MaskBasis {
+    /// One entry per mask bit, `alpha` rows first, then `beta`.
+    pub(crate) bits: Vec<MaskBit>,
+    /// `duals[j]` is the dual seed of free bit `j`.
+    duals: Vec<BitVec>,
+    /// Per seed bit: whether the mask row space determines it.
+    pinned: Vec<bool>,
+}
+
+impl MaskBasis {
+    /// The number of free bits: the rank of the mask rows over the seed.
+    pub(crate) fn rank(&self) -> usize {
+        self.duals.len()
+    }
+
+    /// Whether the mask values determine seed bit `b`: every seed that
+    /// produces the same masks agrees on it.
+    pub(crate) fn pins(&self, b: usize) -> bool {
+        self.pinned[b]
+    }
+
+    /// The seed behind free-bit values `free`: the XOR of the dual seeds of
+    /// the set bits. It reproduces every mask value and is zero off the
+    /// pivot columns, so it is the particular solution of the whole mask
+    /// system: the unique seed at full rank, a canonical member of the
+    /// equivalent class otherwise.
+    pub(crate) fn seed(&self, free: &[bool]) -> BitVec {
+        assert_eq!(free.len(), self.rank(), "one value per free bit");
+        let mut seed = BitVec::zeros(self.pinned.len());
+        for (dual, &v) in self.duals.iter().zip(free) {
+            if v {
+                seed.xor_assign(dual);
+            }
+        }
+        seed
+    }
+
+    /// Every mask value, `alpha` then `beta`, for free-bit values `free`.
+    pub(crate) fn values(&self, free: &[bool]) -> Vec<bool> {
+        self.bits
+            .iter()
+            .map(|bit| match bit {
+                MaskBit::Free(i) => free[*i],
+                MaskBit::Sum(terms) => terms.iter().fold(false, |acc, &i| acc ^ free[i]),
+            })
+            .collect()
+    }
+
+    /// The free-bit values inside a full vector of mask values (`alpha`
+    /// then `beta`), or `None` when a dependent value disagrees with the
+    /// free bits it sums.
+    pub(crate) fn free_values(&self, values: &[bool]) -> Option<Vec<bool>> {
+        let free: Vec<bool> = self
+            .bits
+            .iter()
+            .zip(values)
+            .filter(|(bit, _)| matches!(bit, MaskBit::Free(_)))
+            .map(|(_, &v)| v)
+            .collect();
+        (self.values(&free) == values).then_some(free)
+    }
 }
 
 /// The affine masks of one session structure, as linear forms of the seed.
@@ -68,48 +138,74 @@ impl SessionMasks {
         (a, b)
     }
 
-    /// The mask row space as a basis: one entry per mask bit, `alpha`
-    /// rows first, then `beta`.
+    /// The mask row space as a [`MaskBasis`] over `width` seed bits: one
+    /// entry per mask bit, `alpha` rows first, then `beta`.
     ///
-    /// Rows are scanned in that order and each row independent of the
-    /// rows before it becomes the next free bit (first-come pivots). Every
-    /// other row is the XOR of the free bits it combines. Any assignment
-    /// to the free bits extends to a seed, and every seed induces one, so
-    /// a formula over the free bits describes exactly the masks some seed
-    /// can produce.
-    pub(crate) fn basis(&self) -> Vec<MaskBit> {
+    /// Two eliminations build it. The first scans the rows in that order;
+    /// each row independent of the rows before it becomes the next free
+    /// bit (first-come pivots), and the reduced row space it leaves pins
+    /// exactly the seed bits that are its unit rows. The second
+    /// eliminates the free rows with an identity block appended,
+    /// `[F | I_k]`: `F` has full row rank, so every pivot falls in a seed
+    /// column, and the nullspace vector of identity column `j` is
+    /// `(d_j, e_j)` with `F·d_j = e_j`, the dual seed of free bit `j`.
+    /// A dependent row `r = c·F` then sums the free bits `j` with
+    /// `r·d_j = c_j = 1`. Any assignment to the free bits extends to a
+    /// seed, and every seed induces one, so a formula over the free bits
+    /// describes exactly the masks some seed can produce.
+    pub(crate) fn basis(&self, width: usize) -> MaskBasis {
         let rows: Vec<&BitVec> = self.alpha.iter().chain(&self.beta).collect();
-        let Some(width) = rows.first().map(|r| r.len()) else {
-            return Vec::new();
-        };
         let mut span = LinSolver::new(width);
-        let mut free_rows: Vec<BitVec> = Vec::new();
-        let mut bits: Vec<Option<MaskBit>> = Vec::with_capacity(rows.len());
-        for row in &rows {
-            let independent = span
-                .add_equation((*row).clone(), false)
+        let independent: Vec<bool> = rows
+            .iter()
+            .map(|row| {
+                span.add_equation((*row).clone(), false)
+                    .expect("a homogeneous system is consistent")
+            })
+            .collect();
+        let pinned = (0..width).map(|b| span.pinned_value(b).is_some()).collect();
+
+        let k = span.rank();
+        let free_rows = rows
+            .iter()
+            .zip(&independent)
+            .filter_map(|(row, &i)| i.then_some(row));
+        let mut dual = LinSolver::new(width + k);
+        for (j, row) in free_rows.enumerate() {
+            let mut augmented = row.resized(width + k);
+            augmented.set(width + j, true);
+            dual.add_equation(augmented, false)
                 .expect("a homogeneous system is consistent");
-            bits.push(independent.then(|| {
-                free_rows.push((*row).clone());
-                MaskBit::Free(free_rows.len() - 1)
-            }));
         }
-        // A dependent row r is c·B for the free rows B; B has full row
-        // rank, so Bᵀ·c = r has exactly one solution, and it only uses the
-        // free rows that came before r.
-        let basis_t = BitMatrix::from_rows(free_rows).transpose();
-        bits.into_iter()
-            .zip(rows)
-            .map(|(bit, row)| match bit {
-                Some(free) => free,
-                None if row.is_zero() => MaskBit::Sum(Vec::new()),
-                None => {
-                    let combo = solve_system(&basis_t, row)
-                        .expect("a dependent row lies in the span of the free rows");
-                    MaskBit::Sum(combo.particular.iter_ones().collect())
+        // The nullspace lists one vector per non-pivot column in column
+        // order; the identity columns are the last k of them.
+        let nullspace = dual
+            .solve()
+            .expect("a homogeneous system is consistent")
+            .nullspace;
+        let duals: Vec<BitVec> = nullspace[nullspace.len() - k..]
+            .iter()
+            .map(|v| v.resized(width))
+            .collect();
+
+        let mut next = 0;
+        let bits = rows
+            .iter()
+            .zip(independent)
+            .map(|(row, independent)| {
+                if independent {
+                    next += 1;
+                    MaskBit::Free(next - 1)
+                } else {
+                    MaskBit::Sum((0..k).filter(|&j| row.dot(&duals[j])).collect())
                 }
             })
-            .collect()
+            .collect();
+        MaskBasis {
+            bits,
+            duals,
+            pinned,
+        }
     }
 }
 
@@ -169,6 +265,7 @@ pub fn session_masks(spec: &LockSpec, num_cells: usize, captures: usize) -> Sess
 mod tests {
     use super::*;
     use gf2::{Rng64, SplitMix64};
+    use lfsr::recover::SeedRecovery;
     use lfsr::TapSet;
     use netlist::generator::{s208_like, GeneratorConfig};
     use scanlock::LockedScanChip;
@@ -259,17 +356,6 @@ mod tests {
         }
     }
 
-    /// Evaluates the basis for concrete free-bit values.
-    fn eval_basis(basis: &[MaskBit], free: &[bool]) -> Vec<bool> {
-        basis
-            .iter()
-            .map(|bit| match bit {
-                MaskBit::Free(i) => free[*i],
-                MaskBit::Sum(terms) => terms.iter().fold(false, |acc, &i| acc ^ free[i]),
-            })
-            .collect()
-    }
-
     /// The basis describes exactly the masks seeds can produce: from any
     /// seed it reproduces `mask_values`, and any assignment to its free
     /// bits extends to a seed. Covered with fewer mask bits than key bits
@@ -283,10 +369,11 @@ mod tests {
                 let gates = 1 + rng.gen_index(cells);
                 let spec = scanlock::LockSpec::random(taps, cells, gates, &mut rng);
                 let masks = session_masks(&spec, cells, 1 + trial % 2);
-                let basis = masks.basis();
-                assert_eq!(basis.len(), 2 * cells);
+                let basis = masks.basis(width);
+                assert_eq!(basis.bits.len(), 2 * cells);
                 let rows: Vec<&BitVec> = masks.alpha.iter().chain(&masks.beta).collect();
                 let free_rows: Vec<&BitVec> = basis
+                    .bits
                     .iter()
                     .zip(&rows)
                     .filter_map(|(bit, row)| matches!(bit, MaskBit::Free(_)).then_some(*row))
@@ -302,7 +389,7 @@ mod tests {
                     let free: Vec<bool> = free_rows.iter().map(|r| r.dot(&seed)).collect();
                     let (a, b) = masks.mask_values(&seed);
                     let expect: Vec<bool> = a.into_iter().chain(b).collect();
-                    assert_eq!(eval_basis(&basis, &free), expect, "{cells}x{width}");
+                    assert_eq!(basis.values(&free), expect, "{cells}x{width}");
                 }
 
                 for _ in 0..8 {
@@ -316,9 +403,76 @@ mod tests {
                     let seed = solver.solve().unwrap().particular;
                     let (a, b) = masks.mask_values(&seed);
                     let got: Vec<bool> = a.into_iter().chain(b).collect();
-                    assert_eq!(got, eval_basis(&basis, &free), "{cells}x{width}");
+                    assert_eq!(got, basis.values(&free), "{cells}x{width}");
                 }
             }
+        }
+    }
+
+    /// The differential guard of the linear phase: the basis against the
+    /// reference elimination, `SeedRecovery` fed all 2n mask rows with one
+    /// random seed's values. Same seed, same rank, same pinned bits, and
+    /// the values the basis reads back reproduce the masks.
+    fn assert_basis_matches_seed_recovery(cells: usize, width: usize, rng: &mut SplitMix64) {
+        let taps = TapSet::maximal(width).unwrap();
+        // At most 64 key gates: `session_masks` holds one row per edge and
+        // gate, which is large at 1728 flops.
+        let gates = 1 + rng.gen_index(cells.div_ceil(2).min(64));
+        let spec = scanlock::LockSpec::random(taps.clone(), cells, gates, rng);
+        let masks = session_masks(&spec, cells, 1 + rng.gen_index(2));
+        let basis = masks.basis(width);
+        for _ in 0..4 {
+            let secret = BitVec::random(width, rng);
+            let (a, b) = masks.mask_values(&secret);
+            let values: Vec<bool> = a.into_iter().chain(b).collect();
+            let mut rec = SeedRecovery::new(taps.clone());
+            for (row, &v) in masks.alpha.iter().chain(&masks.beta).zip(&values) {
+                rec.observe_form(row.clone(), v)
+                    .expect("one seed's mask values are consistent");
+            }
+            let shape = format!("{cells} cells x {width} bits, {gates} gates");
+            let free = basis
+                .free_values(&values)
+                .unwrap_or_else(|| panic!("{shape}: a seed's masks fit the basis"));
+            assert_eq!(basis.rank(), rec.rank(), "{shape}: rank");
+            assert_eq!(
+                basis.seed(&free),
+                rec.solution().particular,
+                "{shape}: seed"
+            );
+            assert_eq!(basis.values(&free), values, "{shape}: values");
+            for bit in 0..width {
+                let pinned = rec.pinned_bit(bit);
+                assert_eq!(basis.pins(bit), pinned.is_some(), "{shape}: bit {bit}");
+                if let Some(v) = pinned {
+                    assert_eq!(v, secret.get(bit), "{shape}: pinned bit {bit}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mask_basis_matches_seed_recovery() {
+        let mut rng = SplitMix64::new(0xD0A1);
+        // 2n < w, 2n ≈ w, 2n > w, then 160 flops, the paper's smallest
+        // profile, at 64 and 128 bits.
+        for (cells, width) in [
+            (4, 24),
+            (6, 12),
+            (8, 16),
+            (16, 8),
+            (10, 32),
+            (160, 64),
+            (160, 128),
+        ] {
+            for _ in 0..3 {
+                assert_basis_matches_seed_recovery(cells, width, &mut rng);
+            }
+        }
+        // The paper's largest profile (1728 flops) at 64 bits; about 30×
+        // slower in a debug build.
+        if !cfg!(debug_assertions) {
+            assert_basis_matches_seed_recovery(1728, 64, &mut rng);
         }
     }
 
@@ -333,7 +487,7 @@ mod tests {
             }],
         )
         .unwrap();
-        let basis = session_masks(&spec, 6, 1).basis();
+        let basis = session_masks(&spec, 6, 1).basis(8).bits;
         // alpha[0..3] are zero rows; alpha[3] is the first nonzero row.
         for bit in &basis[..3] {
             assert_eq!(*bit, MaskBit::Sum(Vec::new()));

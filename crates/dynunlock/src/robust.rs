@@ -12,7 +12,7 @@
 //! * **budgeted solving** — the SAT calls of one step share a
 //!   [`Budget`], and `Unknown` answers leave the machine resumable;
 //! * **checkpoint / resume** — [`AttackState::checkpoint`] snapshots the
-//!   run (DIP set, learnt clauses, recovery rows) as a
+//!   run (DIP set, learnt clauses, converged free bits and seed) as a
 //!   [`Checkpoint`], whose `duckpt` text codec lives in
 //!   [`ckpt`](crate::ckpt), and [`AttackState::resume`] rebuilds the
 //!   machine from one, re-validating every recorded DIP against the live
@@ -33,7 +33,6 @@ use std::time::{Duration, Instant};
 
 use cnf::Encoder;
 use gf2::{BitVec, Rng64, SplitMix64};
-use lfsr::recover::SeedRecovery;
 use netlist::Circuit;
 use satsolver::{Budget, Lit, SolveResult, SolverStats};
 use scanlock::{LockSpec, LockedScanChip};
@@ -41,7 +40,7 @@ use sim::{FallibleScanAccess, ScanAccess, ScanChain, ScanResponse};
 
 use crate::attack::{locked_cone, mask_copy, output_order, AttackConfig, MaskCopy, Unlock};
 use crate::ckpt::{instance_hash, Checkpoint, CheckpointError, CkptPhase};
-use crate::model::{session_masks, SessionMasks};
+use crate::model::{session_masks, MaskBasis};
 
 // ---------------------------------------------------------------------
 // Configuration
@@ -63,10 +62,6 @@ pub struct RetryPolicy {
     /// to this many parts-per-million of it, is added on top (decorrelates
     /// concurrent attackers hammering one bench).
     pub jitter_ppm: u32,
-    /// Whether to actually sleep the backoff. Off by default: the wait is
-    /// accounted in [`FaultStats::backoff`] so tests and benches stay
-    /// fast; a live bench harness turns it on.
-    pub sleep: bool,
 }
 
 impl Default for RetryPolicy {
@@ -76,7 +71,6 @@ impl Default for RetryPolicy {
             base_backoff: Duration::from_millis(1),
             max_backoff: Duration::from_secs(1),
             jitter_ppm: 500_000, // up to +50%
-            sleep: false,
         }
     }
 }
@@ -90,7 +84,6 @@ impl RetryPolicy {
             base_backoff: Duration::ZERO,
             max_backoff: Duration::ZERO,
             jitter_ppm: 0,
-            sleep: false,
         }
     }
 
@@ -174,8 +167,7 @@ pub struct FaultStats {
     /// Response bits repaired by majority vote (positions where at least
     /// one replica disagreed with the elected value).
     pub repaired_bits: u64,
-    /// Total backoff accounted (and slept, when
-    /// [`RetryPolicy::sleep`] is on).
+    /// Total backoff accounted. It is never slept.
     pub backoff: Duration,
 }
 
@@ -332,15 +324,14 @@ pub(crate) struct DipRecord {
     pub(crate) response: ScanResponse,
 }
 
-/// State the machine carries once the miter has gone UNSAT.
-#[derive(Debug, Clone)]
-struct Converged {
-    seed: BitVec,
-    rank: usize,
-    /// The recovery-matrix observations (mask row, observed value) the
-    /// linear phase consumed — serialized into checkpoints and
-    /// cross-checked on resume.
-    rows: Vec<(BitVec, bool)>,
+/// State the machine carries once the miter has gone UNSAT, and what a
+/// converged checkpoint records.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Converged {
+    /// The converged free mask bits, one per dimension of the mask rows.
+    pub(crate) free: Vec<bool>,
+    /// Their seed, [`MaskBasis::seed`].
+    pub(crate) seed: BitVec,
 }
 
 #[derive(Debug)]
@@ -425,7 +416,7 @@ pub struct AttackState<'a> {
     chain: &'a ScanChain,
     spec: &'a LockSpec,
     cfg: RobustConfig,
-    masks: SessionMasks,
+    basis: MaskBasis,
     enc: Encoder,
     copies: [MaskCopy; 2],
     x: Vec<Lit>,
@@ -472,7 +463,7 @@ impl<'a> AttackState<'a> {
         let n = chain.len();
         assert_eq!(n, circuit.num_dffs(), "chain must cover all flops");
         assert!(cfg.base.captures > 0, "at least one capture cycle");
-        let masks = session_masks(spec, n, cfg.base.captures);
+        let basis = session_masks(spec, n, cfg.base.captures).basis(spec.width());
 
         let mut enc = Encoder::with_mode(cfg.base.xor_mode);
         if cfg.base.certify {
@@ -481,10 +472,9 @@ impl<'a> AttackState<'a> {
             // rather than from this solver's own derived facts.
             enc.solver_mut().enable_input_mirror();
         }
-        let basis = masks.basis();
         let copies = [
-            mask_copy(&mut enc, &basis, n),
-            mask_copy(&mut enc, &basis, n),
+            mask_copy(&mut enc, &basis.bits, n),
+            mask_copy(&mut enc, &basis.bits, n),
         ];
 
         // The miter: a shared symbolic stimulus, both hypotheses'
@@ -509,7 +499,7 @@ impl<'a> AttackState<'a> {
             chain,
             spec,
             cfg,
-            masks,
+            basis,
             enc,
             copies,
             x,
@@ -572,11 +562,7 @@ impl<'a> AttackState<'a> {
                 Err(_) if attempt < self.cfg.retry.max_retries => {
                     attempt += 1;
                     self.faults.retries += 1;
-                    let wait = self.cfg.retry.backoff(attempt, &mut self.jitter_rng);
-                    self.faults.backoff += wait;
-                    if self.cfg.retry.sleep {
-                        std::thread::sleep(wait);
-                    }
+                    self.faults.backoff += self.cfg.retry.backoff(attempt, &mut self.jitter_rng);
                 }
                 Err(_) => {
                     return Err(DegradeReason::OracleUnavailable {
@@ -792,28 +778,8 @@ impl<'a> AttackState<'a> {
         Step::Converged
     }
 
-    /// The session-mask rows, `α` then `β`: the coefficient rows of every
-    /// linear-phase elimination.
-    fn mask_rows(&self) -> impl Iterator<Item = &BitVec> {
-        self.masks.alpha.iter().chain(&self.masks.beta)
-    }
-
-    /// The one elimination of the mask rows: each row of
-    /// [`mask_rows`](Self::mask_rows) with the next of `values`. Also
-    /// returns whether the values were consistent. A contradicting row is
-    /// a dependent one, so the rank and the pinned bits describe the row
-    /// space either way; only the solution needs consistent values.
-    fn eliminate(&self, values: impl IntoIterator<Item = bool>) -> (SeedRecovery, bool) {
-        let mut rec = SeedRecovery::new(self.spec.taps().clone());
-        let mut consistent = true;
-        for (row, value) in self.mask_rows().zip(values) {
-            consistent &= rec.observe_form(row.clone(), value).is_ok();
-        }
-        (rec, consistent)
-    }
-
-    /// The first copy's mask values in the solver's last model, in
-    /// [`mask_rows`](Self::mask_rows) order.
+    /// The first copy's mask values in the solver's last model, `α` then
+    /// `β`.
     fn model_mask_values(&self) -> Result<Vec<bool>, DegradeReason> {
         let lits: Vec<Lit> = self.copies[0]
             .alpha
@@ -824,20 +790,19 @@ impl<'a> AttackState<'a> {
         model_bits(&self.enc, &lits)
     }
 
-    /// The linear phase over the solver's last model: each mask value is
-    /// a known linear form of the seed, so Gaussian elimination does the
-    /// rest. The seed is the particular solution — the unique seed at
-    /// full rank, a canonical member of the equivalent class otherwise.
+    /// The linear phase over the solver's last model: the free mask bits,
+    /// and the seed the basis maps them to. A dependent mask value that
+    /// disagrees with its free bits degrades as
+    /// [`DegradeReason::Inconsistent`].
     fn recover(&self) -> Result<Converged, DegradeReason> {
         let values = self.model_mask_values()?;
-        let (rec, consistent) = self.eliminate(values.iter().copied());
-        if !consistent {
-            return Err(DegradeReason::Inconsistent);
-        }
+        let free = self
+            .basis
+            .free_values(&values)
+            .ok_or(DegradeReason::Inconsistent)?;
         Ok(Converged {
-            seed: rec.solution().particular,
-            rank: rec.rank(),
-            rows: self.mask_rows().cloned().zip(values).collect(),
+            seed: self.basis.seed(&free),
+            free,
         })
     }
 
@@ -893,8 +858,8 @@ impl<'a> AttackState<'a> {
             oracle_queries: self.oracle_queries,
             solve_time: self.solve_time,
             total_time: self.start.elapsed(),
-            rank: conv.rank,
-            nullity: self.spec.width() - conv.rank,
+            rank: self.basis.rank(),
+            nullity: self.spec.width() - self.basis.rank(),
             verified: self.cfg.base.verify_queries > 0,
             certificate: self.certificate,
             certify_time: self.certify_time,
@@ -932,39 +897,27 @@ impl<'a> AttackState<'a> {
             },
         };
 
-        // One elimination of the mask rows. Its rank and pinned bits
-        // depend only on the rows, so they describe the row space (a
-        // property of the lock) whatever values are fed; the values only
-        // decide the candidate seed.
-        let (rec, candidate, converged) = match &self.phase {
-            Phase::Converged(conv) => {
-                let values = conv.rows.iter().map(|&(_, v)| v);
-                (self.eliminate(values).0, Some(conv.seed.clone()), true)
-            }
+        // Rank and pinned bits are properties of the mask row space (of
+        // the lock); only the candidate seed needs mask values.
+        let (candidate, converged) = match &self.phase {
+            Phase::Converged(conv) => (Some(conv.seed.clone()), true),
             _ => {
                 // Best current hypothesis: the seed of any mask assignment
                 // consistent with every response so far, if one is
-                // reachable within budget. Without one, placeholder
-                // values still give the row space.
+                // reachable within budget.
                 let budget = self.cfg.solve_budget;
-                let model = (self.solve(&[], &budget) == SolveResult::Sat)
-                    .then(|| self.model_mask_values().ok())
-                    .flatten();
-                let (rec, consistent) = match &model {
-                    Some(values) => self.eliminate(values.iter().copied()),
-                    None => self.eliminate(std::iter::repeat(false)),
-                };
-                let seed = (model.is_some() && consistent).then(|| rec.solution().particular);
-                (rec, seed, false)
+                let model = self.solve(&[], &budget) == SolveResult::Sat;
+                let seed = model.then(|| self.recover().ok()).flatten();
+                (seed.map(|conv| conv.seed), false)
             }
         };
-        let rank = rec.rank();
+        let rank = self.basis.rank();
 
         let bit_confidence: Vec<f64> = (0..width)
-            .map(|b| match rec.pinned_bit(b) {
-                None => 0.5,
-                Some(_) if converged => 1.0,
-                Some(_) => 0.75,
+            .map(|b| match (self.basis.pins(b), converged) {
+                (false, _) => 0.5,
+                (true, true) => 1.0,
+                (true, false) => 0.75,
             })
             .collect();
 
@@ -990,17 +943,13 @@ impl<'a> AttackState<'a> {
 impl<'a> AttackState<'a> {
     /// Snapshots the machine into a serializable [`Checkpoint`]: the DIP
     /// set, the warm solver's learnt clauses (exported via
-    /// [`satsolver::Solver::learnt_clauses`]), the recovery-matrix rows
-    /// when converged, and the run counters — keyed by the instance hash.
-    /// Call between steps (the solver must be at decision level 0, which
+    /// [`satsolver::Solver::learnt_clauses`]), the free mask bits and the
+    /// seed when converged, and the run counters — keyed by the instance
+    /// hash. Call between steps (the solver must be at decision level 0, which
     /// it always is there).
     pub fn checkpoint(&self) -> Checkpoint {
         let phase = match &self.phase {
-            Phase::Converged(conv) => CkptPhase::Converged {
-                seed: conv.seed.clone(),
-                rank: conv.rank,
-                rows: conv.rows.clone(),
-            },
+            Phase::Converged(conv) => CkptPhase::Converged(conv.clone()),
             // A degraded machine checkpoints as running: resuming it
             // elsewhere (bigger budget, healthier oracle) is the point.
             Phase::Running | Phase::Degraded(_) => CkptPhase::Running,
@@ -1030,8 +979,9 @@ impl<'a> AttackState<'a> {
     /// response, the DIP constraints are replayed, and the exported
     /// learnt clauses are injected (sound: CDCL learnts are implied by
     /// the formula alone, never by assumptions). A converged checkpoint
-    /// additionally restores the linear-phase result after cross-checking
-    /// the recorded recovery rows against the rebuilt mask forms.
+    /// additionally restores the linear-phase result once its free bits
+    /// fit the rebuilt mask basis and its seed is their seed, checked
+    /// before any oracle query.
     ///
     /// # Errors
     ///
@@ -1073,6 +1023,14 @@ impl<'a> AttackState<'a> {
             return Err(CheckpointError::Inconsistent);
         }
         let mut state = AttackState::new(circuit, chain, spec, cfg);
+        if let CkptPhase::Converged(conv) = &ckpt.phase {
+            // The recorded seed must be what the rebuilt basis makes of
+            // the recorded free bits.
+            if conv.free.len() != state.basis.rank() || state.basis.seed(&conv.free) != conv.seed {
+                return Err(CheckpointError::Inconsistent);
+            }
+            state.phase = Phase::Converged(conv.clone());
+        }
 
         // Re-validate against the live bench: every recorded DIP must
         // reproduce (modulo the vote repairing fresh noise).
@@ -1115,24 +1073,6 @@ impl<'a> AttackState<'a> {
         state.faults.repaired_bits += ckpt.repaired_bits;
         state.exhaustions = ckpt.exhaustions;
 
-        if let CkptPhase::Converged { seed, rank, rows } = &ckpt.phase {
-            // Cross-check the recorded recovery rows against the rebuilt
-            // mask forms before trusting the recorded linear phase.
-            if !rows.iter().map(|(row, _)| row).eq(state.mask_rows()) {
-                return Err(CheckpointError::Inconsistent);
-            }
-            // The recorded seed and rank must be what the linear phase
-            // makes of the recorded values.
-            let (rec, consistent) = state.eliminate(rows.iter().map(|&(_, v)| v));
-            if !consistent || rec.rank() != *rank || rec.solution().particular != *seed {
-                return Err(CheckpointError::Inconsistent);
-            }
-            state.phase = Phase::Converged(Converged {
-                seed: seed.clone(),
-                rank: *rank,
-                rows: rows.clone(),
-            });
-        }
         Ok(state)
     }
 }
@@ -1141,6 +1081,7 @@ impl<'a> AttackState<'a> {
 mod tests {
     use super::*;
     use gf2::Xoshiro256;
+    use lfsr::recover::SeedRecovery;
     use lfsr::TapSet;
     use netlist::generator::s208_like;
     use sim::{FaultSpec, FaultyOracle, Reliable};
@@ -1348,12 +1289,19 @@ mod tests {
         let mut oracle = Reliable(f.oracle());
         let mut state = AttackState::new(&f.circuit, &f.chain, &f.spec, RobustConfig::default());
         while !matches!(state.step(&mut oracle), Step::Converged) {}
-        let CkptPhase::Converged { seed, rows, .. } = state.checkpoint().phase else {
+        let CkptPhase::Converged(Converged { seed, .. }) = state.checkpoint().phase else {
             panic!("a converged machine checkpoints as converged");
         };
+        let masks = session_masks(&f.spec, f.chain.len(), 1);
+        let (alpha, beta) = masks.mask_values(&seed);
         let mut rec = SeedRecovery::new(f.spec.taps().clone());
-        for (row, value) in rows {
-            rec.observe_form(row, value).unwrap();
+        for (row, value) in masks
+            .alpha
+            .iter()
+            .chain(&masks.beta)
+            .zip(alpha.into_iter().chain(beta))
+        {
+            rec.observe_form(row.clone(), value).unwrap();
         }
 
         let report = state.report();
@@ -1521,7 +1469,6 @@ mod tests {
             base_backoff: Duration::from_millis(1),
             max_backoff: Duration::from_millis(100),
             jitter_ppm: 0,
-            sleep: false,
         };
         let mut rng = SplitMix64::new(1);
         assert_eq!(policy.backoff(1, &mut rng), Duration::from_millis(1));

@@ -11,13 +11,13 @@
 //!   LFSR companion matrices and the scan-obfuscation mask matrices
 //!   `T_in` / `T_out`.
 //! * [`LinSolver`] — incremental Gaussian elimination: rank, consistency,
-//!   pinned variables, a particular solution and a nullspace basis. The
-//!   attack's seed recovery runs on it.
+//!   pinned variables, a particular solution and a nullspace basis. It is
+//!   the attack's one elimination: the mask basis and its map back to the
+//!   seed are built on it.
 //! * [`solve_system`] — one-shot Gauss–Jordan elimination of `A x = b`,
-//!   the batch path behind [`BitMatrix::rank`] and
-//!   [`BitMatrix::nullspace`] too. The attack runs it only to write each
-//!   dependent mask row over the independent ones; [`LinSolver`] is its
-//!   test reference.
+//!   sharing its routine with [`BitMatrix::rank`] and
+//!   [`BitMatrix::nullspace`]. No attack path runs it; it is the test
+//!   reference [`LinSolver`] is checked against.
 //! * [`SplitMix64`] / [`Xoshiro256`] — dependency-free deterministic PRNGs
 //!   so synthetic benchmark generation is reproducible bit-for-bit.
 //!

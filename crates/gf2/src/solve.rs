@@ -82,9 +82,10 @@ impl LinSolution {
 /// Rows (equations `coeffs · x = rhs`) can be added one at a time; the
 /// solver maintains an echelon form so consistency is detected immediately
 /// and queries (`rank`, [`LinSolver::solve`]) stay cheap. This is the
-/// attack's production elimination: it finds the independent session-mask
-/// rows, and the seed recovery eliminates the converged mask values on it
-/// to read the seed and the seed bits those values pin.
+/// attack's one production elimination: it finds the independent
+/// session-mask rows and the seed bits they pin, and the nullspace of the
+/// free rows with an identity block appended maps free mask bits back to
+/// the seed.
 ///
 /// # Example
 ///
@@ -230,10 +231,9 @@ impl LinSolver {
 /// One-shot solve of `A·x = b` via Gauss–Jordan elimination of the
 /// augmented matrix `[A | b]`.
 ///
-/// The attack runs it in one place: writing each dependent session-mask
-/// row over the independent ones. Its test reference is the incremental
-/// [`LinSolver`]; differential tests assert the two agree on consistency,
-/// particular solution and nullity.
+/// No attack path runs it: it is the independent reference for the
+/// incremental [`LinSolver`], and differential tests assert the two agree
+/// on consistency, particular solution and nullity.
 ///
 /// # Errors
 ///

@@ -13,7 +13,8 @@
 //! * [`SymbolicLfsr`] — every state bit at every cycle as a [`gf2::BitVec`]
 //!   linear form over the seed bits (row of the companion-matrix power);
 //! * [`recover`] — seed recovery from observed linear forms of the seed
-//!   by Gaussian elimination: the attack's linear phase.
+//!   by Gaussian elimination, the reference the attack's linear phase is
+//!   tested against.
 //!
 //! # Conventions
 //!

@@ -5,7 +5,9 @@
 //! any XOR of such bits — DynUnlock's session masks are exactly that.
 //! Each observed value is one equation `row · seed = value`; Gaussian
 //! elimination pins the seed once `width` independent equations
-//! accumulate. The attack feeds its converged mask values through here.
+//! accumulate. The attack reads its seed off the mask basis instead
+//! (`dynunlock`'s `SessionMasks::basis`); fed all the mask rows with one
+//! seed's values, this is the reference that basis is tested against.
 
 use gf2::{BitVec, LinSolution, LinSolver, SolveError};
 

@@ -72,12 +72,6 @@ impl GeneratorConfig {
         self
     }
 
-    /// Sets the maximum fan-in.
-    pub fn with_max_fanin(mut self, max_fanin: usize) -> Self {
-        self.max_fanin = max_fanin.max(2);
-        self
-    }
-
     /// Generates the circuit.
     ///
     /// Structural guarantees, which the tests assert:

@@ -266,11 +266,6 @@ impl Solver {
         self.proof = Some(Box::new(logger));
     }
 
-    /// Removes the proof logger, returning logging to zero-cost.
-    pub fn clear_proof_logger(&mut self) {
-        self.proof = None;
-    }
-
     /// Starts recording every subsequently added clause and xor
     /// constraint verbatim (pre-simplification) into an input mirror.
     ///

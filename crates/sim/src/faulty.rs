@@ -14,7 +14,6 @@
 //! [`Reliable`] to lift it into the same interface.
 
 use std::fmt;
-use std::time::Duration;
 
 use gf2::{Rng64, SplitMix64};
 
@@ -130,9 +129,6 @@ pub struct FaultSpec {
     /// Probability (ppm) that a session starts but is dropped
     /// ([`OracleFault::SessionDropped`]).
     pub drop_session_ppm: u32,
-    /// Simulated latency charged per query attempt (accounted in
-    /// [`FaultyStats::latency`], never slept).
-    pub latency_per_query: Duration,
 }
 
 impl FaultSpec {
@@ -143,7 +139,6 @@ impl FaultSpec {
             bit_flip_ppm: 0,
             transient_ppm: 0,
             drop_session_ppm: 0,
-            latency_per_query: Duration::ZERO,
         }
     }
 
@@ -167,13 +162,6 @@ impl FaultSpec {
         self.drop_session_ppm = ppm;
         self
     }
-
-    /// Sets the simulated per-query latency.
-    #[must_use]
-    pub fn with_latency(mut self, latency: Duration) -> FaultSpec {
-        self.latency_per_query = latency;
-        self
-    }
 }
 
 /// Counters accumulated by a [`FaultyOracle`] over its lifetime.
@@ -187,8 +175,6 @@ pub struct FaultyStats {
     pub dropped_sessions: u64,
     /// Response bits flipped by injected noise.
     pub flipped_bits: u64,
-    /// Total simulated latency accounted (never slept).
-    pub latency: Duration,
 }
 
 impl FaultyStats {
@@ -204,8 +190,7 @@ impl FaultyStats {
 /// Each query attempt rolls, in order: transient error, session drop,
 /// then an independent flip roll per response bit. The roll sequence is
 /// fixed, so a given `(seed, query sequence)` pair always produces the
-/// same fault schedule regardless of platform. Latency is accounted in
-/// [`FaultyStats`], not slept, so tests stay fast.
+/// same fault schedule regardless of platform.
 #[derive(Debug, Clone)]
 pub struct FaultyOracle<O> {
     inner: O,
@@ -242,11 +227,6 @@ impl<O: ScanAccess> FaultyOracle<O> {
         &self.inner
     }
 
-    /// Unwraps back to the honest oracle.
-    pub fn into_inner(self) -> O {
-        self.inner
-    }
-
     fn roll(&mut self, ppm: u32) -> bool {
         // Guard the rng call: gen_range consumes state, and a zero rate
         // must not perturb the schedule of the rates that are in use.
@@ -274,7 +254,6 @@ impl<O: ScanAccess> FallibleScanAccess for FaultyOracle<O> {
         captures: usize,
     ) -> Result<ScanResponse, OracleFault> {
         self.stats.queries += 1;
-        self.stats.latency += self.spec.latency_per_query;
         if self.roll(self.spec.transient_ppm) {
             self.stats.transient_faults += 1;
             return Err(OracleFault::Transient);
@@ -360,18 +339,6 @@ mod tests {
         let (a, _) = run_schedule(spec);
         let (b, _) = run_schedule(FaultSpec { seed: 2, ..spec });
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn latency_is_accounted_not_slept() {
-        let spec = FaultSpec::new(3).with_latency(Duration::from_millis(250));
-        let t0 = std::time::Instant::now();
-        let (_, stats) = run_schedule(spec);
-        assert_eq!(stats.latency, Duration::from_millis(250) * 200);
-        assert!(
-            t0.elapsed() < Duration::from_secs(5),
-            "latency must be simulated, not slept"
-        );
     }
 
     #[test]

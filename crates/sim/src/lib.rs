@@ -3,8 +3,9 @@
 //!
 //! This crate is the ground-truth substrate of the reproduction: the
 //! locked-chip oracle in `scanlock` layers obfuscation on top of the
-//! primitives here, and the attack's final verification compares
-//! reconstructed responses against the honest [`ScanChip`].
+//! primitives here, and the attack's final verification re-locks a
+//! `scanlock::LockedScanChip` under the recovered seed and compares its
+//! responses with the oracle's.
 //!
 //! * [`Evaluator`] — reusable topological-order evaluation of the
 //!   combinational core;
@@ -14,7 +15,7 @@
 //! * [`ScanAccess`] — the oracle interface shared by unlocked and locked
 //!   chips (the attack only ever talks to this trait);
 //! * [`FaultyOracle`] / [`FallibleScanAccess`] — seeded fault injection
-//!   (bit flips, transient errors, dropped sessions, latency) over any
+//!   (bit flips, transient errors, dropped sessions) over any
 //!   honest oracle, and the fallible interface fault-tolerant attack
 //!   code consumes ([`Reliable`] lifts a trustworthy oracle into it).
 //!

@@ -282,16 +282,8 @@ fn resume_rejects_tampered_vector_lengths() {
     }
 }
 
-/// A converged checkpoint whose recorded seed is not the one its recorded
-/// mask values give is rejected: resume would otherwise hand back (and,
-/// without verification probes, report) a seed the rows do not support.
-#[test]
-fn resume_rejects_a_tampered_converged_seed() {
-    let inst = instance(8, 5, 3);
-    let cfg = RobustConfig::strict(AttackConfig {
-        verify_queries: 0,
-        ..AttackConfig::default()
-    });
+/// The checkpoint of `inst` attacked under `cfg` until it converges.
+fn converged_checkpoint(inst: &Instance, cfg: &RobustConfig) -> String {
     let mut oracle = Reliable(inst.chip());
     let mut state = AttackState::new(&inst.circuit, &inst.chain, &inst.spec, cfg.clone());
     loop {
@@ -301,7 +293,28 @@ fn resume_rejects_a_tampered_converged_seed() {
             other => panic!("unexpected step outcome: {other:?}"),
         }
     }
-    let text = String::from_utf8(state.checkpoint().to_bytes()).unwrap();
+    String::from_utf8(state.checkpoint().to_bytes()).unwrap()
+}
+
+/// The strict attack without verification probes, so a converged
+/// checkpoint's seed is trusted as recorded unless resume checks it.
+fn unprobed() -> RobustConfig {
+    RobustConfig::strict(AttackConfig {
+        verify_queries: 0,
+        ..AttackConfig::default()
+    })
+}
+
+/// A converged checkpoint whose recorded seed is not the one its recorded
+/// free mask bits map to is rejected: resume would otherwise hand back
+/// (and, without verification probes, report) a seed the masks do not
+/// support.
+#[test]
+fn resume_rejects_a_tampered_converged_seed() {
+    let inst = instance(8, 5, 3);
+    let cfg = unprobed();
+    let mut oracle = Reliable(inst.chip());
+    let text = converged_checkpoint(&inst, &cfg);
     // Flip the first bit of the recorded seed.
     let at = text
         .find("\nseed ")
@@ -331,6 +344,36 @@ fn resume_rejects_a_tampered_converged_seed() {
         resume(&tampered, &mut oracle),
         Err(CheckpointError::Inconsistent)
     );
+}
+
+/// A converged checkpoint must record one free bit per dimension of the
+/// rebuilt mask basis; one short is rejected before any oracle query.
+#[test]
+fn resume_rejects_a_converged_checkpoint_missing_a_free_bit() {
+    let inst = instance(8, 5, 3);
+    let cfg = unprobed();
+    let text = converged_checkpoint(&inst, &cfg);
+    let at = text
+        .find("\nfree ")
+        .expect("a converged checkpoint records its free bits")
+        + "\nfree ".len();
+    let free_bits = text[at..].lines().next().unwrap();
+    assert!(free_bits.len() > 1, "free bits {free_bits:?}: one can go");
+    let tampered = format!("{}{}", &text[..at], &text[at + 1..]);
+
+    let ckpt = Checkpoint::from_bytes(tampered.as_bytes()).expect("still well-formed");
+    let mut untouched = FaultyOracle::new(inst.chip(), FaultSpec::new(1));
+    let err = AttackState::resume(
+        &inst.circuit,
+        &inst.chain,
+        &inst.spec,
+        cfg,
+        &ckpt,
+        &mut untouched,
+    )
+    .expect_err("a short free vector must be rejected");
+    assert_eq!(err, CheckpointError::Inconsistent);
+    assert_eq!(untouched.stats().queries, 0, "rejected before any query");
 }
 
 /// Checkpoint bytes must survive an exact serialize → parse → serialize
