@@ -237,26 +237,26 @@ pub fn session_masks(spec: &LockSpec, num_cells: usize, captures: usize) -> Sess
     let width = spec.width();
     let gates = spec.gates();
 
-    // One symbolic walk over every edge of the session; key_rows[t][k] is
-    // the seed-coefficient row of gate k's LFSR bit at edge t.
-    let edges = 2 * n + captures;
+    // One symbolic walk over every edge of the session. At edge `t` the
+    // gate at position `q` masks the bit bound for alpha[n-1-t+q] while
+    // q ≤ t < n, and the bit leaving from beta[n+c+q-1-t] while
+    // n+c ≤ t < n+c+q; each gate's row is XORed straight into its slot.
     let mut sym = SymbolicLfsr::new(spec.taps().clone());
-    let mut key_rows: Vec<Vec<BitVec>> = Vec::with_capacity(edges);
-    for _ in 0..edges {
-        key_rows.push(gates.iter().map(|g| sym.row(g.lfsr_bit).clone()).collect());
-        sym.step();
-    }
-
     let mut alpha = vec![BitVec::zeros(width); n];
     let mut beta = vec![BitVec::zeros(width); n];
-    for (k, g) in gates.iter().enumerate() {
-        let q = g.pos;
-        for (p, slot) in alpha.iter_mut().enumerate().skip(q) {
-            slot.xor_assign(&key_rows[n - 1 - p + q][k]);
+    for t in 0..2 * n + captures {
+        for g in gates {
+            let q = g.pos;
+            let slot = if (q..n).contains(&t) {
+                &mut alpha[n - 1 - t + q]
+            } else if (n + captures..n + captures + q).contains(&t) {
+                &mut beta[n + captures + q - 1 - t]
+            } else {
+                continue;
+            };
+            slot.xor_assign(sym.row(g.lfsr_bit));
         }
-        for (p, slot) in beta.iter_mut().enumerate().take(q) {
-            slot.xor_assign(&key_rows[n + captures + q - p - 1][k]);
-        }
+        sym.step();
     }
     SessionMasks { alpha, beta }
 }
@@ -413,11 +413,13 @@ mod tests {
     /// reference elimination, `SeedRecovery` fed all 2n mask rows with one
     /// random seed's values. Same seed, same rank, same pinned bits, and
     /// the values the basis reads back reproduce the masks.
-    fn assert_basis_matches_seed_recovery(cells: usize, width: usize, rng: &mut SplitMix64) {
+    fn assert_basis_matches_seed_recovery(
+        cells: usize,
+        width: usize,
+        gates: usize,
+        rng: &mut SplitMix64,
+    ) {
         let taps = TapSet::maximal(width).unwrap();
-        // At most 64 key gates: `session_masks` holds one row per edge and
-        // gate, which is large at 1728 flops.
-        let gates = 1 + rng.gen_index(cells.div_ceil(2).min(64));
         let spec = scanlock::LockSpec::random(taps.clone(), cells, gates, rng);
         let masks = session_masks(&spec, cells, 1 + rng.gen_index(2));
         let basis = masks.basis(width);
@@ -457,7 +459,7 @@ mod tests {
         // 2n < w, 2n ≈ w, 2n > w, then 160 flops, the paper's smallest
         // profile, at 64 and 128 bits.
         for (cells, width) in [
-            (4, 24),
+            (4usize, 24),
             (6, 12),
             (8, 16),
             (16, 8),
@@ -466,13 +468,14 @@ mod tests {
             (160, 128),
         ] {
             for _ in 0..3 {
-                assert_basis_matches_seed_recovery(cells, width, &mut rng);
+                let gates = 1 + rng.gen_index(cells.div_ceil(2));
+                assert_basis_matches_seed_recovery(cells, width, gates, &mut rng);
             }
         }
-        // The paper's largest profile (1728 flops) at 64 bits; about 30×
-        // slower in a debug build.
+        // The paper's largest profile (1728 flops) at 64 bits with the
+        // recipe's n/2 key gates; about 30× slower in a debug build.
         if !cfg!(debug_assertions) {
-            assert_basis_matches_seed_recovery(1728, 64, &mut rng);
+            assert_basis_matches_seed_recovery(1728, 64, 864, &mut rng);
         }
     }
 

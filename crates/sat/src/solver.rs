@@ -527,12 +527,19 @@ impl Solver {
             self.ok = false;
             return false;
         }
+        self.assert_xor_units(units)
+    }
+
+    /// Enqueues the level-0 units the xor engine derived (each already
+    /// logged by the engine) and propagates them. Returns `false` if the
+    /// solver is now known unsatisfiable at the top level.
+    fn assert_xor_units(&mut self, units: Vec<Lit>) -> bool {
         for u in units {
             match self.lit_value(u) {
                 LBool::True => {}
                 LBool::False => {
-                    // The derived unit (logged by the engine) contradicts
-                    // the level-0 trail: the empty clause is now RUP.
+                    // The derived unit contradicts the level-0 trail: the
+                    // empty clause is now RUP.
                     self.log_add(&[]);
                     self.ok = false;
                     return false;
@@ -613,6 +620,19 @@ impl Solver {
         }
         if let Some(confl) = self.propagate() {
             self.refute(confl);
+            return SolveResult::Unsat;
+        }
+        // Level-0 units may have landed on xor pivots since the last call;
+        // re-pivoting those rows exposes the dependencies they hid.
+        let mut units = Vec::new();
+        if !self
+            .xors
+            .repivot(&self.assigns, &mut units, &mut self.proof)
+        {
+            self.ok = false;
+            return SolveResult::Unsat;
+        }
+        if !self.assert_xor_units(units) {
             return SolveResult::Unsat;
         }
         self.max_learnts = (self.db.num_original as f64 / 3.0).max(1000.0);

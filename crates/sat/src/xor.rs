@@ -16,10 +16,19 @@
 //!   row-echelon form** by incremental Gauss–Jordan elimination: every
 //!   constraint added between solves is substituted against the top-level
 //!   trail, reduced against the existing pivots (a sorted merge per
-//!   pivot row), and — if it survives — its lowest column becomes its
-//!   pivot and is eliminated from every other row. Inconsistent rows
-//!   surface immediately as top-level UNSAT; singleton rows become
-//!   top-level units.
+//!   pivot row), and — if it survives — its **highest** column becomes
+//!   its pivot and is eliminated from every other row. Columns are
+//!   numbered in first-use order, so that is usually the variable the
+//!   encoder just defined, held by no other row: rows do not fill in,
+//!   and when the pivot column was created by the same add the
+//!   elimination scan is skipped. Inconsistent rows surface immediately
+//!   as top-level UNSAT; singleton rows become top-level units.
+//! * A pivot that later gets a top-level value hides its row from
+//!   add-time reduction, so each solve first **re-pivots** those rows:
+//!   their assigned columns are substituted and each is reinstalled, in
+//!   its own slot, on an unassigned pivot that is eliminated from the
+//!   other rows. Dependencies the units expose become units or a
+//!   top-level UNSAT before search.
 //! * During search the engine propagates with **two watched columns** per
 //!   row, interleaved with unit propagation: when a watched variable is
 //!   assigned the row walks its column list and either rewatches an
@@ -182,6 +191,21 @@ struct XorRow {
     units: Vec<Lit>,
 }
 
+impl XorRow {
+    /// A live row with no pivot or watches yet, for `XorEngine::install`.
+    fn new(cols: Vec<u32>, rhs: bool, origin: Vec<u32>, units: Vec<Lit>) -> XorRow {
+        XorRow {
+            cols,
+            rhs,
+            watch: [NONE, NONE],
+            pivot: NONE,
+            alive: true,
+            origin,
+            units,
+        }
+    }
+}
+
 /// A propagation discovered by the engine: `lit` is implied by row `row`
 /// under the current assignment.
 #[derive(Debug, Clone, Copy)]
@@ -257,6 +281,7 @@ impl XorEngine {
     ) -> bool {
         let id = self.next_input_id;
         self.next_input_id += 1;
+        let fresh = self.col_var.len() as u32;
         let mut origin = vec![id];
         let mut umeta: Vec<Lit> = Vec::new();
 
@@ -293,69 +318,121 @@ impl XorEngine {
             sym_diff(&mut umeta, &row.units);
         }
 
-        self.install(reduced, rhs, origin, umeta, assigns, units, proof)
+        let row = XorRow::new(reduced, rhs, origin, umeta);
+        self.install(row, None, fresh, assigns, units, proof)
     }
 
-    /// Installs a pivot-reduced row: registers its pivot, eliminates that
-    /// column from every other live row, and sets up watches. Returns
-    /// `false` on inconsistency.
-    #[allow(clippy::too_many_arguments)] // internal seam; the tuple halves travel together
-    fn install(
+    /// Re-pivots every live row whose pivot column has a level-0 value.
+    ///
+    /// Such a row's pivot no longer takes part in propagation, so any
+    /// combination of rows that cancels the rest of it goes unseen. Each
+    /// one has its assigned columns substituted (folded into `rhs`, and
+    /// into `units` so its provenance stays exact) and is reinstalled in
+    /// its own slot on an unassigned pivot, which is eliminated from the
+    /// other rows. A row that substitutes down to a unit or a constant is
+    /// resolved on the spot. Implied units are pushed to `units`; returns
+    /// `false` if the xor system became inconsistent.
+    pub(crate) fn repivot(
         &mut self,
-        cols: Vec<u32>,
-        rhs: bool,
-        origin: Vec<u32>,
-        umeta: Vec<Lit>,
         assigns: &[LBool],
         units: &mut Vec<Lit>,
         proof: &mut ProofSink,
     ) -> bool {
-        let Some(&pivot) = cols.first() else {
-            if rhs {
-                log_xor(proof, &[], &origin, &umeta);
+        // Rows are reinstalled in place, so `rows` does not grow here.
+        for ri in 0..self.rows.len() {
+            let row = &self.rows[ri];
+            if !row.alive || self.col_value(row.pivot, assigns) == LBool::Undef {
+                continue;
             }
-            return !rhs;
+            let umeta = self.substituted_meta(ri, None, assigns);
+            self.kill_row(ri);
+            let row = &mut self.rows[ri];
+            let mut rhs = row.rhs;
+            let mut cols = std::mem::take(&mut row.cols);
+            let origin = std::mem::take(&mut row.origin);
+            cols.retain(|&c| match assigns[self.col_var[c as usize] as usize] {
+                LBool::Undef => true,
+                val => {
+                    rhs ^= val == LBool::True;
+                    false
+                }
+            });
+            let row = XorRow::new(cols, rhs, origin, umeta);
+            let no_fresh = self.col_var.len() as u32;
+            if !self.install(row, Some(ri), no_fresh, assigns, units, proof) {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Installs a pivot-reduced row, which holds no other row's pivot, in
+    /// `slot` (a new slot when `None`): its highest column becomes its
+    /// pivot and is eliminated from every other live row, then its watches
+    /// are set up. A pivot at or above `fresh` was created by the current
+    /// [`add`](XorEngine::add), so no stored row holds it and the scan is
+    /// skipped. Returns `false` on inconsistency.
+    fn install(
+        &mut self,
+        mut row: XorRow,
+        slot: Option<usize>,
+        fresh: u32,
+        assigns: &[LBool],
+        units: &mut Vec<Lit>,
+        proof: &mut ProofSink,
+    ) -> bool {
+        let Some(&pivot) = row.cols.last() else {
+            if row.rhs {
+                log_xor(proof, &[], &row.origin, &row.units);
+            }
+            return !row.rhs;
         };
-        if cols.len() == 1 {
+        if row.cols.len() == 1 {
             // Singleton: a top-level unit, not a stored row.
-            let unit = Lit::new(Var::from_index(self.col_var[pivot as usize] as usize), rhs);
-            log_xor(proof, &[unit], &origin, &umeta);
+            let unit = Lit::new(
+                Var::from_index(self.col_var[pivot as usize] as usize),
+                row.rhs,
+            );
+            log_xor(proof, &[unit], &row.origin, &row.units);
             units.push(unit);
             return true;
         }
 
         // Gauss–Jordan: clear the new pivot column from every other row.
-        let mut touched: Vec<u32> = Vec::new();
-        for ri in 0..self.rows.len() {
-            let row = &mut self.rows[ri];
-            if !row.alive || row.cols.binary_search(&pivot).is_err() {
-                continue;
+        if pivot < fresh {
+            let mut touched: Vec<u32> = Vec::new();
+            for ri in 0..self.rows.len() {
+                let other = &mut self.rows[ri];
+                if !other.alive || other.cols.binary_search(&pivot).is_err() {
+                    continue;
+                }
+                sym_diff(&mut other.cols, &row.cols);
+                other.rhs ^= row.rhs;
+                sym_diff(&mut other.origin, &row.origin);
+                sym_diff(&mut other.units, &row.units);
+                touched.push(ri as u32);
             }
-            sym_diff(&mut row.cols, &cols);
-            row.rhs ^= rhs;
-            sym_diff(&mut row.origin, &origin);
-            sym_diff(&mut row.units, &umeta);
-            touched.push(ri as u32);
-        }
-        let mut ok = true;
-        for &ri in &touched {
-            ok &= self.repair_row(ri as usize, assigns, units, proof);
-        }
-        if !ok {
-            return false;
+            let mut ok = true;
+            for &ri in &touched {
+                ok &= self.repair_row(ri as usize, assigns, units, proof);
+            }
+            if !ok {
+                return false;
+            }
         }
 
-        let idx = self.rows.len();
+        row.pivot = pivot;
+        let idx = match slot {
+            Some(ri) => {
+                self.rows[ri] = row;
+                ri
+            }
+            None => {
+                self.rows.push(row);
+                self.rows.len() - 1
+            }
+        };
         self.pivot_row[pivot as usize] = idx as u32;
-        self.rows.push(XorRow {
-            cols,
-            rhs,
-            watch: [NONE, NONE],
-            pivot,
-            alive: true,
-            origin,
-            units: umeta,
-        });
         self.num_live += 1;
         self.attach_watches(idx, assigns, units, proof)
     }
@@ -871,6 +948,56 @@ mod tests {
         assert!(eng.add(&[v[0], v[1], v[2]], true, &assigns, &mut units, &mut proof));
         assert_eq!(units, vec![Lit::negative(v[2])]);
         assert_eq!(eng.num_rows(), 1, "the combined row dies into the unit");
+    }
+
+    #[test]
+    fn repivot_moves_pivots_off_level_zero_units() {
+        let mut eng = XorEngine::default();
+        let mut assigns = vec![LBool::Undef; 6];
+        let mut units = Vec::new();
+        let mut proof: ProofSink = None;
+        let v: Vec<Var> = (0..6).map(Var::from_index).collect();
+        let input: [(&[usize], bool); 3] =
+            [(&[0, 1, 2], true), (&[1, 3, 4], false), (&[2, 4, 5], true)];
+        for (cols, rhs) in input {
+            let vars: Vec<Var> = cols.iter().map(|&i| v[i]).collect();
+            assert!(eng.add(&vars, rhs, &assigns, &mut units, &mut proof));
+        }
+        assert!(units.is_empty());
+        // Each row pivots on its highest column: x2, x4, then x5.
+        let pivots: Vec<u32> = eng.rows.iter().map(|r| r.pivot).collect();
+        assert_eq!(pivots, vec![2, 4, 5]);
+
+        // Units land on the first two pivots.
+        assigns[2] = LBool::True;
+        assigns[4] = LBool::False;
+        assert!(eng.repivot(&assigns, &mut units, &mut proof));
+        // x0 ⊕ x1 = 0 and x0 ⊕ x3 = 0 remain, and the third row reduces
+        // to the unit x5 = 0.
+        assert_eq!(units, vec![Lit::negative(v[5])]);
+        assert_eq!(eng.rows.len(), 3, "rows are reinstalled in their own slots");
+        for row in eng.rows.iter().filter(|r| r.alive) {
+            assert_eq!(eng.col_value(row.pivot, &assigns), LBool::Undef);
+        }
+        let mut errors = Vec::new();
+        eng.audit(&mut errors);
+        assert!(errors.is_empty(), "{errors:?}");
+
+        // The rows and derived units still have the input's solutions
+        // among the assignments that agree with the level-0 units.
+        let rows = eng.export();
+        for bits in 0..64u32 {
+            let a: Vec<bool> = (0..6).map(|i| bits >> i & 1 == 1).collect();
+            if !a[2] || a[4] {
+                continue;
+            }
+            let original = input
+                .iter()
+                .all(|(cols, rhs)| cols.iter().fold(false, |acc, &i| acc ^ a[i]) == *rhs);
+            let kept = rows.iter().all(|r| r.eval(&a))
+                && units.iter().all(|u| a[u.var().index()] == u.is_positive());
+            assert_eq!(original, kept, "assignment {a:?}");
+        }
     }
 
     #[test]

@@ -175,9 +175,12 @@ fn xor_heavy_cnf(rng: &mut Xoshiro256) -> Cnf {
     cnf
 }
 
-#[test]
-fn xor_heavy_refutations_certify() {
-    let mut rng = Xoshiro256::new(0x10CA);
+/// Solves `xor_heavy_cnf` rounds with certification, adding the xor
+/// constraints before the clauses when `xors_first` is set: then clause
+/// units land on existing xor pivots, and the rows re-pivoted off them
+/// carry the proof steps that follow.
+fn certify_xor_heavy_rounds(seed: u64, xors_first: bool) {
+    let mut rng = Xoshiro256::new(seed);
     let rounds = if cfg!(debug_assertions) { 60 } else { 200 };
     let (mut searched_unsat, mut xor_props, mut conflicts, mut minimized) = (0, 0, 0, 0);
     for round in 0..rounds {
@@ -188,11 +191,22 @@ fn xor_heavy_refutations_certify() {
         for _ in 0..cnf.num_vars {
             s.new_var();
         }
-        for c in &cnf.clauses {
-            s.add_clause(c);
-        }
-        for x in &cnf.xors {
-            s.add_xor(&x.lits, x.rhs);
+        let add_clauses = |s: &mut Solver| {
+            for c in &cnf.clauses {
+                s.add_clause(c);
+            }
+        };
+        let add_xors = |s: &mut Solver| {
+            for x in &cnf.xors {
+                s.add_xor(&x.lits, x.rhs);
+            }
+        };
+        if xors_first {
+            add_xors(&mut s);
+            add_clauses(&mut s);
+        } else {
+            add_clauses(&mut s);
+            add_xors(&mut s);
         }
         if s.solve() != SolveResult::Unsat {
             continue;
@@ -210,7 +224,7 @@ fn xor_heavy_refutations_certify() {
         assert!(guard.is_refutation(), "round {round}: proof not closed");
         if let Err(e) = proofcheck::check_text(&cnf, guard.text()) {
             panic!(
-                "round {round}: emitted proof rejected: {e}\n{}",
+                "round {round} (xors first: {xors_first}): emitted proof rejected: {e}\n{}",
                 guard.text()
             );
         }
@@ -224,4 +238,10 @@ fn xor_heavy_refutations_certify() {
         "xor implications ({xor_props}) should outnumber conflicts ({conflicts})"
     );
     assert!(minimized > 0, "minimization never removed a literal");
+}
+
+#[test]
+fn xor_heavy_refutations_certify() {
+    certify_xor_heavy_rounds(0x10CA, false);
+    certify_xor_heavy_rounds(0x10CA, true);
 }
