@@ -15,7 +15,7 @@
 use bench::{sized, Reporter};
 use cnf::{Encoder, XorMode};
 use gf2::{BitMatrix, BitVec, Rng64, Xoshiro256};
-use satsolver::{DratProof, ProofStats, SolveResult};
+use satsolver::{ProofStats, SolveResult};
 
 /// Key widths swept (the harness profiles live at 64 and 80).
 const WIDTHS: [usize; 7] = [8, 16, 24, 32, 48, 64, 80];
@@ -48,9 +48,8 @@ fn full_rank_rows(w: usize, rng: &mut Xoshiro256) -> Vec<BitVec> {
 fn prove_unsat(mode: XorMode, rows: &[BitVec], log: bool) -> (ProofStats, usize) {
     let w = rows.len();
     let mut enc = Encoder::with_mode(mode);
-    let proof = log.then(DratProof::shared);
-    if let Some(p) = &proof {
-        enc.solver_mut().set_proof_logger(p.clone());
+    if log {
+        enc.solver_mut().enable_proof();
     }
     let s = enc.fresh_many(w);
     let t = enc.fresh_many(w);
@@ -61,10 +60,9 @@ fn prove_unsat(mode: XorMode, rows: &[BitVec], log: bool) -> (ProofStats, usize)
         enc.assert_xor(&lits, false);
     }
     assert_eq!(enc.solver_mut().solve(), SolveResult::Unsat);
-    proof.map_or((ProofStats::default(), 0), |p| {
-        let guard = p.lock().unwrap();
-        (*guard.stats(), guard.text().len())
-    })
+    enc.solver()
+        .proof()
+        .map_or((ProofStats::default(), 0), |p| (*p.stats(), p.text().len()))
 }
 
 fn main() {

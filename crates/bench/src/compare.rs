@@ -596,7 +596,7 @@ mod tests {
     fn round_trips_reporter_output() {
         let dir = std::env::temp_dir().join(format!("bench-compare-rt-{}", std::process::id()));
         let mut rep = Reporter::new("roundtrip");
-        rep.record_timed("case/a", 64, Duration::from_micros(10));
+        rep.record_timed("case/a", 64, 1, Duration::from_micros(10));
         rep.add_metric("case/a", "dip_iterations", 4.0);
         rep.add_metric("case/a", "key_width", 64.0);
         rep.case("case/b", 128, 2, || 1 + 1);

@@ -112,8 +112,8 @@ struct Record {
 /// ```
 ///
 /// Cases may additionally carry a `"metrics"` object of named numbers
-/// (added via [`Reporter::add_metric`]; omitted when empty), and one-shot
-/// workloads can be recorded with an externally measured duration via
+/// (added via [`Reporter::add_metric`]; omitted when empty), and
+/// workloads timed by the caller can be recorded with their median via
 /// [`Reporter::record_timed`].
 #[derive(Debug)]
 pub struct Reporter {
@@ -135,22 +135,17 @@ impl Reporter {
     /// size the case scales with (rows, patterns, variables…).
     pub fn case<T>(&mut self, id: &str, size: u64, iters: u32, f: impl FnMut() -> T) -> Sample {
         let sample = run(id, iters, f);
-        self.record(id, size, sample);
+        self.record(id, size, sample.iters, sample.median);
         sample
     }
 
-    /// Records a case that was timed *once*, externally (no warm-up, no
-    /// re-runs). For workloads where repetition is meaningless or too
-    /// expensive — a DynUnlock attack run is one adaptive oracle dialogue,
-    /// not a repeatable inner loop.
-    pub fn record_timed(&mut self, id: &str, size: u64, elapsed: Duration) {
-        println!("{id:<40}     1 iter            once {elapsed:>12?}");
-        let sample = Sample {
-            iters: 1,
-            median: elapsed,
-            total: elapsed,
-        };
-        self.record(id, size, sample);
+    /// Records a case timed externally: `median` is the median of `iters`
+    /// runs (no warm-up). For workloads the closure-based [`run`] does not
+    /// fit — a DynUnlock attack run is one adaptive oracle dialogue whose
+    /// result the caller also keeps.
+    pub fn record_timed(&mut self, id: &str, size: u64, iters: u32, median: Duration) {
+        println!("{id:<40} {iters:>5} iters   median {median:>12?}");
+        self.record(id, size, iters, median);
     }
 
     /// Attaches a named metric to the most recently recorded case with
@@ -173,12 +168,12 @@ impl Reporter {
         }
     }
 
-    fn record(&mut self, id: &str, size: u64, sample: Sample) {
+    fn record(&mut self, id: &str, size: u64, iters: u32, median: Duration) {
         self.results.push(Record {
             id: id.to_string(),
             size,
-            iters: sample.iters,
-            ns_per_iter: sample.median.as_nanos() as f64,
+            iters,
+            ns_per_iter: median.as_nanos() as f64,
             metrics: Vec::new(),
         });
     }
@@ -402,7 +397,7 @@ mod tests {
     fn record_timed_and_metrics_serialize() {
         let dir = std::env::temp_dir().join(format!("bench-json-metrics-{}", std::process::id()));
         let mut rep = Reporter::new("metricstest");
-        rep.record_timed("attack/tiny", 8, Duration::from_micros(1500));
+        rep.record_timed("attack/tiny", 8, 1, Duration::from_micros(1500));
         rep.add_metric("attack/tiny", "dip_iterations", 7.0);
         rep.add_metric("attack/tiny", "solve_ns", 1.25e6);
         rep.add_metric("attack/tiny", "dip_iterations", 9.0); // overwrite

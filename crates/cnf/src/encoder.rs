@@ -1,14 +1,14 @@
 //! The constraint encoder: Tseitin for gates, native GF(2) for parity.
 
 use netlist::{Circuit, GateKind, NetId};
-use satsolver::{Constraint, Lit, Solver, XorClause};
+use satsolver::{Lit, Solver};
 
 /// How the encoder emits parity structure (`xor2`, `parity`, and XOR/XNOR
 /// gates).
 ///
 /// [`Native`](XorMode::Native) keeps parity linear: one definition
-/// variable and one [`XorClause`] per constraint, handled by the solver's
-/// in-solver GF(2) engine. [`Tseitin`](XorMode::Tseitin) is the classical
+/// variable and one native xor constraint ([`Solver::add_xor`]) per
+/// parity, handled by the solver's in-solver GF(2) engine. [`Tseitin`](XorMode::Tseitin) is the classical
 /// clause expansion — a chain of 4-clause xor definitions — kept as a
 /// differential reference; CDCL must prove parity facts over it by
 /// resolution, which is exponential in the chain length.
@@ -47,11 +47,11 @@ impl CombCone {
 ///
 /// The encoder hands out fresh variables, caches a single pinned constant
 /// variable, and knows how to turn gates, parities, and whole
-/// combinational frames into a constraint stream ([`Constraint`]) for the
-/// solver: clauses for gate logic, native xor constraints for parity
-/// (under the default [`XorMode::Native`]). Callers keep pushing structure
-/// into the same solver instance — that is what makes the DynUnlock DIP
-/// loop incremental: each oracle observation adds a cone, nothing is
+/// combinational frames into constraints for the solver: clauses for gate
+/// logic, native xor constraints for parity (under the default
+/// [`XorMode::Native`]). Callers keep pushing structure into the same
+/// solver instance — that is what makes the DynUnlock DIP loop
+/// incremental: each oracle observation adds a cone, nothing is
 /// re-encoded.
 ///
 /// Returned literals are *logically* equal to the encoded function in every
@@ -148,9 +148,7 @@ impl Encoder {
     /// Returns `false` if the solver became unsatisfiable.
     pub fn assert_xor(&mut self, lits: &[Lit], rhs: bool) -> bool {
         match self.mode {
-            XorMode::Native => self
-                .solver
-                .add_constraint(&Constraint::Xor(XorClause::new(lits.to_vec(), rhs))),
+            XorMode::Native => self.solver.add_xor(lits, rhs),
             XorMode::Tseitin => {
                 let p = self.parity(lits);
                 self.assert_lit(if rhs { p } else { !p })
@@ -186,8 +184,7 @@ impl Encoder {
         let z = self.fresh();
         match self.mode {
             XorMode::Native => {
-                self.solver
-                    .add_constraint(&Constraint::Xor(XorClause::new(vec![z, a, b], false)));
+                self.solver.add_xor(&[z, a, b], false);
             }
             XorMode::Tseitin => {
                 self.solver.add_clause(&[!z, a, b]);
@@ -233,8 +230,7 @@ impl Encoder {
                     _ => {
                         let z = self.fresh();
                         kept.push(z);
-                        self.solver
-                            .add_constraint(&Constraint::Xor(XorClause::new(kept, rhs)));
+                        self.solver.add_xor(&kept, rhs);
                         z
                     }
                 }

@@ -4,8 +4,8 @@
 //!
 //! The bridge between the structural world (gates, nets, flops) and the
 //! constraint world the solver lives in. One [`Encoder`] owns a
-//! [`satsolver::Solver`] and incrementally appends structure to it as a
-//! stream of [`satsolver::Constraint`]s:
+//! [`satsolver::Solver`] and incrementally appends structure to it as
+//! clauses and native xor constraints:
 //!
 //! * [`Encoder::gate`] — one gate of any [`netlist::GateKind`], with
 //!   constant folding and definition-variable introduction only where a

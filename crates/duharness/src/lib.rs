@@ -38,6 +38,13 @@ use netlist::Circuit;
 use scanlock::{LockSpec, LockedScanChip};
 use sim::{FaultSpec, FaultyOracle, ScanChain};
 
+/// Capture cycles per scan session in every harness attack.
+const CAPTURES: usize = 1;
+
+/// Attacks behind each reliable row. The attack is deterministic, so the
+/// runs differ only in time; the row reports the median one.
+pub const RUNS: u32 = 5;
+
 /// What to attack and how hard.
 #[derive(Debug, Clone)]
 pub struct HarnessConfig {
@@ -58,10 +65,6 @@ pub struct HarnessConfig {
     pub width_sweep: Vec<usize>,
     /// Key gates per chain, as a fraction of the flop count (≥ 2).
     pub gate_fraction: f64,
-    /// Capture cycles per session.
-    pub captures: usize,
-    /// Use a shuffled (non-natural) scan stitching.
-    pub shuffled_chains: bool,
     /// Deterministic variant seed for circuit synthesis and lock drawing.
     pub variant: u64,
     /// Certify each attack's convergence UNSAT with a checked DRAT+xor
@@ -86,8 +89,6 @@ impl HarnessConfig {
             key_width: 64,
             width_sweep: vec![80],
             gate_fraction: 0.5,
-            captures: 1,
-            shuffled_chains: true,
             variant: 1,
             certify: false,
             faults: false,
@@ -109,8 +110,6 @@ impl HarnessConfig {
             key_width: 64,
             width_sweep: vec![32, 80],
             gate_fraction: 0.5,
-            captures: 1,
-            shuffled_chains: true,
             variant: 1,
             certify: false,
             faults: false,
@@ -125,8 +124,6 @@ impl HarnessConfig {
             key_width: 8,
             width_sweep: vec![],
             gate_fraction: 0.75,
-            captures: 1,
-            shuffled_chains: true,
             variant: 1,
             certify: false,
             faults: false,
@@ -163,8 +160,12 @@ pub struct AttackRow {
     pub key_width: usize,
     /// Number of key gates on the chain.
     pub key_gates: usize,
-    /// The attack result.
+    /// The attack result (of the median-time run when [`AttackRow::iters`]
+    /// is above 1).
     pub unlock: Unlock,
+    /// Attacks run for this row: [`RUNS`] for reliable rows, 1 for
+    /// fault rows.
+    pub iters: u32,
     /// Fault-handling counters, for `"{name}+faults"` rows run through
     /// the [`AttackState`] machine against a [`FaultyOracle`].
     pub faults: Option<FaultStats>,
@@ -173,37 +174,50 @@ pub struct AttackRow {
     pub checkpoint_bytes: Option<usize>,
 }
 
-/// Locks one (scaled) profile and runs the attack against it.
+/// Locks one (scaled) profile and attacks it [`RUNS`] times.
 ///
 /// # Panics
 ///
-/// Panics if the profile name is unknown or the attack fails — the
-/// harness reproduces a table of successes; a failure is a bug, not a
-/// data point.
+/// Panics if the profile name is unknown, the attack fails, or two runs
+/// disagree on the seed or the DIP count — the harness reproduces a
+/// table of successes; a failure is a bug, not a data point.
 pub fn attack_profile(profile: &BenchmarkProfile, cfg: &HarnessConfig) -> AttackRow {
     let inst = LockedInstance::build(profile, cfg);
-    let mut oracle = inst.oracle();
     let attack_cfg = AttackConfig {
-        captures: cfg.captures,
+        captures: CAPTURES,
         certify: cfg.certify,
         ..AttackConfig::default()
     };
-    let unlock = unlock(
-        &inst.circuit,
-        &inst.chain,
-        &inst.spec,
-        &mut oracle,
-        &attack_cfg,
-    )
-    .unwrap_or_else(|e| panic!("attack on {} failed: {e}", profile.name));
-    inst.row(profile.name.to_string(), unlock, None, None)
+    let mut runs: Vec<Unlock> = (0..RUNS)
+        .map(|_| {
+            unlock(
+                &inst.circuit,
+                &inst.chain,
+                &inst.spec,
+                &mut inst.oracle(),
+                &attack_cfg,
+            )
+            .unwrap_or_else(|e| panic!("attack on {} failed: {e}", profile.name))
+        })
+        .collect();
+    for run in &runs[1..] {
+        assert_eq!(run.seed, runs[0].seed, "{}: seed differs", profile.name);
+        assert_eq!(
+            run.dip_iterations, runs[0].dip_iterations,
+            "{}: DIP count differs",
+            profile.name
+        );
+    }
+    runs.sort_by_key(|u| u.total_time);
+    let median = runs.swap_remove(runs.len() / 2);
+    inst.row(profile.name.to_string(), median, RUNS, None, None)
 }
 
 /// Re-attacks one profile through a seeded [`FaultyOracle`] (bit-flip
 /// noise plus transient query errors) with the fault-tolerant
 /// [`AttackState`] machine: majority-vote replication repairs the noise,
-/// retry + backoff absorbs the transients, and a mid-run checkpoint is
-/// taken so the row can report its serialized size.
+/// retries absorb the transients, and a mid-run checkpoint is taken so
+/// the row can report its serialized size. The attack runs once.
 ///
 /// # Panics
 ///
@@ -213,7 +227,7 @@ pub fn attack_profile_faulty(profile: &BenchmarkProfile, cfg: &HarnessConfig) ->
     let inst = LockedInstance::build(profile, cfg);
     let robust = RobustConfig {
         base: AttackConfig {
-            captures: cfg.captures,
+            captures: CAPTURES,
             certify: cfg.certify,
             ..AttackConfig::default()
         },
@@ -249,6 +263,7 @@ pub fn attack_profile_faulty(profile: &BenchmarkProfile, cfg: &HarnessConfig) ->
         RobustOutcome::Unlocked { unlock, faults } => inst.row(
             format!("{}+faults", profile.name),
             unlock,
+            1,
             Some(faults),
             Some(checkpoint_bytes),
         ),
@@ -277,13 +292,9 @@ impl LockedInstance {
         let circuit = scaled.build(cfg.variant);
         let n = circuit.num_dffs();
         let mut rng = Xoshiro256::new(cfg.variant.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (n as u64));
-        let chain = if cfg.shuffled_chains {
-            ScanChain::shuffled(n, &mut rng)
-        } else {
-            ScanChain::natural(n)
-        };
+        let chain = ScanChain::shuffled(n, &mut rng);
         // A session is 2n + c edges; the key schedule must not wrap inside it.
-        let min_period = (2 * n + cfg.captures) as u64;
+        let min_period = (2 * n + CAPTURES) as u64;
         let taps = TapSet::for_width(cfg.key_width, min_period, &mut rng)
             .expect("a usable tap set exists for the configured key width");
         let num_gates = ((n as f64 * cfg.gate_fraction) as usize).clamp(2, n);
@@ -310,6 +321,7 @@ impl LockedInstance {
         &self,
         name: String,
         unlock: Unlock,
+        iters: u32,
         faults: Option<FaultStats>,
         checkpoint_bytes: Option<usize>,
     ) -> AttackRow {
@@ -320,6 +332,7 @@ impl LockedInstance {
             key_width: self.spec.width(),
             key_gates: self.spec.gates().len(),
             unlock,
+            iters,
             faults,
             checkpoint_bytes,
         }
@@ -396,7 +409,7 @@ pub fn print_table(rows: &[AttackRow]) {
 pub fn record(rows: &[AttackRow], reporter: &mut bench::Reporter) {
     for r in rows {
         let id = format!("dynunlock/{}", r.name);
-        reporter.record_timed(&id, r.flops as u64, r.unlock.total_time);
+        reporter.record_timed(&id, r.flops as u64, r.iters, r.unlock.total_time);
         reporter.add_metric(&id, "dip_iterations", r.unlock.dip_iterations as f64);
         reporter.add_metric(&id, "oracle_queries", r.unlock.oracle_queries as f64);
         reporter.add_metric(&id, "solve_ns", r.unlock.solve_time.as_nanos() as f64);
@@ -413,7 +426,6 @@ pub fn record(rows: &[AttackRow], reporter: &mut bench::Reporter) {
         if let Some(faults) = &r.faults {
             reporter.add_metric(&id, "retries", faults.retries as f64);
             reporter.add_metric(&id, "repaired_bits", faults.repaired_bits as f64);
-            reporter.add_metric(&id, "backoff_ns", faults.backoff.as_nanos() as f64);
         }
         if let Some(bytes) = r.checkpoint_bytes {
             reporter.add_metric(&id, "checkpoint_bytes", bytes as f64);
@@ -536,7 +548,7 @@ mod tests {
             &inst.spec,
             &fault_row.unlock.seed,
             &rows[0].unlock.seed,
-            cfg.captures,
+            CAPTURES,
             1000,
         ));
         let ckpt = fault_row.checkpoint_bytes.expect("fault rows checkpoint");

@@ -24,8 +24,8 @@
 //!    probe sessions.
 //!
 //! The loop runs in one engine, the resumable state machine
-//! [`robust::AttackState`]: budgeted SAT calls, retry + backoff against
-//! transient oracle faults, majority-vote repair of bit-flip noise,
+//! [`robust::AttackState`]: conflict-budgeted SAT calls, bounded retries
+//! of transient oracle faults, majority-vote repair of bit-flip noise,
 //! checkpoint/resume across process death (the `duckpt` codec is
 //! [`ckpt`]), and graceful degradation to a [`robust::PartialReport`]
 //! when the attack cannot finish. [`attack::unlock`] is that machine in

@@ -264,8 +264,7 @@ pub fn session_masks(spec: &LockSpec, num_cells: usize, captures: usize) -> Sess
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gf2::{Rng64, SplitMix64};
-    use lfsr::recover::SeedRecovery;
+    use gf2::{solve_system, BitMatrix, Rng64, SplitMix64};
     use lfsr::TapSet;
     use netlist::generator::{s208_like, GeneratorConfig};
     use scanlock::LockedScanChip;
@@ -410,44 +409,43 @@ mod tests {
     }
 
     /// The differential guard of the linear phase: the basis against the
-    /// reference elimination, `SeedRecovery` fed all 2n mask rows with one
-    /// random seed's values. Same seed, same rank, same pinned bits, and
-    /// the values the basis reads back reproduce the masks.
-    fn assert_basis_matches_seed_recovery(
+    /// batch Gauss–Jordan reference (`gf2::solve_system`, a separate code
+    /// path from the `LinSolver` the basis is built on) over all 2n mask
+    /// rows with one random seed's values. The basis seed satisfies every
+    /// row, the ranks agree, a bit is pinned iff every nullspace vector is
+    /// 0 there, pinned bits equal the secret's, and the values the basis
+    /// reads back reproduce the masks.
+    fn assert_basis_matches_reference(
         cells: usize,
         width: usize,
         gates: usize,
         rng: &mut SplitMix64,
     ) {
         let taps = TapSet::maximal(width).unwrap();
-        let spec = scanlock::LockSpec::random(taps.clone(), cells, gates, rng);
+        let spec = scanlock::LockSpec::random(taps, cells, gates, rng);
         let masks = session_masks(&spec, cells, 1 + rng.gen_index(2));
         let basis = masks.basis(width);
+        let rows = BitMatrix::from_rows(masks.alpha.iter().chain(&masks.beta).cloned().collect());
+        let shape = format!("{cells} cells x {width} bits, {gates} gates");
+        assert_eq!(basis.rank(), rows.rank(), "{shape}: rank");
         for _ in 0..4 {
             let secret = BitVec::random(width, rng);
             let (a, b) = masks.mask_values(&secret);
             let values: Vec<bool> = a.into_iter().chain(b).collect();
-            let mut rec = SeedRecovery::new(taps.clone());
-            for (row, &v) in masks.alpha.iter().chain(&masks.beta).zip(&values) {
-                rec.observe_form(row.clone(), v)
-                    .expect("one seed's mask values are consistent");
-            }
-            let shape = format!("{cells} cells x {width} bits, {gates} gates");
+            let reference = solve_system(&rows, &values.iter().copied().collect())
+                .expect("one seed's mask values are consistent");
             let free = basis
                 .free_values(&values)
                 .unwrap_or_else(|| panic!("{shape}: a seed's masks fit the basis"));
-            assert_eq!(basis.rank(), rec.rank(), "{shape}: rank");
-            assert_eq!(
-                basis.seed(&free),
-                rec.solution().particular,
-                "{shape}: seed"
-            );
+            let seed = basis.seed(&free);
+            let got: Vec<bool> = rows.iter_rows().map(|row| row.dot(&seed)).collect();
+            assert_eq!(got, values, "{shape}: the seed satisfies every row");
             assert_eq!(basis.values(&free), values, "{shape}: values");
             for bit in 0..width {
-                let pinned = rec.pinned_bit(bit);
-                assert_eq!(basis.pins(bit), pinned.is_some(), "{shape}: bit {bit}");
-                if let Some(v) = pinned {
-                    assert_eq!(v, secret.get(bit), "{shape}: pinned bit {bit}");
+                let pinned = reference.nullspace.iter().all(|v| !v.get(bit));
+                assert_eq!(basis.pins(bit), pinned, "{shape}: bit {bit}");
+                if pinned {
+                    assert_eq!(seed.get(bit), secret.get(bit), "{shape}: pinned bit {bit}");
                 }
             }
         }
@@ -469,13 +467,13 @@ mod tests {
         ] {
             for _ in 0..3 {
                 let gates = 1 + rng.gen_index(cells.div_ceil(2));
-                assert_basis_matches_seed_recovery(cells, width, gates, &mut rng);
+                assert_basis_matches_reference(cells, width, gates, &mut rng);
             }
         }
         // The paper's largest profile (1728 flops) at 64 bits with the
         // recipe's n/2 key gates; about 30× slower in a debug build.
         if !cfg!(debug_assertions) {
-            assert_basis_matches_seed_recovery(1728, 64, 864, &mut rng);
+            assert_basis_matches_reference(1728, 64, 864, &mut rng);
         }
     }
 

@@ -5,12 +5,12 @@
 //! oracle. It does not assume an oracle that never fails, a SAT call that
 //! always terminates, or a process that never dies:
 //!
-//! * **retry + exponential backoff + jitter** on transient oracle faults
-//!   ([`RetryPolicy`]);
+//! * **bounded retries** on transient oracle faults ([`RetryPolicy`]);
 //! * **majority-vote replication** to repair bit-flip noise
 //!   ([`RobustConfig::replication`]);
-//! * **budgeted solving** — the SAT calls of one step share a
-//!   [`Budget`], and `Unknown` answers leave the machine resumable;
+//! * **budgeted solving** — the SAT calls of one step share one
+//!   conflict [`Budget`], and `Unknown` answers leave the machine
+//!   resumable;
 //! * **checkpoint / resume** — [`AttackState::checkpoint`] snapshots the
 //!   run (DIP set, learnt clauses, converged free bits and seed) as a
 //!   [`Checkpoint`], whose `duckpt` text codec lives in
@@ -46,32 +46,18 @@ use crate::model::{session_masks, MaskBasis};
 // Configuration
 // ---------------------------------------------------------------------
 
-/// How transient oracle faults are retried: exponential backoff with
-/// jitter, bounded per logical query.
+/// How transient oracle faults are retried: a bounded number of
+/// immediate re-queries per logical query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Retries allowed per logical query before the attack degrades
     /// (`0` = fail on the first fault).
     pub max_retries: u32,
-    /// Backoff before retry `k` is `base_backoff * 2^(k-1)`, capped at
-    /// [`RetryPolicy::max_backoff`].
-    pub base_backoff: Duration,
-    /// Upper bound on a single backoff interval (pre-jitter).
-    pub max_backoff: Duration,
-    /// Jitter: a deterministic pseudo-random fraction of the backoff, up
-    /// to this many parts-per-million of it, is added on top (decorrelates
-    /// concurrent attackers hammering one bench).
-    pub jitter_ppm: u32,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            max_retries: 8,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_secs(1),
-            jitter_ppm: 500_000, // up to +50%
-        }
+        RetryPolicy { max_retries: 8 }
     }
 }
 
@@ -79,27 +65,7 @@ impl RetryPolicy {
     /// No retries at all: the first fault degrades the attack. The policy
     /// of [`RobustConfig::strict`].
     pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            max_retries: 0,
-            base_backoff: Duration::ZERO,
-            max_backoff: Duration::ZERO,
-            jitter_ppm: 0,
-        }
-    }
-
-    /// The backoff before retry `attempt` (1-based), jittered by `rng`.
-    fn backoff(&self, attempt: u32, rng: &mut SplitMix64) -> Duration {
-        let base = self.base_backoff.as_nanos();
-        let scaled = base.saturating_mul(1u128 << attempt.saturating_sub(1).min(63));
-        let capped = scaled.min(self.max_backoff.as_nanos());
-        let jitter = if self.jitter_ppm == 0 {
-            0
-        } else {
-            capped * u128::from(rng.gen_range(u64::from(self.jitter_ppm) + 1)) / 1_000_000
-        };
-        let total = (capped + jitter).min(u128::from(u64::MAX));
-        #[allow(clippy::cast_possible_truncation)] // bounded by u64::MAX above
-        Duration::from_nanos(total as u64)
+        RetryPolicy { max_retries: 0 }
     }
 }
 
@@ -113,12 +79,11 @@ pub struct RobustConfig {
     /// vote. `1` disables voting; use an odd factor so votes cannot tie
     /// (ties resolve to `false`).
     pub replication: usize,
-    /// Retry/backoff policy for transient faults.
+    /// Retry policy for transient faults.
     pub retry: RetryPolicy,
     /// Work budget of one [`AttackState::step`]. A step may make several
     /// SAT calls (one per output it closes, then the DIP search or the
-    /// final model); conflicts, propagations and wall time are counted
-    /// across all of them. Unlimited by default; when limited, a step
+    /// final model); conflicts are counted across all of them. Unlimited by default; when limited, a step
     /// that spends it returns [`Step::OutOfBudget`] with the solver warm.
     pub solve_budget: Budget,
     /// How many budget-exhausted steps to tolerate across the run
@@ -167,8 +132,6 @@ pub struct FaultStats {
     /// Response bits repaired by majority vote (positions where at least
     /// one replica disagreed with the elected value).
     pub repaired_bits: u64,
-    /// Total backoff accounted. It is never slept.
-    pub backoff: Duration,
 }
 
 /// Why an attack did not unlock: the error of
@@ -352,40 +315,30 @@ const FIRST_ALLOWANCE: u64 = 4096;
 /// step's start across every SAT call it makes.
 struct StepBudget {
     budget: Budget,
-    start: Instant,
+    /// The solver's conflict count when the step started.
     conflicts: u64,
-    propagations: u64,
 }
 
 impl StepBudget {
     fn start(budget: &Budget, stats: &SolverStats) -> StepBudget {
         StepBudget {
             budget: *budget,
-            start: Instant::now(),
             conflicts: stats.conflicts,
-            propagations: stats.propagations,
         }
     }
 
-    /// Whether the step has spent its budget in any dimension.
+    /// Whether the step has spent its budget.
     fn spent(&self, stats: &SolverStats) -> bool {
-        let left = self.remaining(stats);
-        left.conflicts == Some(0)
-            || left.propagations == Some(0)
-            || left.wall == Some(Duration::ZERO)
+        self.remaining(stats).conflicts == Some(0)
     }
 
     /// What the step has left, given the solver's counters now.
     fn remaining(&self, stats: &SolverStats) -> Budget {
-        let b = &self.budget;
         Budget {
-            conflicts: b
+            conflicts: self
+                .budget
                 .conflicts
                 .map(|c| c.saturating_sub(stats.conflicts - self.conflicts)),
-            propagations: b
-                .propagations
-                .map(|p| p.saturating_sub(stats.propagations - self.propagations)),
-            wall: b.wall.map(|w| w.saturating_sub(self.start.elapsed())),
         }
     }
 }
@@ -433,7 +386,6 @@ pub struct AttackState<'a> {
     dips: Vec<DipRecord>,
     phase: Phase,
     faults: FaultStats,
-    jitter_rng: SplitMix64,
     start: Instant,
     solve_time: Duration,
     certify_time: Duration,
@@ -493,7 +445,6 @@ impl<'a> AttackState<'a> {
             .collect();
         let deferrals = vec![0; diffs.len()];
 
-        let jitter_rng = SplitMix64::new(cfg.base.rng_seed ^ 0x9E37_79B9_7F4A_7C15);
         AttackState {
             circuit,
             chain,
@@ -510,7 +461,6 @@ impl<'a> AttackState<'a> {
             dips: Vec::new(),
             phase: Phase::Running,
             faults: FaultStats::default(),
-            jitter_rng,
             start: Instant::now(),
             solve_time: Duration::ZERO,
             certify_time: Duration::ZERO,
@@ -545,8 +495,8 @@ impl<'a> AttackState<'a> {
     // Fault-tolerant querying
     // -----------------------------------------------------------------
 
-    /// One logical query with retry + backoff: attempts until the oracle
-    /// answers or the retry allowance runs out.
+    /// One logical query with retries: attempts until the oracle answers
+    /// or the retry allowance runs out.
     fn query_retry<O: FallibleScanAccess>(
         &mut self,
         oracle: &mut O,
@@ -562,7 +512,6 @@ impl<'a> AttackState<'a> {
                 Err(_) if attempt < self.cfg.retry.max_retries => {
                     attempt += 1;
                     self.faults.retries += 1;
-                    self.faults.backoff += self.cfg.retry.backoff(attempt, &mut self.jitter_rng);
                 }
                 Err(_) => {
                     return Err(DegradeReason::OracleUnavailable {
@@ -661,10 +610,8 @@ impl<'a> AttackState<'a> {
         while let Some(&out) = self.open.front() {
             let allowance = FIRST_ALLOWANCE << self.deferrals[out].min(32);
             let left = budget.remaining(self.enc.solver().stats());
-            let capped = Budget {
-                conflicts: Some(left.conflicts.map_or(allowance, |c| c.min(allowance))),
-                ..left
-            };
+            let capped = Budget::new()
+                .with_conflicts(left.conflicts.map_or(allowance, |c| c.min(allowance)));
             match self.solve(&[self.diffs[out]], &capped) {
                 SolveResult::Unsat => {
                     self.open.pop_front();
@@ -1080,8 +1027,7 @@ impl<'a> AttackState<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gf2::Xoshiro256;
-    use lfsr::recover::SeedRecovery;
+    use gf2::{solve_system, BitMatrix, Xoshiro256};
     use lfsr::TapSet;
     use netlist::generator::s208_like;
     use sim::{FaultSpec, FaultyOracle, Reliable};
@@ -1180,10 +1126,7 @@ mod tests {
     fn oracle_that_never_answers_degrades_gracefully() {
         let f = fixture(12, 6, 0xD2);
         let cfg = RobustConfig {
-            retry: RetryPolicy {
-                max_retries: 2,
-                ..RetryPolicy::default()
-            },
+            retry: RetryPolicy { max_retries: 2 },
             ..RobustConfig::default()
         };
         // 100% transient: every query fails, retries exhaust.
@@ -1199,21 +1142,20 @@ mod tests {
         assert_eq!(report.nullity, f.spec.width() - report.rank);
         assert_eq!(report.bit_confidence.len(), f.spec.width());
         assert!(report.faults.retries > 0);
-        assert!(report.faults.backoff > Duration::ZERO);
     }
 
     #[test]
     fn budget_exhaustion_degrades_with_partial_report() {
         let f = fixture(16, 8, 0xE3);
         let cfg = RobustConfig {
-            solve_budget: Budget::new().with_propagations(1),
+            solve_budget: Budget::new().with_conflicts(0),
             max_budget_exhaustions: 2,
             ..RobustConfig::default()
         };
         let outcome =
             AttackState::new(&f.circuit, &f.chain, &f.spec, cfg).run(&mut Reliable(f.oracle()));
         let RobustOutcome::Partial(report) = outcome else {
-            panic!("a 1-propagation budget cannot converge");
+            panic!("a 0-conflict budget cannot converge");
         };
         assert!(matches!(
             report.reason,
@@ -1292,31 +1234,27 @@ mod tests {
         let CkptPhase::Converged(Converged { seed, .. }) = state.checkpoint().phase else {
             panic!("a converged machine checkpoints as converged");
         };
+        // The batch Gauss–Jordan reference over the secret's mask values.
         let masks = session_masks(&f.spec, f.chain.len(), 1);
-        let (alpha, beta) = masks.mask_values(&seed);
-        let mut rec = SeedRecovery::new(f.spec.taps().clone());
-        for (row, value) in masks
-            .alpha
-            .iter()
-            .chain(&masks.beta)
-            .zip(alpha.into_iter().chain(beta))
-        {
-            rec.observe_form(row.clone(), value).unwrap();
-        }
+        let rows = BitMatrix::from_rows(masks.alpha.iter().chain(&masks.beta).cloned().collect());
+        let (alpha, beta) = masks.mask_values(&f.secret);
+        let values: Vec<bool> = alpha.into_iter().chain(beta).collect();
+        let reference = solve_system(&rows, &values.iter().copied().collect()).unwrap();
+        let got: Vec<bool> = rows.iter_rows().map(|row| row.dot(&seed)).collect();
+        assert_eq!(got, values, "the converged seed satisfies every row");
 
         let report = state.report();
-        assert_eq!(report.rank, rec.rank());
-        assert_eq!(report.nullity, 24 - rec.rank());
+        assert_eq!(report.rank, rows.rank());
+        assert_eq!(report.nullity, 24 - rows.rank());
         assert!(0 < report.rank && report.rank < 24, "rank {}", report.rank);
-        assert_eq!(report.candidate_seed, Some(seed));
         for (b, &c) in report.bit_confidence.iter().enumerate() {
-            let expect = if rec.pinned_bit(b).is_some() {
-                1.0
-            } else {
-                0.5
-            };
-            assert_eq!(c, expect, "seed bit {b}");
+            let pinned = reference.nullspace.iter().all(|v| !v.get(b));
+            assert_eq!(c, if pinned { 1.0 } else { 0.5 }, "seed bit {b}");
+            if pinned {
+                assert_eq!(seed.get(b), f.secret.get(b), "pinned seed bit {b}");
+            }
         }
+        assert_eq!(report.candidate_seed, Some(seed));
         assert!(report.bit_confidence.contains(&1.0));
         assert!(report.bit_confidence.contains(&0.5));
     }
@@ -1460,30 +1398,5 @@ mod tests {
             multi_call_steps > 0,
             "some step closed an output and searched on"
         );
-    }
-
-    #[test]
-    fn backoff_grows_exponentially_and_caps() {
-        let policy = RetryPolicy {
-            max_retries: 10,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(100),
-            jitter_ppm: 0,
-        };
-        let mut rng = SplitMix64::new(1);
-        assert_eq!(policy.backoff(1, &mut rng), Duration::from_millis(1));
-        assert_eq!(policy.backoff(2, &mut rng), Duration::from_millis(2));
-        assert_eq!(policy.backoff(5, &mut rng), Duration::from_millis(16));
-        assert_eq!(policy.backoff(20, &mut rng), Duration::from_millis(100));
-        // Jitter stays within its ppm bound.
-        let jittered = RetryPolicy {
-            jitter_ppm: 500_000,
-            ..policy
-        };
-        for attempt in 1..8 {
-            let plain = policy.backoff(attempt, &mut rng);
-            let j = jittered.backoff(attempt, &mut rng);
-            assert!(j >= plain && j <= plain + plain / 2 + Duration::from_nanos(1));
-        }
     }
 }

@@ -35,7 +35,7 @@ use std::fmt;
 
 use gf2::BitVec;
 use satsolver::dimacs::Cnf;
-use satsolver::proof::{DratProof, ProofStats};
+use satsolver::proof::ProofStats;
 use satsolver::{Lit, SolveResult, Solver};
 
 /// One parsed proof step.
@@ -592,7 +592,7 @@ impl std::error::Error for CertifyError {}
 /// Solves `cnf` with proof logging on and verifies the emitted proof,
 /// returning the checked certificate.
 ///
-/// The solver is built fresh with the logger installed **before** any
+/// The solver is built fresh with proof logging on **before** any
 /// constraint is added, so add-time xor eliminations are captured too.
 ///
 /// # Errors
@@ -601,9 +601,8 @@ impl std::error::Error for CertifyError {}
 /// [`CertifyError::Check`] if the proof does not verify (which would mean
 /// a solver soundness bug).
 pub fn certify_unsat(cnf: &Cnf) -> Result<Certificate, CertifyError> {
-    let shared = DratProof::shared();
     let mut solver = Solver::new();
-    solver.set_proof_logger(shared.clone());
+    solver.enable_proof();
     for _ in 0..cnf.num_vars {
         solver.new_var();
     }
@@ -619,11 +618,9 @@ pub fn certify_unsat(cnf: &Cnf) -> Result<Certificate, CertifyError> {
     if !unsat && solver.solve() == SolveResult::Sat {
         return Err(CertifyError::Sat);
     }
-    drop(solver);
-    let guard = shared.lock().expect("proof mutex");
-    let proof = guard.text().to_string();
-    let stats = *guard.stats();
-    drop(guard);
+    let log = solver.proof().expect("proof logging enabled above");
+    let proof = log.text().to_string();
+    let stats = *log.stats();
     let report = check_text(cnf, &proof).map_err(CertifyError::Check)?;
     Ok(Certificate {
         formula: cnf.clone(),

@@ -1,30 +1,28 @@
-//! Resource budgets for bounded solving.
+//! Conflict budgets for bounded solving.
 //!
-//! A [`Budget`] caps how much work one `solve` call may spend before
-//! giving up with [`SolveResult::Unknown`](crate::SolveResult::Unknown).
+//! A [`Budget`] caps how many conflicts one `solve` call may analyze
+//! before giving up with [`SolveResult::Unknown`](crate::SolveResult::Unknown).
 //! Exhaustion is not failure: the solver keeps every clause it learnt and
 //! stays at decision level 0, so the caller can retry with a larger
-//! budget, add constraints, or walk away with a partial result. This is
-//! the substrate for fault-tolerant attack loops (checkpoint the state,
-//! bound each SAT call, degrade gracefully when the bound trips) and for
-//! service-style deployments where a job scheduler — not the solver —
-//! decides how long a query may run.
+//! budget, add constraints, or walk away with a partial result. The
+//! attack engine bounds each step this way and degrades gracefully when
+//! the bound trips. Conflicts are counted, not time, so a budgeted run
+//! takes the same path on every machine.
 
-use std::time::Duration;
-
-/// Work limits for one [`Solver::solve_limited`](crate::Solver::solve_limited)
-/// call. `None` in a field means that dimension is unlimited.
+/// The conflict limit of one
+/// [`Solver::solve_limited`](crate::Solver::solve_limited) call. `None`
+/// means unlimited.
 ///
-/// Limits are *per call*: each counts work done by this call only, not
-/// lifetime totals, so a warm incremental solver can be driven through
-/// many equally-bounded calls.
+/// The limit is *per call*: it counts conflicts analyzed by this call
+/// only, not lifetime totals, so a warm incremental solver can be driven
+/// through many equally-bounded calls.
 ///
 /// # Example
 ///
 /// ```
 /// use satsolver::Budget;
 ///
-/// let b = Budget::new().with_conflicts(10_000).with_wall_ms(250);
+/// let b = Budget::new().with_conflicts(10_000);
 /// assert!(!b.is_unlimited());
 /// assert!(Budget::new().is_unlimited());
 /// ```
@@ -32,16 +30,10 @@ use std::time::Duration;
 pub struct Budget {
     /// Maximum conflicts this call may analyze.
     pub conflicts: Option<u64>,
-    /// Maximum trail pushes (decisions + implied literals) this call may
-    /// make.
-    pub propagations: Option<u64>,
-    /// Wall-clock ceiling for this call. Checked at every conflict and
-    /// decision, so overshoot is bounded by one propagation sweep.
-    pub wall: Option<Duration>,
 }
 
 impl Budget {
-    /// An unlimited budget (every field `None`).
+    /// An unlimited budget.
     pub fn new() -> Budget {
         Budget::default()
     }
@@ -53,30 +45,9 @@ impl Budget {
         self
     }
 
-    /// Caps the number of propagations (trail pushes).
-    #[must_use]
-    pub fn with_propagations(mut self, propagations: u64) -> Budget {
-        self.propagations = Some(propagations);
-        self
-    }
-
-    /// Caps wall-clock time.
-    #[must_use]
-    pub fn with_wall(mut self, wall: Duration) -> Budget {
-        self.wall = Some(wall);
-        self
-    }
-
-    /// Caps wall-clock time, in milliseconds.
-    #[must_use]
-    pub fn with_wall_ms(self, ms: u64) -> Budget {
-        self.with_wall(Duration::from_millis(ms))
-    }
-
-    /// Whether every dimension is unlimited (the call can never return
-    /// `Unknown`).
+    /// Whether the call is unlimited (it can never return `Unknown`).
     pub fn is_unlimited(&self) -> bool {
-        self.conflicts.is_none() && self.propagations.is_none() && self.wall.is_none()
+        self.conflicts.is_none()
     }
 }
 
@@ -86,13 +57,8 @@ mod tests {
 
     #[test]
     fn builders_fill_fields() {
-        let b = Budget::new()
-            .with_conflicts(5)
-            .with_propagations(7)
-            .with_wall_ms(11);
+        let b = Budget::new().with_conflicts(5);
         assert_eq!(b.conflicts, Some(5));
-        assert_eq!(b.propagations, Some(7));
-        assert_eq!(b.wall, Some(Duration::from_millis(11)));
         assert!(!b.is_unlimited());
     }
 

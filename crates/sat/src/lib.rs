@@ -16,9 +16,9 @@
 //! * learnt-clause database reduction by activity with arena compaction;
 //! * incremental use: add clauses between `solve` calls, solve under
 //!   assumptions;
-//! * budgeted solving: per-call conflict / propagation / wall-clock
-//!   limits ([`Budget`]) that return [`SolveResult::Unknown`] and leave
-//!   the solver warm and resumable;
+//! * budgeted solving: a per-call conflict limit ([`Budget`]) that
+//!   returns [`SolveResult::Unknown`] and leaves the solver warm and
+//!   resumable;
 //! * native XOR constraints via an in-solver GF(2) engine — incremental
 //!   Gauss–Jordan elimination plus watched-column propagation, with lazy
 //!   row reasons that conflict analysis reads without allocating a
@@ -53,7 +53,7 @@ mod types;
 pub mod xor;
 
 pub use budget::Budget;
-pub use proof::{DratProof, ProofLogger, ProofStats};
+pub use proof::{DratProof, ProofStats};
 pub use solver::{SolveResult, Solver, SolverStats};
 pub use types::{Lit, Var};
-pub use xor::{Constraint, XorClause};
+pub use xor::XorClause;

@@ -1,7 +1,7 @@
 //! Proof logging: DRAT with an `x` extension for xor-derived clauses.
 //!
-//! A certifying run streams every inference the solver makes to a
-//! [`ProofLogger`]; together with the input formula the resulting log is a
+//! A certifying run writes every inference the solver makes to a
+//! [`DratProof`]; together with the input formula the resulting log is a
 //! machine-checkable certificate (checked by the `proofcheck` crate's
 //! `drat-check`). Three step kinds are emitted:
 //!
@@ -27,36 +27,13 @@
 //!   against the reconstructed row — no RUP involved. See DESIGN.md §7
 //!   for the exact soundness argument.
 //!
-//! The logger is held behind `Option<Box<dyn ProofLogger>>` in the solver:
-//! when no logger is installed every call site is a single branch on a
-//! `None` — proof support costs nothing unless switched on.
-
-use std::sync::{Arc, Mutex};
+//! The solver holds the log as an `Option<DratProof>`
+//! ([`crate::Solver::enable_proof`], read back with
+//! [`crate::Solver::proof`]): when logging is off every call site is a
+//! single branch on a `None`, so proof support costs nothing unless
+//! switched on.
 
 use crate::types::Lit;
-
-/// Sink for proof steps emitted by a certifying [`crate::Solver`] run.
-///
-/// Implementations must be cheap: the solver calls these on every learnt
-/// clause, deletion, and xor reason analysis reads. [`DratProof`] is the
-/// standard in-memory implementation; install a shared handle with
-/// [`crate::Solver::set_proof_logger`] (an `Arc<Mutex<DratProof>>`
-/// implements the trait) and read the accumulated text back after the
-/// solve.
-pub trait ProofLogger: std::fmt::Debug + Send {
-    /// A clause addition step (learnt clause, derived unit, or the empty
-    /// clause closing a refutation).
-    fn add_clause(&mut self, lits: &[Lit]);
-
-    /// A clause deletion step.
-    fn delete_clause(&mut self, lits: &[Lit]);
-
-    /// An xor-derived clause: `lits` is implied by the GF(2) sum of the
-    /// input xor constraints `origins` (0-based indices in add order;
-    /// rendered 1-based on the wire) after substituting the top-level
-    /// unit literals `units`.
-    fn add_xor_derived(&mut self, lits: &[Lit], origins: &[u32], units: &[Lit]);
-}
 
 /// Counters over the steps a [`DratProof`] holds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -79,7 +56,8 @@ impl ProofStats {
 /// The in-memory DRAT+xor proof log.
 ///
 /// Accumulates the textual proof (one step per line) plus step counters.
-/// The text format is the certificate interchange format checked by
+/// The solver calls the step methods on every learnt clause, deletion,
+/// and xor reason analysis reads. The text format is the certificate interchange format checked by
 /// `proofcheck` (DESIGN.md §7).
 #[derive(Debug, Default)]
 pub struct DratProof {
@@ -95,12 +73,6 @@ impl DratProof {
     /// An empty proof.
     pub fn new() -> DratProof {
         DratProof::default()
-    }
-
-    /// A fresh shared handle, ready for [`crate::Solver::set_proof_logger`]
-    /// (clone the `Arc`, box one clone for the solver, keep the other).
-    pub fn shared() -> Arc<Mutex<DratProof>> {
-        Arc::new(Mutex::new(DratProof::new()))
     }
 
     /// The proof text so far.
@@ -121,21 +93,15 @@ impl DratProof {
 
     fn push_lits(&mut self, lits: &[Lit]) {
         for l in lits {
-            self.text.push_str(itoa(l.to_dimacs()).as_str());
+            self.text.push_str(&l.to_dimacs().to_string());
             self.text.push(' ');
         }
         self.text.push('0');
     }
-}
 
-/// Minimal integer formatting without the `format!` machinery (this is the
-/// hot path of a certifying run).
-fn itoa(v: i64) -> String {
-    v.to_string()
-}
-
-impl ProofLogger for DratProof {
-    fn add_clause(&mut self, lits: &[Lit]) {
+    /// A clause addition step (learnt clause, derived unit, or the empty
+    /// clause closing a refutation).
+    pub fn add_clause(&mut self, lits: &[Lit]) {
         if self.closed {
             return;
         }
@@ -147,7 +113,8 @@ impl ProofLogger for DratProof {
         }
     }
 
-    fn delete_clause(&mut self, lits: &[Lit]) {
+    /// A clause deletion step.
+    pub fn delete_clause(&mut self, lits: &[Lit]) {
         if self.closed {
             return;
         }
@@ -157,7 +124,11 @@ impl ProofLogger for DratProof {
         self.text.push('\n');
     }
 
-    fn add_xor_derived(&mut self, lits: &[Lit], origins: &[u32], units: &[Lit]) {
+    /// An xor-derived clause: `lits` is implied by the GF(2) sum of the
+    /// input xor constraints `origins` (0-based indices in add order;
+    /// rendered 1-based on the wire) after substituting the top-level
+    /// unit literals `units`.
+    pub fn add_xor_derived(&mut self, lits: &[Lit], origins: &[u32], units: &[Lit]) {
         if self.closed {
             return;
         }
@@ -167,7 +138,7 @@ impl ProofLogger for DratProof {
         self.text.push(' ');
         for id in origins {
             // 1-based on the wire: 0 terminates the group.
-            self.text.push_str(itoa(i64::from(*id) + 1).as_str());
+            self.text.push_str(&(u64::from(*id) + 1).to_string());
             self.text.push(' ');
         }
         self.text.push_str("0 ");
@@ -176,24 +147,6 @@ impl ProofLogger for DratProof {
         if lits.is_empty() {
             self.closed = true;
         }
-    }
-}
-
-/// Forwarding implementation so a shared handle can be installed in the
-/// solver while the caller keeps the other clone to read the proof back.
-impl ProofLogger for Arc<Mutex<DratProof>> {
-    fn add_clause(&mut self, lits: &[Lit]) {
-        self.lock().expect("proof mutex").add_clause(lits);
-    }
-
-    fn delete_clause(&mut self, lits: &[Lit]) {
-        self.lock().expect("proof mutex").delete_clause(lits);
-    }
-
-    fn add_xor_derived(&mut self, lits: &[Lit], origins: &[u32], units: &[Lit]) {
-        self.lock()
-            .expect("proof mutex")
-            .add_xor_derived(lits, origins, units);
     }
 }
 
@@ -228,13 +181,5 @@ mod tests {
         p.delete_clause(&lits(&[1]));
         assert_eq!(p.stats().steps(), 1);
         assert_eq!(p.text(), "0\n");
-    }
-
-    #[test]
-    fn shared_handle_forwards() {
-        let shared = DratProof::shared();
-        let mut handle: Box<dyn ProofLogger> = Box::new(shared.clone());
-        handle.add_clause(&lits(&[7]));
-        assert_eq!(shared.lock().unwrap().stats().additions, 1);
     }
 }

@@ -10,14 +10,13 @@
 //! on demand and nothing enters the arena.
 
 use std::collections::HashMap;
-use std::time::Instant;
 
 use crate::budget::Budget;
 use crate::clause::{ClauseDb, ClauseRef};
 use crate::heap::VarHeap;
-use crate::proof::ProofLogger;
+use crate::proof::DratProof;
 use crate::types::{LBool, Lit, Var};
-use crate::xor::{Constraint, ProofSink, XorClause, XorEngine, XorImplication};
+use crate::xor::{XorClause, XorEngine, XorImplication};
 
 /// Outcome of a [`Solver::solve`] / [`Solver::solve_assuming`] /
 /// [`Solver::solve_limited`] call.
@@ -28,7 +27,7 @@ pub enum SolveResult {
     /// The formula is unsatisfiable (under the assumptions, if any were
     /// given).
     Unsat,
-    /// A [`Budget`] limit tripped before the search reached an answer
+    /// The [`Budget`] ran out before the search reached an answer
     /// (only [`Solver::solve_limited`] can return this). The solver is
     /// left warm at decision level 0 with every learnt clause retained:
     /// call again — with or without a budget — to resume the search, or
@@ -62,45 +61,9 @@ pub struct SolverStats {
     /// Conflicts detected by the GF(2) xor engine (also counted in
     /// [`SolverStats::conflicts`] when found during search).
     pub xor_conflicts: u64,
-    /// Solve calls that returned [`SolveResult::Unknown`] because a
-    /// [`Budget`] limit tripped.
+    /// Solve calls that returned [`SolveResult::Unknown`] because their
+    /// [`Budget`] ran out.
     pub budget_exhaustions: u64,
-}
-
-/// Absolute thresholds computed from a [`Budget`] at `solve_limited`
-/// entry (the budget itself is per-call; these are lifetime-counter
-/// targets plus a wall-clock deadline).
-struct ActiveLimits {
-    conflicts: Option<u64>,
-    propagations: Option<u64>,
-    deadline: Option<Instant>,
-}
-
-impl ActiveLimits {
-    fn from_budget(budget: &Budget, stats: &SolverStats) -> ActiveLimits {
-        ActiveLimits {
-            conflicts: budget.conflicts.map(|c| stats.conflicts.saturating_add(c)),
-            propagations: budget
-                .propagations
-                .map(|p| stats.propagations.saturating_add(p)),
-            deadline: budget.wall.map(|w| Instant::now() + w),
-        }
-    }
-
-    /// Whether any limit has tripped. Counter compares are branch-cheap;
-    /// the `Instant` read only happens when a wall limit is set.
-    fn exhausted(&self, stats: &SolverStats) -> bool {
-        if self.conflicts.is_some_and(|cap| stats.conflicts >= cap) {
-            return true;
-        }
-        if self
-            .propagations
-            .is_some_and(|cap| stats.propagations >= cap)
-        {
-            return true;
-        }
-        self.deadline.is_some_and(|d| Instant::now() >= d)
-    }
 }
 
 /// What one bounded [`Solver::search`] episode concluded.
@@ -111,7 +74,7 @@ enum SearchOutcome {
     Unsat,
     /// Restart budget spent; caller restarts the episode.
     Restart,
-    /// A [`Budget`] limit tripped mid-search.
+    /// The call's conflict cap was reached mid-search.
     OutOfBudget,
 }
 
@@ -194,9 +157,9 @@ pub struct Solver {
     /// The literals of the reason analysis is reading
     /// ([`Solver::load_reason`]).
     reason_lits: Vec<Lit>,
-    /// Proof sink for certifying runs ([`Solver::set_proof_logger`]);
-    /// `None` (the default) makes every logging site a single branch.
-    proof: ProofSink,
+    /// Proof log of a certifying run ([`Solver::enable_proof`]); `None`
+    /// (the default) makes every logging site a single branch.
+    proof: Option<DratProof>,
     /// Verbatim record of every added constraint, kept only when a
     /// certifying caller enabled it ([`Solver::enable_input_mirror`]).
     input_mirror: Option<crate::dimacs::Cnf>,
@@ -257,13 +220,19 @@ impl Solver {
         &self.stats
     }
 
-    /// Installs a proof logger; every inference from here on is streamed
-    /// to it (DRAT+xor, see [`crate::proof`]). Install **before** adding
+    /// Starts a proof log; every inference from here on is written to it
+    /// (DRAT+xor, see [`crate::proof`]). Enable **before** adding
     /// constraints: add-time xor eliminations derive facts too, and a
-    /// proof that misses them will not check. Pass an
-    /// `Arc<Mutex<DratProof>>` clone to keep a readable handle.
-    pub fn set_proof_logger(&mut self, logger: impl ProofLogger + 'static) {
-        self.proof = Some(Box::new(logger));
+    /// proof that misses them will not check.
+    pub fn enable_proof(&mut self) {
+        if self.proof.is_none() {
+            self.proof = Some(DratProof::new());
+        }
+    }
+
+    /// The proof log, if [`Solver::enable_proof`] was called.
+    pub fn proof(&self) -> Option<&DratProof> {
+        self.proof.as_ref()
     }
 
     /// Starts recording every subsequently added clause and xor
@@ -286,14 +255,14 @@ impl Solver {
         self.input_mirror.as_ref()
     }
 
-    /// Logs a clause addition step if a logger is installed.
+    /// Logs a clause addition step if proof logging is on.
     fn log_add(&mut self, lits: &[Lit]) {
         if let Some(p) = self.proof.as_mut() {
             p.add_clause(lits);
         }
     }
 
-    /// Logs a clause deletion step if a logger is installed.
+    /// Logs a clause deletion step if proof logging is on.
     fn log_delete(&mut self, cref: ClauseRef) {
         if self.proof.is_some() {
             let lits: Vec<Lit> = self
@@ -308,7 +277,7 @@ impl Solver {
         }
     }
 
-    /// Logs row `row`'s clause as an `x` line if a logger is installed:
+    /// Logs row `row`'s clause as an `x` line if proof logging is on:
     /// the trail literal of `implied` (when given) followed by
     /// `reason_lits`, which [`Solver::load_reason`] just filled from the
     /// row. An implication is logged once per assignment; a conflict
@@ -553,16 +522,6 @@ impl Solver {
         self.ok
     }
 
-    /// Adds one element of a constraint stream — the encoder → solver
-    /// interface that keeps parity native (see [`Constraint`]). Returns
-    /// `false` if the solver is now known unsatisfiable at the top level.
-    pub fn add_constraint(&mut self, constraint: &Constraint) -> bool {
-        match constraint {
-            Constraint::Clause(lits) => self.add_clause(lits),
-            Constraint::Xor(xc) => self.add_xor(&xc.lits, xc.rhs),
-        }
-    }
-
     /// Number of live xor rows held by the GF(2) engine. The engine keeps
     /// the system in reduced row-echelon form, so this is the rank of the
     /// added xor system minus constraints absorbed into top-level units.
@@ -589,10 +548,10 @@ impl Solver {
         self.solve_limited(assumptions, &Budget::new())
     }
 
-    /// Solves under `assumptions` with a per-call work [`Budget`].
+    /// Solves under `assumptions` with a per-call conflict [`Budget`].
     ///
-    /// Identical to [`Solver::solve_assuming`] until a budget dimension
-    /// trips, at which point the call backtracks to decision level 0 and
+    /// Identical to [`Solver::solve_assuming`] until the conflict cap is
+    /// reached, at which point the call backtracks to decision level 0 and
     /// returns [`SolveResult::Unknown`] with the solver *warm*: every
     /// clause learnt so far is retained, `is_ok` is untouched, and a
     /// follow-up call (same or different assumptions, bigger or no
@@ -637,11 +596,14 @@ impl Solver {
         }
         self.max_learnts = (self.db.num_original as f64 / 3.0).max(1000.0);
 
-        let limits = ActiveLimits::from_budget(budget, &self.stats);
+        // The per-call budget as a cap on the lifetime conflict counter.
+        let conflict_cap = budget
+            .conflicts
+            .map(|c| self.stats.conflicts.saturating_add(c));
         let mut curr_restarts = 0u64;
         loop {
             let restart_cap = RESTART_BASE * luby(2, curr_restarts);
-            let status = self.search(restart_cap, assumptions, &limits);
+            let status = self.search(restart_cap, assumptions, conflict_cap);
             match status {
                 SearchOutcome::Sat => {
                     for (v, &a) in self.assigns.iter().enumerate() {
@@ -685,12 +647,12 @@ impl Solver {
     // ------------------------------------------------------------------
 
     /// Runs CDCL until SAT, UNSAT, `max_conflicts` conflicts (restart), or
-    /// a budget limit trips.
+    /// the lifetime conflict count reaches `conflict_cap`.
     fn search(
         &mut self,
         max_conflicts: u64,
         assumptions: &[Lit],
-        limits: &ActiveLimits,
+        conflict_cap: Option<u64>,
     ) -> SearchOutcome {
         let mut conflicts = 0u64;
         loop {
@@ -717,11 +679,11 @@ impl Solver {
                 }
                 self.var_inc /= VAR_DECAY;
                 self.cla_inc /= CLA_DECAY;
-                if limits.exhausted(&self.stats) {
+                if conflict_cap.is_some_and(|cap| self.stats.conflicts >= cap) {
                     return SearchOutcome::OutOfBudget;
                 }
             } else {
-                if limits.exhausted(&self.stats) {
+                if conflict_cap.is_some_and(|cap| self.stats.conflicts >= cap) {
                     return SearchOutcome::OutOfBudget;
                 }
                 if conflicts >= max_conflicts {
@@ -1716,22 +1678,6 @@ mod tests {
         assert_eq!(s.value(Var::from_index(1)), Some(true));
     }
 
-    #[test]
-    fn xor_constraint_stream_interface() {
-        use crate::xor::{Constraint, XorClause};
-        let mut s = solver_with(3, &[]);
-        assert!(s.add_constraint(&Constraint::Clause(vec![lit(1), lit(2)])));
-        assert!(s.add_constraint(&Constraint::Xor(XorClause::new(
-            vec![lit(1), lit(2), lit(3)],
-            true,
-        ))));
-        assert_eq!(s.num_xors(), 1);
-        assert_eq!(s.solve(), SolveResult::Sat);
-        let m = |code: i64| s.lit_model_value(lit(code)).unwrap();
-        assert!(m(1) || m(2));
-        assert!(m(1) ^ m(2) ^ m(3));
-    }
-
     /// Exhaustive cross-check on small instances: random xor rows plus
     /// random clauses, solver answer vs brute-force enumeration. This
     /// drives the whole xor path — add-time elimination, watched-column
@@ -2023,14 +1969,6 @@ mod tests {
         // The solver stays warm: an unlimited follow-up call finishes the
         // job, keeping the clauses learnt under the budgeted call.
         assert_eq!(s.solve(), SolveResult::Unsat);
-        assert_eq!(s.stats().budget_exhaustions, 1);
-    }
-
-    #[test]
-    fn propagation_budget_trips() {
-        let mut s = hard_unsat(7);
-        let tight = Budget::new().with_propagations(5);
-        assert_eq!(s.solve_limited(&[], &tight), SolveResult::Unknown);
         assert_eq!(s.stats().budget_exhaustions, 1);
     }
 

@@ -7,9 +7,8 @@
 //! Tseitin-formula lower bound). This module keeps parity linear end to
 //! end instead, the way CryptoMiniSat does:
 //!
-//! * [`XorClause`] is the first-class constraint type; [`Constraint`] is
-//!   the stream unit the encoder hands to
-//!   [`Solver::add_constraint`](crate::Solver::add_constraint).
+//! * [`XorClause`] is the first-class constraint type; the encoder adds
+//!   each parity with [`Solver::add_xor`](crate::Solver::add_xor).
 //! * `XorEngine` stores the xor system as **sparse** GF(2) rows — each
 //!   row is the strictly ascending list of its columns, so a row costs its
 //!   weight, not the width of the formula — and keeps it in **reduced
@@ -53,13 +52,8 @@
 //! combinations (sound regardless of the assignment) and watches are
 //! repaired lazily, exactly like clause watches.
 
-use crate::proof::ProofLogger;
+use crate::proof::DratProof;
 use crate::types::{LBool, Lit, Var};
-
-/// The solver's (possibly absent) proof sink, threaded through the engine
-/// so add-time derivations (units by elimination, inconsistent rows) are
-/// logged with their GF(2) provenance.
-pub(crate) type ProofSink = Option<Box<dyn ProofLogger>>;
 
 /// A native parity constraint: the XOR of `lits` must equal `rhs`.
 ///
@@ -147,22 +141,6 @@ impl XorClause {
         }
         acc == self.rhs
     }
-}
-
-/// One element of the encoder → solver constraint stream: a disjunctive
-/// clause or a native parity constraint.
-///
-/// Solvers consume constraints through [`Solver::add_constraint`]; this is
-/// the interface that lets an encoder keep XOR structure linear instead of
-/// Tseitin-shredding it.
-///
-/// [`Solver::add_constraint`]: crate::Solver::add_constraint
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Constraint {
-    /// A disjunction of literals.
-    Clause(Vec<Lit>),
-    /// A parity constraint.
-    Xor(XorClause),
 }
 
 /// Column index sentinel: "no column".
@@ -277,7 +255,7 @@ impl XorEngine {
         rhs: bool,
         assigns: &[LBool],
         units: &mut Vec<Lit>,
-        proof: &mut ProofSink,
+        proof: &mut Option<DratProof>,
     ) -> bool {
         let id = self.next_input_id;
         self.next_input_id += 1;
@@ -336,7 +314,7 @@ impl XorEngine {
         &mut self,
         assigns: &[LBool],
         units: &mut Vec<Lit>,
-        proof: &mut ProofSink,
+        proof: &mut Option<DratProof>,
     ) -> bool {
         // Rows are reinstalled in place, so `rows` does not grow here.
         for ri in 0..self.rows.len() {
@@ -379,7 +357,7 @@ impl XorEngine {
         fresh: u32,
         assigns: &[LBool],
         units: &mut Vec<Lit>,
-        proof: &mut ProofSink,
+        proof: &mut Option<DratProof>,
     ) -> bool {
         let Some(&pivot) = row.cols.last() else {
             if row.rhs {
@@ -445,7 +423,7 @@ impl XorEngine {
         ri: usize,
         assigns: &[LBool],
         units: &mut Vec<Lit>,
-        proof: &mut ProofSink,
+        proof: &mut Option<DratProof>,
     ) -> bool {
         if self.rows[ri].cols.is_empty() {
             let rhs = self.rows[ri].rhs;
@@ -488,7 +466,7 @@ impl XorEngine {
         ri: usize,
         assigns: &[LBool],
         units: &mut Vec<Lit>,
-        proof: &mut ProofSink,
+        proof: &mut Option<DratProof>,
     ) -> bool {
         let mut unassigned = [NONE; 2];
         let mut count = 0;
@@ -856,8 +834,8 @@ fn sym_diff<T: Ord + Copy>(dst: &mut Vec<T>, src: &[T]) {
     }
 }
 
-/// Emits an xor-derived proof step if a logger is installed.
-fn log_xor(proof: &mut ProofSink, lits: &[Lit], origin: &[u32], units: &[Lit]) {
+/// Emits an xor-derived proof step if proof logging is on.
+fn log_xor(proof: &mut Option<DratProof>, lits: &[Lit], origin: &[u32], units: &[Lit]) {
     if let Some(p) = proof.as_mut() {
         p.add_xor_derived(lits, origin, units);
     }
@@ -924,7 +902,7 @@ mod tests {
         let mut eng = XorEngine::default();
         let assigns = vec![LBool::Undef; 4];
         let mut units = Vec::new();
-        let mut proof: ProofSink = None;
+        let mut proof = None;
         let vars: Vec<Var> = (0..3).map(Var::from_index).collect();
         assert!(eng.add(&vars, true, &assigns, &mut units, &mut proof));
         assert_eq!(eng.num_rows(), 1);
@@ -942,7 +920,7 @@ mod tests {
         let mut eng = XorEngine::default();
         let assigns = vec![LBool::Undef; 4];
         let mut units = Vec::new();
-        let mut proof: ProofSink = None;
+        let mut proof = None;
         let v: Vec<Var> = (0..3).map(Var::from_index).collect();
         assert!(eng.add(&[v[0], v[1]], true, &assigns, &mut units, &mut proof));
         assert!(eng.add(&[v[0], v[1], v[2]], true, &assigns, &mut units, &mut proof));
@@ -955,7 +933,7 @@ mod tests {
         let mut eng = XorEngine::default();
         let mut assigns = vec![LBool::Undef; 6];
         let mut units = Vec::new();
-        let mut proof: ProofSink = None;
+        let mut proof = None;
         let v: Vec<Var> = (0..6).map(Var::from_index).collect();
         let input: [(&[usize], bool); 3] =
             [(&[0, 1, 2], true), (&[1, 3, 4], false), (&[2, 4, 5], true)];
@@ -1005,7 +983,7 @@ mod tests {
         let mut eng = XorEngine::default();
         let assigns = vec![LBool::Undef; 4];
         let mut units = Vec::new();
-        let mut proof: ProofSink = None;
+        let mut proof = None;
         let v: Vec<Var> = (0..4).map(Var::from_index).collect();
         assert!(eng.add(&v, true, &assigns, &mut units, &mut proof));
         let mut errors = Vec::new();
@@ -1033,7 +1011,7 @@ mod tests {
         let mut eng = XorEngine::default();
         let assigns = vec![LBool::Undef; 8];
         let mut units = Vec::new();
-        let mut proof: ProofSink = None;
+        let mut proof = None;
         let v: Vec<Var> = (0..4).map(Var::from_index).collect();
         eng.add(&[v[0], v[1], v[2]], true, &assigns, &mut units, &mut proof);
         eng.add(&[v[1], v[2], v[3]], false, &assigns, &mut units, &mut proof);

@@ -9,8 +9,6 @@
 //! machinery harder, and degraded runs that must report honest partial
 //! knowledge instead of fabricating success.
 
-use std::time::Duration;
-
 use dynunlock_repro::dynunlock::{
     same_class, AttackConfig, AttackState, DegradeReason, RetryPolicy, RobustConfig, RobustOutcome,
 };
@@ -177,10 +175,7 @@ fn randomized_fault_schedules_never_yield_a_wrong_verified_seed() {
         let drops = (rng.gen_range(4) * 5_000) as u32;
         let cfg = RobustConfig {
             replication: 3,
-            retry: RetryPolicy {
-                max_retries: 6,
-                ..RetryPolicy::default()
-            },
+            retry: RetryPolicy { max_retries: 6 },
             ..RobustConfig::default()
         };
         let mut oracle = FaultyOracle::new(
@@ -217,16 +212,12 @@ fn randomized_fault_schedules_never_yield_a_wrong_verified_seed() {
 
 /// A fully dead oracle: every query faults, so the attack must degrade
 /// with [`DegradeReason::OracleUnavailable`] after the configured retries
-/// and report its backoff accounting.
+/// and report them.
 #[test]
 fn dead_oracle_degrades_with_retry_accounting() {
     let inst = instance(12, 5, 0x41);
     let cfg = RobustConfig {
-        retry: RetryPolicy {
-            max_retries: 3,
-            base_backoff: Duration::from_millis(2),
-            ..RetryPolicy::default()
-        },
+        retry: RetryPolicy { max_retries: 3 },
         ..RobustConfig::default()
     };
     let mut dead = FaultyOracle::new(inst.chip(), FaultSpec::new(7).with_transients(1_000_000));
@@ -239,11 +230,6 @@ fn dead_oracle_degrades_with_retry_accounting() {
         DegradeReason::OracleUnavailable { retries: 3 }
     );
     assert_eq!(report.faults.retries, 3, "one allowance, fully spent");
-    assert!(
-        report.faults.backoff >= Duration::from_millis(2 + 4 + 8),
-        "exponential backoff accounted: {:?}",
-        report.faults.backoff
-    );
     assert_eq!(report.dip_iterations, 0);
 }
 
@@ -253,7 +239,7 @@ fn dead_oracle_degrades_with_retry_accounting() {
 fn budget_exhaustion_reports_partial_confidence() {
     let inst = instance(16, 8, 0x52);
     let cfg = RobustConfig {
-        solve_budget: Budget::new().with_propagations(1),
+        solve_budget: Budget::new().with_conflicts(0),
         max_budget_exhaustions: 1,
         ..RobustConfig::default()
     };

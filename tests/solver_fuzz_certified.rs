@@ -15,7 +15,7 @@
 use dynunlock_repro::gf2::{Rng64, Xoshiro256};
 use dynunlock_repro::proofcheck;
 use dynunlock_repro::satsolver::dimacs::Cnf;
-use dynunlock_repro::satsolver::{Budget, DratProof, Lit, SolveResult, Solver, Var};
+use dynunlock_repro::satsolver::{Budget, Lit, SolveResult, Solver, Var};
 
 fn random_cnf(rng: &mut Xoshiro256) -> Cnf {
     let num_vars = 4 + rng.gen_range(12) as usize;
@@ -64,9 +64,8 @@ fn random_instances_audit_clean_and_certify() {
     let (mut sat_rounds, mut unsat_rounds) = (0u64, 0u64);
     for round in 0..rounds {
         let cnf = random_cnf(&mut rng);
-        let shared = DratProof::shared();
         let mut s = Solver::new();
-        s.set_proof_logger(shared.clone());
+        s.enable_proof();
         for _ in 0..cnf.num_vars {
             s.new_var();
         }
@@ -124,7 +123,6 @@ fn random_instances_audit_clean_and_certify() {
                 "round {round}: budgeted answer must match the full solve"
             );
         }
-        drop(s);
 
         match result {
             SolveResult::Sat => {
@@ -135,12 +133,12 @@ fn random_instances_audit_clean_and_certify() {
             }
             SolveResult::Unsat => {
                 unsat_rounds += 1;
-                let guard = shared.lock().unwrap();
-                assert!(guard.is_refutation(), "round {round}: proof not closed");
-                let report = proofcheck::check_text(&cnf, guard.text()).unwrap_or_else(|e| {
+                let proof = s.proof().expect("proof logging enabled");
+                assert!(proof.is_refutation(), "round {round}: proof not closed");
+                let report = proofcheck::check_text(&cnf, proof.text()).unwrap_or_else(|e| {
                     panic!(
                         "round {round}: emitted proof rejected: {e}\n{}",
-                        guard.text()
+                        proof.text()
                     )
                 });
                 assert!(report.rup_additions + report.xor_steps > 0);
@@ -185,9 +183,8 @@ fn certify_xor_heavy_rounds(seed: u64, xors_first: bool) {
     let (mut searched_unsat, mut xor_props, mut conflicts, mut minimized) = (0, 0, 0, 0);
     for round in 0..rounds {
         let cnf = xor_heavy_cnf(&mut rng);
-        let shared = DratProof::shared();
         let mut s = Solver::new();
-        s.set_proof_logger(shared.clone());
+        s.enable_proof();
         for _ in 0..cnf.num_vars {
             s.new_var();
         }
@@ -219,13 +216,12 @@ fn certify_xor_heavy_rounds(seed: u64, xors_first: bool) {
         xor_props += st.xor_propagations;
         conflicts += st.conflicts;
         minimized += st.minimized_literals;
-        drop(s);
-        let guard = shared.lock().unwrap();
-        assert!(guard.is_refutation(), "round {round}: proof not closed");
-        if let Err(e) = proofcheck::check_text(&cnf, guard.text()) {
+        let proof = s.proof().expect("proof logging enabled");
+        assert!(proof.is_refutation(), "round {round}: proof not closed");
+        if let Err(e) = proofcheck::check_text(&cnf, proof.text()) {
             panic!(
                 "round {round} (xors first: {xors_first}): emitted proof rejected: {e}\n{}",
-                guard.text()
+                proof.text()
             );
         }
     }
