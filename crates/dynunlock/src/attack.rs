@@ -37,10 +37,12 @@ pub struct AttackConfig {
     /// (64+ bits) tractable. [`XorMode::Tseitin`] keeps the classical
     /// clause expansion as a differential reference.
     pub xor_mode: XorMode,
-    /// Certify convergence: re-derive it from a fresh proof-logging
-    /// solver over the verbatim inputs closed by the clause "some output
-    /// differs", and verify the emitted DRAT+xor certificate with the
-    /// independent `proofcheck` checker before trusting it (DESIGN.md §7).
+    /// Certify convergence: the attack's solver logs a DRAT+xor proof
+    /// from its first constraint on, and at convergence the independent
+    /// `proofcheck` checker verifies that log, closed by the empty
+    /// clause, against the verbatim inputs plus the clause "some output
+    /// differs" before the answer is trusted (DESIGN.md §7). The log
+    /// survives a checkpoint round trip.
     pub certify: bool,
 }
 
@@ -83,8 +85,9 @@ pub struct Unlock {
     /// The checked UNSAT certificate for the final convergence answer,
     /// when [`AttackConfig::certify`] was set.
     pub certificate: Option<proofcheck::Certificate>,
-    /// Time spent producing and checking the certificate (zero when
-    /// certification was off).
+    /// Time spent closing the logged proof and checking it (zero when
+    /// certification was off). Logging itself runs inside the DIP and
+    /// convergence steps and is counted there.
     pub certify_time: Duration,
     /// The SAT solver's lifetime work counters at the end of the attack
     /// (restarts, decisions, conflicts, budget exhaustions, ...).
@@ -438,10 +441,10 @@ mod tests {
 
     #[test]
     fn certified_unlock_smoke() {
-        // Certification re-derives the convergence UNSAT with a logged
-        // solver and checks the emitted proof; a small instance keeps
-        // this fast enough for every test run (the 64-bit certified
-        // attack lives in tests/certified_attack.rs).
+        // Certification checks the convergence proof the attack's own
+        // solver logged; a small instance keeps this fast enough for
+        // every test run (the 64-bit certified attack lives in
+        // tests/certified_attack.rs).
         let c = s208_like();
         let u = RoundTrip::new(&c, ScanChain::natural(8), 8, 5, 0xA0)
             .certify()

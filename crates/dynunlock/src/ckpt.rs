@@ -136,6 +136,10 @@ pub struct Checkpoint {
     pub(crate) num_vars: usize,
     pub(crate) dips: Vec<DipRecord>,
     pub(crate) learnts: Vec<Vec<Lit>>,
+    /// The proof log of a certifying run so far, verbatim (empty when the
+    /// run was not certifying). Checked only when the resumed run
+    /// certifies its convergence.
+    pub(crate) proof: String,
     pub(crate) phase: CkptPhase,
 }
 
@@ -206,6 +210,14 @@ impl Checkpoint {
             }
             let _ = writeln!(out);
         }
+        for step in self.proof.lines() {
+            out.push_str("proof");
+            if !step.is_empty() {
+                out.push(' ');
+                out.push_str(step);
+            }
+            out.push('\n');
+        }
         match &self.phase {
             CkptPhase::Running => {
                 let _ = writeln!(out, "phase running");
@@ -241,6 +253,7 @@ impl Checkpoint {
         let mut num_vars: Option<usize> = None;
         let mut dips = Vec::new();
         let mut learnts = Vec::new();
+        let mut proof = String::new();
         let mut phase: Option<CkptPhase> = None;
         let mut free: Option<Vec<bool>> = None;
         let mut seed: Option<BitVec> = None;
@@ -257,6 +270,13 @@ impl Checkpoint {
             }
             let mut fields = line.split_whitespace();
             let tag = fields.next().expect("non-empty line has a first token");
+            if tag == "proof" {
+                // Kept verbatim: the certifying checker, not this parser,
+                // judges proof steps.
+                proof.push_str(line[tag.len()..].trim_start());
+                proof.push('\n');
+                continue;
+            }
             let rest: Vec<&str> = fields.collect();
             match tag {
                 "duckpt" => {
@@ -391,6 +411,7 @@ impl Checkpoint {
             num_vars,
             dips,
             learnts,
+            proof,
             phase,
         })
     }

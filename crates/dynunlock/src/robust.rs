@@ -12,8 +12,8 @@
 //!   conflict [`Budget`], and `Unknown` answers leave the machine
 //!   resumable;
 //! * **checkpoint / resume** — [`AttackState::checkpoint`] snapshots the
-//!   run (DIP set, learnt clauses, converged free bits and seed) as a
-//!   [`Checkpoint`], whose `duckpt` text codec lives in
+//!   run (DIP set, learnt clauses, proof log, converged free bits and
+//!   seed) as a [`Checkpoint`], whose `duckpt` text codec lives in
 //!   [`ckpt`](crate::ckpt), and [`AttackState::resume`] rebuilds the
 //!   machine from one, re-validating every recorded DIP against the live
 //!   oracle first;
@@ -412,6 +412,19 @@ impl<'a> AttackState<'a> {
         spec: &'a LockSpec,
         cfg: RobustConfig,
     ) -> AttackState<'a> {
+        AttackState::build(circuit, chain, spec, cfg, String::new())
+    }
+
+    /// [`AttackState::new`] whose proof log, under
+    /// [`AttackConfig::certify`], continues `proof` (the steps a resumed
+    /// run carries over; ignored when certification is off).
+    fn build(
+        circuit: &'a Circuit,
+        chain: &'a ScanChain,
+        spec: &'a LockSpec,
+        cfg: RobustConfig,
+        proof: String,
+    ) -> AttackState<'a> {
         let n = chain.len();
         assert_eq!(n, circuit.num_dffs(), "chain must cover all flops");
         assert!(cfg.base.captures > 0, "at least one capture cycle");
@@ -419,10 +432,13 @@ impl<'a> AttackState<'a> {
 
         let mut enc = Encoder::with_mode(cfg.base.xor_mode);
         if cfg.base.certify {
-            // Record every constraint verbatim from the start, so the
-            // certificate re-derives convergence from the true inputs
-            // rather than from this solver's own derived facts.
-            enc.solver_mut().enable_input_mirror();
+            // Before any constraint exists: record every constraint
+            // verbatim and log every inference, so the convergence proof
+            // this solver finds is checkable against the true inputs
+            // rather than against its own derived facts.
+            let solver = enc.solver_mut();
+            solver.enable_input_mirror();
+            solver.continue_proof(proof);
         }
         let copies = [
             mask_copy(&mut enc, &basis.bits, n),
@@ -680,7 +696,7 @@ impl<'a> AttackState<'a> {
 
     /// Transition out of the DIP loop once every output is closed:
     /// materialize a model, run the linear phase, and certify
-    /// (optionally).
+    /// (optionally) the solver's own convergence proof.
     fn converge(&mut self, budget: &StepBudget) -> Step {
         // No distinguishing input remains: every mask assignment
         // consistent with the observations is functionally equivalent.
@@ -697,21 +713,28 @@ impl<'a> AttackState<'a> {
         };
 
         // Certification: the convergence claim is exactly "no output can
-        // differ". Take the verbatim input mirror, close it with the OR of
-        // the difference literals, and make a fresh proof-logging solver
-        // re-derive and *prove* that answer; the independent checker then
-        // verifies the certificate. A failure here is a solver soundness
-        // bug, not an attack failure.
+        // differ". Each closed output's refutation left its ¬diff as a
+        // level-0 fact derived by logged steps, so once the verbatim input
+        // mirror is closed with the OR of the difference literals, the
+        // empty clause is RUP: the live log plus that one line refutes the
+        // closed miter, and the independent checker verifies it once. A
+        // failure here is a solver soundness bug or a corrupt carried
+        // proof, not an attack failure.
         if self.cfg.base.certify {
             let t0 = Instant::now();
-            let mut closed = self
-                .enc
-                .solver()
+            let solver = self.enc.solver();
+            let mut formula = solver
                 .input_mirror()
                 .expect("mirror enabled at attack start")
                 .clone();
-            closed.add_clause(self.diffs.clone());
-            match proofcheck::certify_unsat(&closed) {
+            formula.add_clause(self.diffs.clone());
+            let mut proof = solver
+                .proof()
+                .expect("proof enabled at attack start")
+                .text()
+                .to_string();
+            proof.push_str("0\n");
+            match proofcheck::certify(formula, proof) {
                 Ok(cert) => self.certificate = Some(cert),
                 Err(e) => {
                     return self.degrade(DegradeReason::Certification {
@@ -890,10 +913,10 @@ impl<'a> AttackState<'a> {
 impl<'a> AttackState<'a> {
     /// Snapshots the machine into a serializable [`Checkpoint`]: the DIP
     /// set, the warm solver's learnt clauses (exported via
-    /// [`satsolver::Solver::learnt_clauses`]), the free mask bits and the
-    /// seed when converged, and the run counters — keyed by the instance
-    /// hash. Call between steps (the solver must be at decision level 0, which
-    /// it always is there).
+    /// [`satsolver::Solver::learnt_clauses`]), its proof log when
+    /// certifying, the free mask bits and the seed when converged, and the
+    /// run counters — keyed by the instance hash. Call between steps (the
+    /// solver must be at decision level 0, which it always is there).
     pub fn checkpoint(&self) -> Checkpoint {
         let phase = match &self.phase {
             Phase::Converged(conv) => CkptPhase::Converged(conv.clone()),
@@ -913,6 +936,11 @@ impl<'a> AttackState<'a> {
             num_vars: self.enc.solver().num_vars(),
             dips: self.dips.clone(),
             learnts: self.enc.solver().learnt_clauses(),
+            proof: self
+                .enc
+                .solver()
+                .proof()
+                .map_or_else(String::new, |p| p.text().to_string()),
             phase,
         }
     }
@@ -925,10 +953,14 @@ impl<'a> AttackState<'a> {
     /// is re-queried against `oracle` and compared to its recorded
     /// response, the DIP constraints are replayed, and the exported
     /// learnt clauses are injected (sound: CDCL learnts are implied by
-    /// the formula alone, never by assumptions). A converged checkpoint
-    /// additionally restores the linear-phase result once its free bits
-    /// fit the rebuilt mask basis and its seed is their seed, checked
-    /// before any oracle query.
+    /// the formula alone, never by assumptions). Under
+    /// [`AttackConfig::certify`] the rebuilt solver's proof log continues
+    /// the checkpoint's, each injected learnt is logged as a step the
+    /// checker verifies, and a checkpoint without a proof resumes cold
+    /// (no learnts), since nothing in it would justify them. A converged
+    /// checkpoint additionally restores the linear-phase result once its
+    /// free bits fit the rebuilt mask basis and its seed is their seed,
+    /// checked before any oracle query.
     ///
     /// # Errors
     ///
@@ -969,7 +1001,14 @@ impl<'a> AttackState<'a> {
         {
             return Err(CheckpointError::Inconsistent);
         }
-        let mut state = AttackState::new(circuit, chain, spec, cfg);
+        // Without a carried proof, a certifying run could not justify
+        // the learnts: it resumes cold.
+        let learnts: &[Vec<Lit>] = if cfg.base.certify && ckpt.proof.is_empty() {
+            &[]
+        } else {
+            &ckpt.learnts
+        };
+        let mut state = AttackState::build(circuit, chain, spec, cfg, ckpt.proof.clone());
         if let CkptPhase::Converged(conv) = &ckpt.phase {
             // The recorded seed must be what the rebuilt basis makes of
             // the recorded free bits.
@@ -1004,12 +1043,14 @@ impl<'a> AttackState<'a> {
 
         // Warm-start: inject the exported learnt clauses. Sound because
         // CDCL learnts are implied by the formula alone; a clause the
-        // rebuilt model refutes marks a corrupt checkpoint.
-        for clause in &ckpt.learnts {
+        // rebuilt model refutes marks a corrupt checkpoint. They are
+        // lemmas, not inputs: they stay out of the input mirror, and a
+        // proof log checks each one against the carried proof.
+        for clause in learnts {
             if clause.iter().any(|l| l.var().index() >= ckpt.num_vars) {
                 return Err(CheckpointError::Inconsistent);
             }
-            if !state.enc.solver_mut().add_clause(clause) {
+            if !state.enc.solver_mut().add_lemma(clause) {
                 return Err(CheckpointError::Inconsistent);
             }
         }

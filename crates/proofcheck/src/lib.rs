@@ -23,9 +23,11 @@
 //!
 //! The check is a forward pass: each addition is verified against the
 //! clauses active *at that point*, and the run succeeds when a verified
-//! empty clause closes the refutation. [`certify_unsat`] bundles the
-//! whole loop — fresh logged solver, proof extraction, check — for
-//! callers like `dynunlock`'s `certify` flag and the fuzz tests.
+//! empty clause closes the refutation. [`certify`] turns a formula and
+//! a checked proof into a [`Certificate`]; `dynunlock`'s `certify` flag
+//! calls it on the proof its live solver logged. [`certify_unsat`]
+//! bundles the whole loop — fresh logged solver, proof extraction,
+//! [`certify`] — for the fuzz tests and the certificate corpus.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -211,8 +213,10 @@ struct Prop {
     /// Set once the active set is propagation-contradictory; every later
     /// check passes trivially (everything is implied).
     contradiction: bool,
-    /// Active clauses by sorted-literal key, for deletion matching.
-    by_key: HashMap<Vec<Lit>, Vec<u32>>,
+    /// Active clauses by sorted-literal key, for deletion matching. Built
+    /// from the arena when the first deletion arrives, so a proof without
+    /// deletions never pays for it.
+    by_key: Option<HashMap<Vec<Lit>, Vec<u32>>>,
 }
 
 impl Prop {
@@ -249,7 +253,9 @@ impl Prop {
     fn add_clause(&mut self, lits: &[Lit]) {
         let mut lits = Self::key(lits);
         let cid = self.clauses.len() as u32;
-        self.by_key.entry(lits.clone()).or_default().push(cid);
+        if let Some(index) = self.by_key.as_mut() {
+            index.entry(lits.clone()).or_default().push(cid);
+        }
         // Prefer non-false literals in the watch slots so the watch
         // invariant (a false watched literal has been visited) holds
         // from the start.
@@ -294,8 +300,17 @@ impl Prop {
     /// Deactivates the most recently added active clause with the same
     /// literal set. Returns whether a clause matched.
     fn delete_clause(&mut self, lits: &[Lit]) -> bool {
-        let key = Self::key(lits);
-        if let Some(stack) = self.by_key.get_mut(&key) {
+        let (clauses, active) = (&self.clauses, &self.active);
+        let index = self.by_key.get_or_insert_with(|| {
+            let mut index: HashMap<Vec<Lit>, Vec<u32>> = HashMap::new();
+            for (cid, clause) in clauses.iter().enumerate() {
+                if active[cid] {
+                    index.entry(Self::key(clause)).or_default().push(cid as u32);
+                }
+            }
+            index
+        });
+        if let Some(stack) = index.get_mut(&Self::key(lits)) {
             while let Some(cid) = stack.pop() {
                 if self.active[cid as usize] {
                     self.active[cid as usize] = false;
@@ -562,10 +577,36 @@ pub struct Certificate {
     pub formula: Cnf,
     /// The DRAT+xor proof text.
     pub proof: String,
-    /// The solver-side step counters.
+    /// The checked steps, counted by kind (see [`certify`]).
     pub stats: ProofStats,
     /// The checker-side verification report.
     pub report: CheckReport,
+}
+
+/// Checks `proof` against `formula` and bundles both into a
+/// [`Certificate`] — the one way a certificate is made, whether the proof
+/// comes from a fresh solve ([`certify_unsat`]) or from a solver that
+/// logged it live. The certificate's `stats` count the steps the checker
+/// verified, so they cover every step of the text, including any carried
+/// over from an earlier run, up to the closing empty clause.
+///
+/// # Errors
+///
+/// The [`CheckError`] of the first malformed line or failing step, or
+/// [`CheckError::NotRefutation`].
+pub fn certify(formula: Cnf, proof: String) -> Result<Certificate, CheckError> {
+    let report = check_text(&formula, &proof)?;
+    let stats = ProofStats {
+        additions: report.rup_additions,
+        deletions: report.deletions_applied + report.deletions_ignored,
+        xor_steps: report.xor_steps,
+    };
+    Ok(Certificate {
+        formula,
+        proof,
+        stats,
+        report,
+    })
 }
 
 /// Why [`certify_unsat`] failed.
@@ -589,8 +630,8 @@ impl fmt::Display for CertifyError {
 
 impl std::error::Error for CertifyError {}
 
-/// Solves `cnf` with proof logging on and verifies the emitted proof,
-/// returning the checked certificate.
+/// Solves `cnf` with proof logging on and verifies the emitted proof
+/// through [`certify`], returning the checked certificate.
 ///
 /// The solver is built fresh with proof logging on **before** any
 /// constraint is added, so add-time xor eliminations are captured too.
@@ -618,16 +659,8 @@ pub fn certify_unsat(cnf: &Cnf) -> Result<Certificate, CertifyError> {
     if !unsat && solver.solve() == SolveResult::Sat {
         return Err(CertifyError::Sat);
     }
-    let log = solver.proof().expect("proof logging enabled above");
-    let proof = log.text().to_string();
-    let stats = *log.stats();
-    let report = check_text(cnf, &proof).map_err(CertifyError::Check)?;
-    Ok(Certificate {
-        formula: cnf.clone(),
-        proof,
-        stats,
-        report,
-    })
+    let proof = solver.proof().expect("proof logging enabled above").text();
+    certify(cnf.clone(), proof.to_string()).map_err(CertifyError::Check)
 }
 
 #[cfg(test)]
@@ -730,6 +763,31 @@ mod tests {
         let report = check_text(&cnf, "d 2 0\n2 0\n0\n").unwrap();
         assert_eq!(report.deletions_ignored, 1);
         assert_eq!(report.deletions_applied, 0);
+    }
+
+    #[test]
+    fn deletion_index_built_late_still_sees_later_lemmas() {
+        let cnf = Cnf::parse("p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n").unwrap();
+        // The first deletion builds the index; the lemma added after it
+        // must still be found by the second.
+        let report = check_text(&cnf, "d 2 0\n2 0\nd 2 0\n0\n").unwrap();
+        assert_eq!(report.deletions_ignored, 1);
+        assert_eq!(report.deletions_applied, 1);
+    }
+
+    #[test]
+    fn certify_counts_every_checked_step_of_a_carried_proof() {
+        // A proof written by two runs: the first derived the unit 2, the
+        // second (continuing the same log) closes the refutation.
+        let cnf = Cnf::parse("p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n").unwrap();
+        let cert = certify(cnf.clone(), "2 0\nd 1 2 0\n0\n".to_string()).unwrap();
+        assert_eq!(cert.stats.steps(), 3);
+        assert_eq!(cert.stats.additions, 2);
+        assert_eq!(cert.stats.deletions, 1);
+        assert_eq!(cert.formula.clauses, cnf.clauses);
+        let sat = Cnf::parse("p cnf 2 1\n1 2 0\n").unwrap();
+        let err = certify(sat, "1 0\n0\n".to_string()).unwrap_err();
+        assert!(matches!(err, CheckError::Step { index: 0, .. }), "{err}");
     }
 
     #[test]

@@ -28,10 +28,11 @@
 //!   for the exact soundness argument.
 //!
 //! The solver holds the log as an `Option<DratProof>`
-//! ([`crate::Solver::enable_proof`], read back with
-//! [`crate::Solver::proof`]): when logging is off every call site is a
-//! single branch on a `None`, so proof support costs nothing unless
-//! switched on.
+//! ([`crate::Solver::enable_proof`], or
+//! [`crate::Solver::continue_proof`] to extend an earlier log's text;
+//! read back with [`crate::Solver::proof`]): when logging is off every
+//! call site is a single branch on a `None`, so proof support costs
+//! nothing unless switched on.
 
 use crate::types::Lit;
 
@@ -75,6 +76,19 @@ impl DratProof {
         DratProof::default()
     }
 
+    /// A proof that continues `prefix`, the text of an earlier log over
+    /// the same formula (a resumed run's carried steps). The counters
+    /// start at zero: they count only the steps logged from here on.
+    pub fn continuing(mut prefix: String) -> DratProof {
+        if !prefix.is_empty() && !prefix.ends_with('\n') {
+            prefix.push('\n');
+        }
+        DratProof {
+            text: prefix,
+            ..DratProof::default()
+        }
+    }
+
     /// The proof text so far.
     pub fn text(&self) -> &str {
         &self.text
@@ -91,9 +105,32 @@ impl DratProof {
         self.closed
     }
 
+    /// Appends the decimal digits of `v`, with no intermediate string.
+    /// By hand: `write!` through `fmt::Write` takes about twice as long
+    /// per number, and logging runs inside every step of a certified run.
+    fn push_int(&mut self, v: i64) {
+        if v < 0 {
+            self.text.push('-');
+        }
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        let mut rest = v.unsigned_abs();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        for &d in &digits[at..] {
+            self.text.push(char::from(d));
+        }
+    }
+
     fn push_lits(&mut self, lits: &[Lit]) {
         for l in lits {
-            self.text.push_str(&l.to_dimacs().to_string());
+            self.push_int(l.to_dimacs());
             self.text.push(' ');
         }
         self.text.push('0');
@@ -138,7 +175,7 @@ impl DratProof {
         self.text.push(' ');
         for id in origins {
             // 1-based on the wire: 0 terminates the group.
-            self.text.push_str(&(u64::from(*id) + 1).to_string());
+            self.push_int(i64::from(*id) + 1);
             self.text.push(' ');
         }
         self.text.push_str("0 ");
@@ -171,6 +208,15 @@ mod tests {
         assert_eq!(p.stats().xor_steps, 1);
         assert_eq!(p.stats().steps(), 4);
         assert!(p.is_refutation());
+    }
+
+    #[test]
+    fn a_continuing_log_appends_after_its_prefix() {
+        let mut p = DratProof::continuing("1 -2 0".to_string());
+        p.add_xor_derived(&lits(&[-1_000_000_007]), &[4_294_967_294], &[]);
+        assert_eq!(p.text(), "1 -2 0\nx -1000000007 0 4294967295 0 0\n");
+        assert_eq!(p.stats().steps(), 1, "only the new step is counted");
+        assert_eq!(DratProof::continuing(String::new()).text(), "");
     }
 
     #[test]

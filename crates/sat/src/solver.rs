@@ -230,6 +230,14 @@ impl Solver {
         }
     }
 
+    /// Starts a proof log that continues `prefix`, the text of an earlier
+    /// log over the same formula: a solver rebuilt from a checkpoint keeps
+    /// one proof across both runs. Like [`Solver::enable_proof`], call it
+    /// before adding constraints.
+    pub fn continue_proof(&mut self, prefix: String) {
+        self.proof = Some(DratProof::continuing(prefix));
+    }
+
     /// The proof log, if [`Solver::enable_proof`] was called.
     pub fn proof(&self) -> Option<&DratProof> {
         self.proof.as_ref()
@@ -238,11 +246,12 @@ impl Solver {
     /// Starts recording every subsequently added clause and xor
     /// constraint verbatim (pre-simplification) into an input mirror.
     ///
-    /// Certifying callers replay the mirror in a fresh proof-logging
-    /// solver so the final answer is re-derived from the true inputs.
-    /// [`Solver::to_cnf`] is not suitable for that: it snapshots the
-    /// *processed* state, whose trail units are themselves unverified
-    /// solver derivations. Enable before adding constraints.
+    /// Certifying callers check the proof log against the mirror, so the
+    /// certificate is over the true inputs. [`Solver::to_cnf`] is not
+    /// suitable for that: it snapshots the *processed* state, whose trail
+    /// units are themselves unverified solver derivations. Clauses added
+    /// with [`Solver::add_lemma`] stay out of the mirror. Enable before
+    /// adding constraints.
     pub fn enable_input_mirror(&mut self) {
         if self.input_mirror.is_none() {
             self.input_mirror = Some(crate::dimacs::Cnf::new(self.num_vars()));
@@ -452,6 +461,26 @@ impl Solver {
                 true
             }
         }
+    }
+
+    /// Adds a clause the caller claims is implied by the constraints
+    /// already added, such as a learnt clause carried over from a
+    /// checkpoint. It joins the clause set exactly as
+    /// [`Solver::add_clause`] would, but stays out of the input mirror and
+    /// is logged as a proof addition, so a checker verifies the claim
+    /// instead of taking it as an input.
+    ///
+    /// # Panics
+    ///
+    /// As [`Solver::add_clause`].
+    pub fn add_lemma(&mut self, lits: &[Lit]) -> bool {
+        let mirror = self.input_mirror.take();
+        if self.ok {
+            self.log_add(lits);
+        }
+        let ok = self.add_clause(lits);
+        self.input_mirror = mirror;
+        ok
     }
 
     /// Adds a native parity constraint: the XOR of `lits` must equal
@@ -1453,6 +1482,23 @@ mod tests {
         // Solving derives facts but never touches the mirror.
         assert_eq!(s.solve(), SolveResult::Sat);
         assert_eq!(s.input_mirror().unwrap().clauses.len(), 2);
+    }
+
+    #[test]
+    fn lemmas_are_logged_but_stay_out_of_the_input_mirror() {
+        let mut s = Solver::new();
+        s.enable_input_mirror();
+        s.continue_proof("c carried\n".to_string());
+        for _ in 0..3 {
+            s.new_var();
+        }
+        s.add_clause(&[lit(1), lit(2)]);
+        assert!(s.add_lemma(&[lit(-1), lit(3)]));
+        assert_eq!(s.input_mirror().unwrap().clauses.len(), 1);
+        assert_eq!(s.proof().unwrap().text(), "c carried\n-1 3 0\n");
+        // The lemma joins the clause set like any clause.
+        assert!(s.add_lemma(&[lit(1)]));
+        assert_eq!(s.solve_assuming(&[lit(-3)]), SolveResult::Unsat);
     }
 
     #[test]

@@ -3,27 +3,38 @@
 //! certificate, the certificate must re-verify standalone, and corrupted
 //! proofs must be rejected.
 
-use dynunlock_repro::dynunlock::{unlock, AttackConfig};
-use dynunlock_repro::gf2::{Rng64, Xoshiro256};
+use dynunlock_repro::dynunlock::{
+    unlock, AttackConfig, AttackState, Checkpoint, RobustConfig, RobustOutcome, Step,
+};
+use dynunlock_repro::gf2::{BitVec, Rng64, Xoshiro256};
 use dynunlock_repro::lfsr::TapSet;
 use dynunlock_repro::netlist::generator::{s208_like, GeneratorConfig};
 use dynunlock_repro::proofcheck::{self, CheckError};
 use dynunlock_repro::scanlock::{LockSpec, LockedScanChip};
-use dynunlock_repro::sim::ScanChain;
+use dynunlock_repro::sim::{Reliable, ScanChain};
+
+/// The 64-bit-key lock on the s208-like circuit every test here attacks.
+fn lock_64_bit() -> (LockSpec, BitVec) {
+    let mut rng = Xoshiro256::new(0xCE27);
+    let taps = TapSet::maximal(64).unwrap();
+    let spec = LockSpec::random(taps, 8, 6, &mut rng);
+    let secret = spec.random_seed(&mut rng);
+    (spec, secret)
+}
+
+fn certified() -> AttackConfig {
+    AttackConfig {
+        certify: true,
+        ..AttackConfig::default()
+    }
+}
 
 fn certified_64_bit_unlock() -> proofcheck::Certificate {
     let circuit = s208_like();
     let chain = ScanChain::natural(8);
-    let mut rng = Xoshiro256::new(0xCE27);
-    let taps = TapSet::maximal(64).unwrap();
-    let spec = LockSpec::random(taps, chain.len(), 6, &mut rng);
-    let secret = spec.random_seed(&mut rng);
+    let (spec, secret) = lock_64_bit();
     let mut oracle = LockedScanChip::new(&circuit, chain.clone(), spec.clone(), secret);
-    let cfg = AttackConfig {
-        certify: true,
-        ..AttackConfig::default()
-    };
-    let u = unlock(&circuit, &chain, &spec, &mut oracle, &cfg).expect("attack converges");
+    let u = unlock(&circuit, &chain, &spec, &mut oracle, &certified()).expect("attack converges");
     assert!(u.verified, "probes must pass");
     u.certificate.expect("certification was requested")
 }
@@ -95,5 +106,52 @@ fn certificates_of_random_small_locks_all_verify() {
         let report = proofcheck::check_text(&cert.formula, &cert.proof)
             .unwrap_or_else(|e| panic!("round {round}: certificate rejected: {e}"));
         assert_eq!(report, cert.report, "round {round}");
+    }
+}
+
+/// The same attack killed after its first DIP and resumed from checkpoint
+/// bytes: the certificate covers the proof logged before the checkpoint,
+/// carried through `duckpt`, and the resumed solver's steps after it.
+/// With `CERT_CORPUS_DIR` set, the certificate is also written there as
+/// `resumed-attack.cnf` / `resumed-attack.drat` for the standalone
+/// `drat-check`.
+#[test]
+fn resumed_attack_certificate_rechecks() {
+    let circuit = s208_like();
+    let chain = ScanChain::natural(8);
+    let (spec, secret) = lock_64_bit();
+    let cfg = RobustConfig::strict(certified());
+    let mut oracle = Reliable(LockedScanChip::new(
+        &circuit,
+        chain.clone(),
+        spec.clone(),
+        secret,
+    ));
+    let mut state = AttackState::new(&circuit, &chain, &spec, cfg.clone());
+    while state.dip_count() < 1 {
+        match state.step(&mut oracle) {
+            Step::Dip => {}
+            other => panic!("unexpected step outcome: {other:?}"),
+        }
+    }
+    let bytes = state.checkpoint().to_bytes();
+    drop(state);
+    let ckpt = Checkpoint::from_bytes(&bytes).expect("bytes round-trip");
+    let resumed = AttackState::resume(&circuit, &chain, &spec, cfg, &ckpt, &mut oracle)
+        .expect("checkpoint re-validates");
+    let cert = match resumed.run(&mut oracle) {
+        RobustOutcome::Unlocked { unlock, .. } => {
+            unlock.certificate.expect("certification was requested")
+        }
+        RobustOutcome::Partial(report) => panic!("resumed run degraded: {}", report.reason),
+    };
+    let report = proofcheck::check_text(&cert.formula, &cert.proof).expect("re-check verifies");
+    assert_eq!(report, cert.report);
+
+    if let Some(dir) = std::env::var_os("CERT_CORPUS_DIR") {
+        let dir = std::path::PathBuf::from(dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("resumed-attack.cnf"), cert.formula.to_dimacs()).unwrap();
+        std::fs::write(dir.join("resumed-attack.drat"), &cert.proof).unwrap();
     }
 }
