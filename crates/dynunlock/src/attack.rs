@@ -9,7 +9,7 @@
 
 use std::time::Duration;
 
-use cnf::{Encoder, XorMode};
+use cnf::Encoder;
 use gf2::{BitVec, Rng64, SplitMix64};
 use netlist::Circuit;
 use satsolver::{Lit, SolverStats};
@@ -31,18 +31,12 @@ pub struct AttackConfig {
     pub verify_queries: usize,
     /// RNG seed for the verification probes.
     pub rng_seed: u64,
-    /// How the encoder lowers parities (session-mask linear forms, miter
-    /// xors). [`XorMode::Native`] hands each one to the solver's GF(2)
-    /// engine as a single xor constraint — this is what makes wide keys
-    /// (64+ bits) tractable. [`XorMode::Tseitin`] keeps the classical
-    /// clause expansion as a differential reference.
-    pub xor_mode: XorMode,
     /// Certify convergence: the attack's solver logs a DRAT+xor proof
     /// from its first constraint on, and at convergence the independent
     /// `proofcheck` checker verifies that log, closed by the empty
     /// clause, against the verbatim inputs plus the clause "some output
-    /// differs" before the answer is trusted (DESIGN.md §7). The log
-    /// survives a checkpoint round trip.
+    /// differs" before the answer is trusted (DESIGN.md §7). A run
+    /// resumed from a checkpoint replays its DIPs into a fresh log.
     pub certify: bool,
 }
 
@@ -53,7 +47,6 @@ impl Default for AttackConfig {
             max_dips: 512,
             verify_queries: 16,
             rng_seed: 0xD15C0,
-            xor_mode: XorMode::Native,
             certify: false,
         }
     }
@@ -239,9 +232,9 @@ pub(crate) fn output_order(circuit: &Circuit, chain: &ScanChain) -> Vec<usize> {
 ///    current output, query the oracle there and constrain both copies to
 ///    the observed response; once it cannot, that output is closed for
 ///    good. The solver instance stays warm throughout — every iteration
-///    only appends constraints. Under the default [`XorMode::Native`] a
-///    dependent mask bit is a single xor row in the solver's GF(2)
-///    engine instead of a Tseitin chain.
+///    only appends constraints. A dependent mask bit is a single xor row
+///    in the solver's GF(2) engine (the encoder's native
+///    [`XorMode`](cnf::XorMode)) instead of a Tseitin chain.
 /// 2. **Linear phase**: once every output is closed, read the free mask
 ///    bits off a final model and map them to the seed through the mask
 ///    basis built before the loop (the XOR of their dual seeds), with no
@@ -293,7 +286,7 @@ mod tests {
     use scanlock::LockedScanChip;
 
     /// One end-to-end lock-and-attack exercise. A builder instead of a
-    /// positional argument list: the defaulted knobs (captures, xor mode,
+    /// positional argument list: the defaulted knobs (captures,
     /// certification) read at the call site instead of as bare numbers.
     struct RoundTrip<'a> {
         circuit: &'a Circuit,
@@ -302,7 +295,6 @@ mod tests {
         num_gates: usize,
         captures: usize,
         seed: u64,
-        xor_mode: XorMode,
         certify: bool,
     }
 
@@ -321,18 +313,12 @@ mod tests {
                 num_gates,
                 captures: 1,
                 seed,
-                xor_mode: XorMode::Native,
                 certify: false,
             }
         }
 
         fn captures(mut self, captures: usize) -> Self {
             self.captures = captures;
-            self
-        }
-
-        fn mode(mut self, xor_mode: XorMode) -> Self {
-            self.xor_mode = xor_mode;
             self
         }
 
@@ -354,7 +340,6 @@ mod tests {
             );
             let cfg = AttackConfig {
                 captures: self.captures,
-                xor_mode: self.xor_mode,
                 certify: self.certify,
                 ..AttackConfig::default()
             };
@@ -414,20 +399,6 @@ mod tests {
         // inside the round trip by probe).
         let c = s208_like();
         RoundTrip::new(&c, ScanChain::natural(8), 16, 3, 0xD3).run();
-    }
-
-    #[test]
-    fn native_and_tseitin_modes_recover_the_same_lock() {
-        // Same lock attacked under both lowering modes: both must verify
-        // and land in the same class (each run checks it against the
-        // secret).
-        let c = s208_like();
-        let native = RoundTrip::new(&c, ScanChain::natural(8), 12, 6, 0xE4).run();
-        let tseitin = RoundTrip::new(&c, ScanChain::natural(8), 12, 6, 0xE4)
-            .mode(XorMode::Tseitin)
-            .run();
-        assert!(native.verified && tseitin.verified);
-        assert_eq!(native.rank, tseitin.rank, "rank is a property of the lock");
     }
 
     #[test]

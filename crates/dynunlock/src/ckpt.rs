@@ -12,7 +12,6 @@ use std::fmt;
 
 use gf2::BitVec;
 use netlist::Circuit;
-use satsolver::Lit;
 use scanlock::LockSpec;
 use sim::{ScanChain, ScanResponse};
 
@@ -74,8 +73,9 @@ pub enum CheckpointError {
     /// The oracle kept faulting while re-validating the checkpoint.
     OracleUnavailable,
     /// The recorded shape or a recorded vector length does not fit the
-    /// instance, or a recorded DIP or learnt clause contradicted the
-    /// rebuilt model — the checkpoint is corrupt or was tampered with.
+    /// instance, a recorded DIP contradicted the rebuilt model, or a
+    /// converged checkpoint's free bits and seed do not fit the rebuilt
+    /// mask basis — the checkpoint is corrupt or was tampered with.
     Inconsistent,
 }
 
@@ -115,10 +115,12 @@ pub(crate) enum CkptPhase {
     Converged(Converged),
 }
 
-/// A serialized attack snapshot: everything needed to rebuild an
-/// [`AttackState`](crate::AttackState) except the instance itself
-/// (circuit, chain, spec) and the oracle, which the resuming process
-/// supplies.
+/// A serialized attack snapshot: what the oracle said (every DIP and its
+/// response), the run counters, and a converged run's free mask bits and
+/// seed, keyed by the instance hash. Nothing the solver derived is kept:
+/// [`AttackState::resume`](crate::AttackState::resume) replays the DIPs
+/// into a fresh solver, given the instance itself (circuit, chain, spec)
+/// and the oracle, which the resuming process supplies.
 ///
 /// The byte format is a hand-rolled line-oriented text document (grammar
 /// in DESIGN.md §8) — no serialization dependency, diffable, and stable
@@ -133,13 +135,7 @@ pub struct Checkpoint {
     pub(crate) retries: u64,
     pub(crate) repaired_bits: u64,
     pub(crate) exhaustions: u32,
-    pub(crate) num_vars: usize,
     pub(crate) dips: Vec<DipRecord>,
-    pub(crate) learnts: Vec<Vec<Lit>>,
-    /// The proof log of a certifying run so far, verbatim (empty when the
-    /// run was not certifying). Checked only when the resumed run
-    /// certifies its convergence.
-    pub(crate) proof: String,
     pub(crate) phase: CkptPhase,
 }
 
@@ -176,11 +172,11 @@ impl Checkpoint {
         self.dips.len()
     }
 
-    /// Serializes to the `duckpt 1` text format.
+    /// Serializes to the `duckpt 2` text format.
     pub fn to_bytes(&self) -> Vec<u8> {
         use std::fmt::Write;
         let mut out = String::new();
-        let _ = writeln!(out, "duckpt 1");
+        let _ = writeln!(out, "duckpt 2");
         let _ = writeln!(out, "instance {:016x}", self.instance);
         let _ = writeln!(
             out,
@@ -202,22 +198,6 @@ impl Checkpoint {
                 bits_to_str(d.response.po.iter().copied()),
             );
         }
-        let _ = writeln!(out, "vars {}", self.num_vars);
-        for clause in &self.learnts {
-            let _ = write!(out, "learnt");
-            for l in clause {
-                let _ = write!(out, " {}", l.to_dimacs());
-            }
-            let _ = writeln!(out);
-        }
-        for step in self.proof.lines() {
-            out.push_str("proof");
-            if !step.is_empty() {
-                out.push(' ');
-                out.push_str(step);
-            }
-            out.push('\n');
-        }
         match &self.phase {
             CkptPhase::Running => {
                 let _ = writeln!(out, "phase running");
@@ -232,7 +212,7 @@ impl Checkpoint {
         out.into_bytes()
     }
 
-    /// Parses a `duckpt 1` document.
+    /// Parses a `duckpt 2` document.
     ///
     /// # Errors
     ///
@@ -250,10 +230,7 @@ impl Checkpoint {
         let mut instance = None;
         let mut shape: Option<(usize, usize, usize)> = None;
         let mut counters: Option<(usize, u64, u64, u32)> = None;
-        let mut num_vars: Option<usize> = None;
         let mut dips = Vec::new();
-        let mut learnts = Vec::new();
-        let mut proof = String::new();
         let mut phase: Option<CkptPhase> = None;
         let mut free: Option<Vec<bool>> = None;
         let mut seed: Option<BitVec> = None;
@@ -270,18 +247,11 @@ impl Checkpoint {
             }
             let mut fields = line.split_whitespace();
             let tag = fields.next().expect("non-empty line has a first token");
-            if tag == "proof" {
-                // Kept verbatim: the certifying checker, not this parser,
-                // judges proof steps.
-                proof.push_str(line[tag.len()..].trim_start());
-                proof.push('\n');
-                continue;
-            }
             let rest: Vec<&str> = fields.collect();
             match tag {
                 "duckpt" => {
-                    if lineno != 1 || rest != ["1"] {
-                        return Err(err(lineno, "expected header `duckpt 1`"));
+                    if lineno != 1 || rest != ["2"] {
+                        return Err(err(lineno, "expected header `duckpt 2`"));
                     }
                 }
                 "instance" => {
@@ -328,24 +298,6 @@ impl Checkpoint {
                         },
                     });
                 }
-                "vars" => {
-                    let [v] = rest[..] else {
-                        return Err(err(lineno, "vars wants one count"));
-                    };
-                    num_vars = Some(v.parse().map_err(|_| err(lineno, "bad var count"))?);
-                }
-                "learnt" => {
-                    let clause: Result<Vec<Lit>, _> = rest
-                        .iter()
-                        .map(|s| {
-                            s.parse::<i64>()
-                                .ok()
-                                .and_then(Lit::try_from_dimacs)
-                                .ok_or_else(|| err(lineno, "bad literal"))
-                        })
-                        .collect();
-                    learnts.push(clause?);
-                }
                 "phase" => match rest[..] {
                     ["running"] => phase = Some(CkptPhase::Running),
                     ["converged"] => {
@@ -387,7 +339,6 @@ impl Checkpoint {
         let (width, cells, captures) = shape.ok_or_else(|| need(1, "shape"))?;
         let (oracle_queries, retries, repaired_bits, exhaustions) =
             counters.ok_or_else(|| need(1, "counters"))?;
-        let num_vars = num_vars.ok_or_else(|| need(1, "vars"))?;
         let phase = match phase.ok_or_else(|| need(1, "phase"))? {
             CkptPhase::Running => CkptPhase::Running,
             CkptPhase::Converged(_) => {
@@ -408,10 +359,7 @@ impl Checkpoint {
             retries,
             repaired_bits,
             exhaustions,
-            num_vars,
             dips,
-            learnts,
-            proof,
             phase,
         })
     }
@@ -422,11 +370,10 @@ mod tests {
     use super::*;
 
     /// A converged document complete but for its `free` line.
-    const CONVERGED_WITHOUT_FREE: &str = "duckpt 1
+    const CONVERGED_WITHOUT_FREE: &str = "duckpt 2
 instance 00
 shape width 2 cells 1 captures 1
 counters queries 0 retries 0 repaired 0 exhaustions 0
-vars 0
 phase converged
 seed 01
 end duckpt
@@ -436,20 +383,36 @@ end duckpt
     fn malformed_checkpoints_are_rejected_with_line_numbers() {
         for (doc, want_line, why) in [
             ("", 1, "empty"),
-            ("duckpt 2\nend duckpt\n", 1, "bad version"),
-            ("duckpt 1\ninstance zz\nend duckpt\n", 2, "bad hash"),
-            ("duckpt 1\nfrobnicate\nend duckpt\n", 2, "unknown tag"),
-            ("duckpt 1\ninstance 00\n", 2, "missing end"),
-            ("duckpt 1\nend duckpt\ntrailing\n", 3, "content after end"),
+            ("duckpt 3\nend duckpt\n", 1, "bad version"),
+            ("duckpt 1\nend duckpt\n", 1, "old version"),
+            ("duckpt 2\ninstance zz\nend duckpt\n", 2, "bad hash"),
+            ("duckpt 2\nfrobnicate\nend duckpt\n", 2, "unknown tag"),
+            ("duckpt 2\ninstance 00\n", 2, "missing end"),
+            ("duckpt 2\nend duckpt\ntrailing\n", 3, "content after end"),
             (
-                "duckpt 1\nlearnt 99999999999\nend duckpt\n",
+                "duckpt 2\nlearnt 99999999999\nend duckpt\n",
                 2,
-                "oversized literal",
+                "learnt line, oversized literal",
             ),
-            ("duckpt 1\nlearnt 1 0 2\nend duckpt\n", 2, "zero literal"),
-            ("duckpt 1\nfree 01x\nend duckpt\n", 2, "bad free bits"),
+            ("duckpt 2\nlearnt 1 0 2\nend duckpt\n", 2, "learnt line, zero literal"),
             (
-                "duckpt 1\nfree 01 10\nend duckpt\n",
+                "duckpt 2\ninstance 00\nlearnt -1\nend duckpt\n",
+                3,
+                "learnt clause",
+            ),
+            (
+                "duckpt 2\ninstance 00\nshape width 2 cells 1 captures 1\nproof x banana 0\nend duckpt\n",
+                4,
+                "proof line",
+            ),
+            (
+                "duckpt 2\n\ninstance 00\n\nvars 0\nend duckpt\n",
+                5,
+                "variable count",
+            ),
+            ("duckpt 2\nfree 01x\nend duckpt\n", 2, "bad free bits"),
+            (
+                "duckpt 2\nfree 01 10\nend duckpt\n",
                 2,
                 "two free bit strings",
             ),

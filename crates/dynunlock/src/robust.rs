@@ -11,12 +11,12 @@
 //! * **budgeted solving** — the SAT calls of one step share one
 //!   conflict [`Budget`], and `Unknown` answers leave the machine
 //!   resumable;
-//! * **checkpoint / resume** — [`AttackState::checkpoint`] snapshots the
-//!   run (DIP set, learnt clauses, proof log, converged free bits and
-//!   seed) as a [`Checkpoint`], whose `duckpt` text codec lives in
-//!   [`ckpt`](crate::ckpt), and [`AttackState::resume`] rebuilds the
-//!   machine from one, re-validating every recorded DIP against the live
-//!   oracle first;
+//! * **checkpoint / resume** — [`AttackState::checkpoint`] snapshots
+//!   what the oracle said (the DIP set, plus the free mask bits and seed
+//!   once converged) as a [`Checkpoint`], whose `duckpt` text codec lives
+//!   in [`ckpt`](crate::ckpt), and [`AttackState::resume`] re-validates
+//!   every recorded DIP against the live oracle and replays them into a
+//!   fresh machine;
 //! * **graceful degradation** — when a budget runs dry or the oracle
 //!   becomes unrepairable, [`AttackState::run`] returns a
 //!   [`PartialReport`] (recovered rank, nullity, per-seed-bit confidence)
@@ -73,7 +73,7 @@ impl RetryPolicy {
 #[derive(Debug, Clone)]
 pub struct RobustConfig {
     /// The underlying attack knobs (captures, DIP limit, verification,
-    /// xor lowering, certification).
+    /// certification).
     pub base: AttackConfig,
     /// Times each logical oracle query is repeated for a per-bit majority
     /// vote. `1` disables voting; use an odd factor so votes cannot tie
@@ -398,9 +398,9 @@ impl<'a> AttackState<'a> {
     /// Builds the miter and a fresh machine in the running phase.
     ///
     /// Construction is deterministic: the same `(circuit, chain, spec,
-    /// captures, xor_mode)` always produces the same encoder variable
-    /// numbering, which is what makes checkpointed learnt clauses
-    /// replayable.
+    /// captures)` always produces the same miter over the same variable
+    /// numbering, so a resumed run that replays the same DIPs certifies
+    /// over the same verbatim inputs as the uninterrupted one.
     ///
     /// # Panics
     ///
@@ -412,25 +412,12 @@ impl<'a> AttackState<'a> {
         spec: &'a LockSpec,
         cfg: RobustConfig,
     ) -> AttackState<'a> {
-        AttackState::build(circuit, chain, spec, cfg, String::new())
-    }
-
-    /// [`AttackState::new`] whose proof log, under
-    /// [`AttackConfig::certify`], continues `proof` (the steps a resumed
-    /// run carries over; ignored when certification is off).
-    fn build(
-        circuit: &'a Circuit,
-        chain: &'a ScanChain,
-        spec: &'a LockSpec,
-        cfg: RobustConfig,
-        proof: String,
-    ) -> AttackState<'a> {
         let n = chain.len();
         assert_eq!(n, circuit.num_dffs(), "chain must cover all flops");
         assert!(cfg.base.captures > 0, "at least one capture cycle");
         let basis = session_masks(spec, n, cfg.base.captures).basis(spec.width());
 
-        let mut enc = Encoder::with_mode(cfg.base.xor_mode);
+        let mut enc = Encoder::new();
         if cfg.base.certify {
             // Before any constraint exists: record every constraint
             // verbatim and log every inference, so the convergence proof
@@ -438,7 +425,7 @@ impl<'a> AttackState<'a> {
             // rather than against its own derived facts.
             let solver = enc.solver_mut();
             solver.enable_input_mirror();
-            solver.continue_proof(proof);
+            solver.enable_proof();
         }
         let copies = [
             mask_copy(&mut enc, &basis.bits, n),
@@ -512,7 +499,10 @@ impl<'a> AttackState<'a> {
     // -----------------------------------------------------------------
 
     /// One logical query with retries: attempts until the oracle answers
-    /// or the retry allowance runs out.
+    /// or the retry allowance runs out. An answer whose scan-out or
+    /// primary-output vector has the wrong length degrades as
+    /// [`DegradeReason::Inconsistent`]: no bit of it can be trusted to
+    /// sit where the model expects it.
     fn query_retry<O: FallibleScanAccess>(
         &mut self,
         oracle: &mut O,
@@ -524,6 +514,12 @@ impl<'a> AttackState<'a> {
         loop {
             self.oracle_queries += 1;
             match oracle.try_query_captures(pattern, pis, captures) {
+                Ok(resp)
+                    if resp.scan_out.len() != self.chain.len()
+                        || resp.po.len() != self.circuit.outputs().len() =>
+                {
+                    return Err(DegradeReason::Inconsistent)
+                }
                 Ok(resp) => return Ok(resp),
                 Err(_) if attempt < self.cfg.retry.max_retries => {
                     attempt += 1;
@@ -718,8 +714,7 @@ impl<'a> AttackState<'a> {
         // mirror is closed with the OR of the difference literals, the
         // empty clause is RUP: the live log plus that one line refutes the
         // closed miter, and the independent checker verifies it once. A
-        // failure here is a solver soundness bug or a corrupt carried
-        // proof, not an attack failure.
+        // failure here is a solver soundness bug, not an attack failure.
         if self.cfg.base.certify {
             let t0 = Instant::now();
             let solver = self.enc.solver();
@@ -911,12 +906,11 @@ impl<'a> AttackState<'a> {
 // ---------------------------------------------------------------------
 
 impl<'a> AttackState<'a> {
-    /// Snapshots the machine into a serializable [`Checkpoint`]: the DIP
-    /// set, the warm solver's learnt clauses (exported via
-    /// [`satsolver::Solver::learnt_clauses`]), its proof log when
-    /// certifying, the free mask bits and the seed when converged, and the
-    /// run counters — keyed by the instance hash. Call between steps (the
-    /// solver must be at decision level 0, which it always is there).
+    /// Snapshots the machine into a serializable [`Checkpoint`]: what the
+    /// oracle said (the DIP set), the free mask bits and the seed when
+    /// converged, and the run counters, keyed by the instance hash.
+    /// Nothing the solver derived is kept, so a certifying run's
+    /// checkpoint is the same as any other's.
     pub fn checkpoint(&self) -> Checkpoint {
         let phase = match &self.phase {
             Phase::Converged(conv) => CkptPhase::Converged(conv.clone()),
@@ -933,14 +927,7 @@ impl<'a> AttackState<'a> {
             retries: self.faults.retries,
             repaired_bits: self.faults.repaired_bits,
             exhaustions: self.exhaustions,
-            num_vars: self.enc.solver().num_vars(),
             dips: self.dips.clone(),
-            learnts: self.enc.solver().learnt_clauses(),
-            proof: self
-                .enc
-                .solver()
-                .proof()
-                .map_or_else(String::new, |p| p.text().to_string()),
             phase,
         }
     }
@@ -948,29 +935,26 @@ impl<'a> AttackState<'a> {
     /// Rebuilds a machine from a checkpoint, re-validating it against the
     /// live oracle before continuing.
     ///
-    /// The encoder and miter are reconstructed deterministically (same
-    /// construction order → same variable numbering), every recorded DIP
-    /// is re-queried against `oracle` and compared to its recorded
-    /// response, the DIP constraints are replayed, and the exported
-    /// learnt clauses are injected (sound: CDCL learnts are implied by
-    /// the formula alone, never by assumptions). Under
-    /// [`AttackConfig::certify`] the rebuilt solver's proof log continues
-    /// the checkpoint's, each injected learnt is logged as a step the
-    /// checker verifies, and a checkpoint without a proof resumes cold
-    /// (no learnts), since nothing in it would justify them. A converged
-    /// checkpoint additionally restores the linear-phase result once its
-    /// free bits fit the rebuilt mask basis and its seed is their seed,
-    /// checked before any oracle query.
+    /// Every recorded DIP is re-queried against `oracle` and compared to
+    /// its recorded response, then the DIP constraints are replayed into
+    /// a fresh [`AttackState::new`]: under [`AttackConfig::certify`] the
+    /// fresh solver logs a fresh proof, so the resumed run's certificate
+    /// is over the verbatim inputs with no carried steps. The search
+    /// starts cold; what it learns again follows from the replayed DIPs.
+    /// A converged checkpoint additionally restores the linear-phase
+    /// result once its free bits fit the rebuilt mask basis and its seed
+    /// is their seed, checked before any oracle query.
     ///
     /// # Errors
     ///
     /// [`CheckpointError::InstanceMismatch`] when the checkpoint belongs
     /// to a different instance, [`CheckpointError::OracleMismatch`] when
-    /// the live oracle contradicts a recorded DIP,
-    /// [`CheckpointError::OracleUnavailable`] when re-validation queries
-    /// keep faulting, [`CheckpointError::Inconsistent`] when the recorded
-    /// shape or vector lengths do not fit the instance or the recorded
-    /// data contradicts the rebuilt model.
+    /// the live oracle contradicts a recorded DIP (an answer of the wrong
+    /// length included), [`CheckpointError::OracleUnavailable`] when
+    /// re-validation queries keep faulting,
+    /// [`CheckpointError::Inconsistent`] when the recorded shape or
+    /// vector lengths do not fit the instance or the recorded data
+    /// contradicts the rebuilt model.
     pub fn resume<O: FallibleScanAccess>(
         circuit: &'a Circuit,
         chain: &'a ScanChain,
@@ -1001,14 +985,7 @@ impl<'a> AttackState<'a> {
         {
             return Err(CheckpointError::Inconsistent);
         }
-        // Without a carried proof, a certifying run could not justify
-        // the learnts: it resumes cold.
-        let learnts: &[Vec<Lit>] = if cfg.base.certify && ckpt.proof.is_empty() {
-            &[]
-        } else {
-            &ckpt.learnts
-        };
-        let mut state = AttackState::build(circuit, chain, spec, cfg, ckpt.proof.clone());
+        let mut state = AttackState::new(circuit, chain, spec, cfg);
         if let CkptPhase::Converged(conv) = &ckpt.phase {
             // The recorded seed must be what the rebuilt basis makes of
             // the recorded free bits.
@@ -1023,34 +1000,18 @@ impl<'a> AttackState<'a> {
         for (i, record) in ckpt.dips.iter().enumerate() {
             let live = state
                 .query_voted(oracle, &record.pattern, &record.pis)
-                .map_err(|_| CheckpointError::OracleUnavailable)?;
+                .map_err(|reason| match reason {
+                    DegradeReason::Inconsistent => CheckpointError::OracleMismatch { dip: i },
+                    _ => CheckpointError::OracleUnavailable,
+                })?;
             if live != record.response {
                 return Err(CheckpointError::OracleMismatch { dip: i });
             }
         }
 
-        // Replay the DIP constraints in order — deterministic encoding,
-        // so the variable space ends up exactly where the checkpoint
-        // left it.
+        // Replay the DIP constraints in order.
         for record in &ckpt.dips {
             if !state.constrain(record) {
-                return Err(CheckpointError::Inconsistent);
-            }
-        }
-        if state.enc.solver().num_vars() != ckpt.num_vars {
-            return Err(CheckpointError::Inconsistent);
-        }
-
-        // Warm-start: inject the exported learnt clauses. Sound because
-        // CDCL learnts are implied by the formula alone; a clause the
-        // rebuilt model refutes marks a corrupt checkpoint. They are
-        // lemmas, not inputs: they stay out of the input mirror, and a
-        // proof log checks each one against the carried proof.
-        for clause in learnts {
-            if clause.iter().any(|l| l.var().index() >= ckpt.num_vars) {
-                return Err(CheckpointError::Inconsistent);
-            }
-            if !state.enc.solver_mut().add_lemma(clause) {
                 return Err(CheckpointError::Inconsistent);
             }
         }

@@ -587,8 +587,8 @@ pub struct Certificate {
 /// [`Certificate`] — the one way a certificate is made, whether the proof
 /// comes from a fresh solve ([`certify_unsat`]) or from a solver that
 /// logged it live. The certificate's `stats` count the steps the checker
-/// verified, so they cover every step of the text, including any carried
-/// over from an earlier run, up to the closing empty clause.
+/// verified, so they cover every step of the text up to the closing
+/// empty clause.
 ///
 /// # Errors
 ///
@@ -777,8 +777,8 @@ mod tests {
 
     #[test]
     fn certify_counts_every_checked_step_of_a_carried_proof() {
-        // A proof written by two runs: the first derived the unit 2, the
-        // second (continuing the same log) closes the refutation.
+        // Every checked step counts, deletions included: the unit 2, the
+        // deletion of a clause it subsumes, and the refutation.
         let cnf = Cnf::parse("p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n").unwrap();
         let cert = certify(cnf.clone(), "2 0\nd 1 2 0\n0\n".to_string()).unwrap();
         assert_eq!(cert.stats.steps(), 3);

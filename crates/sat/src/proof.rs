@@ -28,9 +28,8 @@
 //!   for the exact soundness argument.
 //!
 //! The solver holds the log as an `Option<DratProof>`
-//! ([`crate::Solver::enable_proof`], or
-//! [`crate::Solver::continue_proof`] to extend an earlier log's text;
-//! read back with [`crate::Solver::proof`]): when logging is off every
+//! ([`crate::Solver::enable_proof`]; read back with
+//! [`crate::Solver::proof`]): when logging is off every
 //! call site is a single branch on a `None`, so proof support costs
 //! nothing unless switched on.
 
@@ -74,19 +73,6 @@ impl DratProof {
     /// An empty proof.
     pub fn new() -> DratProof {
         DratProof::default()
-    }
-
-    /// A proof that continues `prefix`, the text of an earlier log over
-    /// the same formula (a resumed run's carried steps). The counters
-    /// start at zero: they count only the steps logged from here on.
-    pub fn continuing(mut prefix: String) -> DratProof {
-        if !prefix.is_empty() && !prefix.ends_with('\n') {
-            prefix.push('\n');
-        }
-        DratProof {
-            text: prefix,
-            ..DratProof::default()
-        }
     }
 
     /// The proof text so far.
@@ -211,12 +197,10 @@ mod tests {
     }
 
     #[test]
-    fn a_continuing_log_appends_after_its_prefix() {
-        let mut p = DratProof::continuing("1 -2 0".to_string());
+    fn wide_literals_and_origin_ids_print_every_digit() {
+        let mut p = DratProof::new();
         p.add_xor_derived(&lits(&[-1_000_000_007]), &[4_294_967_294], &[]);
-        assert_eq!(p.text(), "1 -2 0\nx -1000000007 0 4294967295 0 0\n");
-        assert_eq!(p.stats().steps(), 1, "only the new step is counted");
-        assert_eq!(DratProof::continuing(String::new()).text(), "");
+        assert_eq!(p.text(), "x -1000000007 0 4294967295 0 0\n");
     }
 
     #[test]

@@ -230,14 +230,6 @@ impl Solver {
         }
     }
 
-    /// Starts a proof log that continues `prefix`, the text of an earlier
-    /// log over the same formula: a solver rebuilt from a checkpoint keeps
-    /// one proof across both runs. Like [`Solver::enable_proof`], call it
-    /// before adding constraints.
-    pub fn continue_proof(&mut self, prefix: String) {
-        self.proof = Some(DratProof::continuing(prefix));
-    }
-
     /// The proof log, if [`Solver::enable_proof`] was called.
     pub fn proof(&self) -> Option<&DratProof> {
         self.proof.as_ref()
@@ -249,8 +241,7 @@ impl Solver {
     /// Certifying callers check the proof log against the mirror, so the
     /// certificate is over the true inputs. [`Solver::to_cnf`] is not
     /// suitable for that: it snapshots the *processed* state, whose trail
-    /// units are themselves unverified solver derivations. Clauses added
-    /// with [`Solver::add_lemma`] stay out of the mirror. Enable before
+    /// units are themselves unverified solver derivations. Enable before
     /// adding constraints.
     pub fn enable_input_mirror(&mut self) {
         if self.input_mirror.is_none() {
@@ -371,32 +362,6 @@ impl Solver {
         cnf
     }
 
-    /// Exports the live learnt clauses plus the level-0 trail as unit
-    /// clauses. Every returned clause is implied by the original formula
-    /// alone (CDCL learnts never depend on assumptions), so re-adding them
-    /// to a fresh solver over the same formula is sound and warm-starts it
-    /// with this solver's deductions. Complements [`Solver::to_cnf`],
-    /// which deliberately omits learnts. Call at decision level 0.
-    pub fn learnt_clauses(&self) -> Vec<Vec<Lit>> {
-        debug_assert_eq!(self.decision_level(), 0);
-        let mut out: Vec<Vec<Lit>> = Vec::new();
-        for &l in &self.trail {
-            out.push(vec![l]);
-        }
-        for cref in self.db.iter_refs() {
-            if self.db.is_learnt(cref) {
-                out.push(
-                    self.db
-                        .lits(cref)
-                        .iter()
-                        .map(|&raw| Lit::from_index(raw as usize))
-                        .collect(),
-                );
-            }
-        }
-        out
-    }
-
     /// Adds a clause (a disjunction of literals).
     ///
     /// Returns `false` if the solver is now known unsatisfiable at the top
@@ -461,26 +426,6 @@ impl Solver {
                 true
             }
         }
-    }
-
-    /// Adds a clause the caller claims is implied by the constraints
-    /// already added, such as a learnt clause carried over from a
-    /// checkpoint. It joins the clause set exactly as
-    /// [`Solver::add_clause`] would, but stays out of the input mirror and
-    /// is logged as a proof addition, so a checker verifies the claim
-    /// instead of taking it as an input.
-    ///
-    /// # Panics
-    ///
-    /// As [`Solver::add_clause`].
-    pub fn add_lemma(&mut self, lits: &[Lit]) -> bool {
-        let mirror = self.input_mirror.take();
-        if self.ok {
-            self.log_add(lits);
-        }
-        let ok = self.add_clause(lits);
-        self.input_mirror = mirror;
-        ok
     }
 
     /// Adds a native parity constraint: the XOR of `lits` must equal
@@ -1485,23 +1430,6 @@ mod tests {
     }
 
     #[test]
-    fn lemmas_are_logged_but_stay_out_of_the_input_mirror() {
-        let mut s = Solver::new();
-        s.enable_input_mirror();
-        s.continue_proof("c carried\n".to_string());
-        for _ in 0..3 {
-            s.new_var();
-        }
-        s.add_clause(&[lit(1), lit(2)]);
-        assert!(s.add_lemma(&[lit(-1), lit(3)]));
-        assert_eq!(s.input_mirror().unwrap().clauses.len(), 1);
-        assert_eq!(s.proof().unwrap().text(), "c carried\n-1 3 0\n");
-        // The lemma joins the clause set like any clause.
-        assert!(s.add_lemma(&[lit(1)]));
-        assert_eq!(s.solve_assuming(&[lit(-3)]), SolveResult::Unsat);
-    }
-
-    #[test]
     fn luby_sequence_prefix() {
         let got: Vec<u64> = (0..9).map(|i| luby(2, i)).collect();
         assert_eq!(got, vec![1, 1, 2, 1, 1, 2, 4, 1, 1]);
@@ -1962,7 +1890,6 @@ mod tests {
         );
         assert!(st.learnt_clauses <= st.conflicts, "{st:?}");
         assert!(s.num_learnts() as u64 <= st.conflicts, "{st:?}");
-        assert!(s.learnt_clauses().len() as u64 <= st.conflicts, "{st:?}");
     }
 
     #[test]
@@ -2059,23 +1986,5 @@ mod tests {
         assert_eq!(s.solve_limited(&[a], &tight), SolveResult::Unknown);
         assert_eq!(s.solve_assuming(&[!a]), SolveResult::Unsat);
         assert_eq!(s.solve(), SolveResult::Unsat);
-    }
-
-    #[test]
-    fn learnt_clause_export_warm_starts_a_rebuild() {
-        let mut s = hard_unsat(5);
-        assert_eq!(
-            s.solve_limited(&[], &Budget::new().with_conflicts(50)),
-            SolveResult::Unknown
-        );
-        let learnt = s.learnt_clauses();
-        assert!(!learnt.is_empty(), "50 conflicts should leave learnts");
-        // Re-adding exported learnts to a fresh solver over the same
-        // formula is sound: the answer is unchanged.
-        let mut fresh = hard_unsat(5);
-        for c in &learnt {
-            fresh.add_clause(c);
-        }
-        assert_eq!(fresh.solve(), SolveResult::Unsat);
     }
 }

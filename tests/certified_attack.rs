@@ -110,8 +110,8 @@ fn certificates_of_random_small_locks_all_verify() {
 }
 
 /// The same attack killed after its first DIP and resumed from checkpoint
-/// bytes: the certificate covers the proof logged before the checkpoint,
-/// carried through `duckpt`, and the resumed solver's steps after it.
+/// bytes: the resumed solver replays the recorded DIP into a fresh proof
+/// log, and its certificate re-checks against the verbatim inputs.
 /// With `CERT_CORPUS_DIR` set, the certificate is also written there as
 /// `resumed-attack.cnf` / `resumed-attack.drat` for the standalone
 /// `drat-check`.

@@ -10,7 +10,8 @@
 //! knowledge instead of fabricating success.
 
 use dynunlock_repro::dynunlock::{
-    same_class, AttackConfig, AttackState, DegradeReason, RetryPolicy, RobustConfig, RobustOutcome,
+    same_class, AttackConfig, AttackState, Checkpoint, CheckpointError, DegradeReason, RetryPolicy,
+    RobustConfig, RobustOutcome, Step,
 };
 use dynunlock_repro::gf2::{BitVec, Rng64, Xoshiro256};
 use dynunlock_repro::lfsr::TapSet;
@@ -18,7 +19,10 @@ use dynunlock_repro::netlist::generator::{s208_like, GeneratorConfig};
 use dynunlock_repro::netlist::Circuit;
 use dynunlock_repro::satsolver::Budget;
 use dynunlock_repro::scanlock::{LockSpec, LockedScanChip};
-use dynunlock_repro::sim::{FaultSpec, FaultyOracle, ScanChain};
+use dynunlock_repro::sim::{
+    FallibleScanAccess, FaultSpec, FaultyOracle, OracleFault, Reliable, ScanAccess, ScanChain,
+    ScanResponse,
+};
 
 struct Instance {
     circuit: Circuit,
@@ -296,5 +300,108 @@ fn majority_vote_repairs_what_single_queries_cannot() {
         AttackState::new(&inst.circuit, &inst.chain, &inst.spec, single_cfg).run(&mut single_oracle)
     {
         assert!(inst.same_class(&unlock.seed, 1), "verified implies correct");
+    }
+}
+
+/// An oracle whose every `period`-th answer comes back one bit short, on
+/// the scan-out or on the primary outputs: a bench that drops a bit of
+/// the unload or of the PO capture.
+struct Truncating<O> {
+    inner: O,
+    period: u64,
+    scan_out: bool,
+    answered: u64,
+}
+
+impl<O: ScanAccess> FallibleScanAccess for Truncating<O> {
+    fn num_cells(&self) -> usize {
+        self.inner.num_cells()
+    }
+
+    fn num_pis(&self) -> usize {
+        self.inner.num_pis()
+    }
+
+    fn num_pos(&self) -> usize {
+        self.inner.num_pos()
+    }
+
+    fn try_query_captures(
+        &mut self,
+        pattern: &[bool],
+        pis: &[bool],
+        captures: usize,
+    ) -> Result<ScanResponse, OracleFault> {
+        let mut resp = self.inner.query_captures(pattern, pis, captures);
+        self.answered += 1;
+        if self.answered.is_multiple_of(self.period) {
+            if self.scan_out {
+                resp.scan_out.pop();
+            } else {
+                resp.po.pop();
+            }
+        }
+        Ok(resp)
+    }
+}
+
+/// A response of the wrong length is never voted on or constrained: the
+/// attack degrades as inconsistent, and a resume re-validating against
+/// such an oracle is refused, at replication 1 and 3 — never a panic, and
+/// never a model constrained on a prefix of the response.
+#[test]
+fn short_oracle_responses_degrade_instead_of_panicking() {
+    let inst = instance(16, 6, 0x74);
+    assert!(
+        !inst.circuit.outputs().is_empty(),
+        "the PO port can lose a bit"
+    );
+    for replication in [1, 3] {
+        let cfg = RobustConfig {
+            replication,
+            ..RobustConfig::default()
+        };
+        for scan_out in [true, false] {
+            let why = format!("replication {replication}, scan-out {scan_out}");
+            // Every third answer is short: at replication 3 the first
+            // vote's last replica, at replication 1 the third query.
+            let mut oracle = Truncating {
+                inner: inst.chip(),
+                period: 3,
+                scan_out,
+                answered: 0,
+            };
+            let outcome = AttackState::new(&inst.circuit, &inst.chain, &inst.spec, cfg.clone())
+                .run(&mut oracle);
+            let RobustOutcome::Partial(report) = outcome else {
+                panic!("{why}: a short answer must not unlock");
+            };
+            assert_eq!(report.reason, DegradeReason::Inconsistent, "{why}");
+
+            // A checkpoint taken against the true chip, resumed against a
+            // bench whose every answer is short.
+            let mut state = AttackState::new(&inst.circuit, &inst.chain, &inst.spec, cfg.clone());
+            let mut chip = Reliable(inst.chip());
+            while state.dip_count() < 1 {
+                assert!(matches!(state.step(&mut chip), Step::Dip), "{why}");
+            }
+            let ckpt = Checkpoint::from_bytes(&state.checkpoint().to_bytes()).unwrap();
+            let mut short = Truncating {
+                inner: inst.chip(),
+                period: 1,
+                scan_out,
+                answered: 0,
+            };
+            let err = AttackState::resume(
+                &inst.circuit,
+                &inst.chain,
+                &inst.spec,
+                cfg.clone(),
+                &ckpt,
+                &mut short,
+            )
+            .expect_err("a short re-validation answer must be refused");
+            assert_eq!(err, CheckpointError::OracleMismatch { dip: 0 }, "{why}");
+        }
     }
 }
