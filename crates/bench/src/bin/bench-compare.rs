@@ -1,7 +1,7 @@
 //! CLI perf gate: diff two `BENCH_*.json` sets and fail on regressions.
 //!
 //! ```text
-//! bench-compare [--threshold PCT] [--allow-missing] [--warn-only] BASELINE CURRENT
+//! bench-compare [--threshold PCT] [--allow-missing] BASELINE CURRENT
 //! bench-compare --self-test
 //! ```
 //!
@@ -9,23 +9,21 @@
 //! them. Exit status is nonzero when any shared case's `ns_per_iter` is
 //! more than `--threshold` percent slower (default 10), or when a
 //! baseline case is missing from the current set (suppress with
-//! `--allow-missing`). `--warn-only` prints the report but always exits
-//! zero. `--self-test` synthesizes a >10% regression in memory and exits
-//! zero only if the gate catches it — CI runs this first so a broken
-//! comparator cannot silently wave regressions through.
+//! `--allow-missing`). `--self-test` synthesizes a >10% regression in
+//! memory and exits zero only if the gate catches it — CI runs this first
+//! so a broken comparator cannot silently wave regressions through.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use bench::compare::{compare, BenchFile, CaseResult};
 
-const USAGE: &str = "usage: bench-compare [--threshold PCT] [--allow-missing] [--warn-only] \
+const USAGE: &str = "usage: bench-compare [--threshold PCT] [--allow-missing] \
                      BASELINE CURRENT\n       bench-compare --self-test";
 
 struct Options {
     threshold_pct: f64,
     allow_missing: bool,
-    warn_only: bool,
     self_test: bool,
     paths: Vec<PathBuf>,
 }
@@ -34,7 +32,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         threshold_pct: 10.0,
         allow_missing: false,
-        warn_only: false,
         self_test: false,
         paths: Vec::new(),
     };
@@ -50,7 +47,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     .ok_or_else(|| format!("bad --threshold value {value:?}"))?;
             }
             "--allow-missing" => opts.allow_missing = true,
-            "--warn-only" => opts.warn_only = true,
             "--self-test" => opts.self_test = true,
             "--help" | "-h" => return Err(USAGE.to_string()),
             other if other.starts_with('-') => return Err(format!("unknown flag {other}")),
@@ -153,7 +149,7 @@ fn gate(opts: &Options) -> Result<bool, String> {
             opts.threshold_pct
         );
     }
-    Ok(failed && !opts.warn_only)
+    Ok(failed)
 }
 
 fn main() -> ExitCode {

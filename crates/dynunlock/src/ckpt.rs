@@ -235,6 +235,7 @@ impl Checkpoint {
         let mut free: Option<Vec<bool>> = None;
         let mut seed: Option<BitVec> = None;
         let mut ended = false;
+        let mut seen: Vec<&str> = Vec::new();
 
         for (idx, raw) in text.lines().enumerate() {
             let lineno = idx + 1;
@@ -248,6 +249,21 @@ impl Checkpoint {
             let mut fields = line.split_whitespace();
             let tag = fields.next().expect("non-empty line has a first token");
             let rest: Vec<&str> = fields.collect();
+            if matches!(
+                tag,
+                "instance" | "shape" | "counters" | "phase" | "free" | "seed"
+            ) {
+                if seen.contains(&tag) {
+                    return Err(err(lineno, &format!("repeated {tag} line")));
+                }
+                seen.push(tag);
+            }
+            if matches!(tag, "free" | "seed") && !matches!(phase, Some(CkptPhase::Converged(_))) {
+                return Err(err(
+                    lineno,
+                    &format!("{tag} line must follow phase converged"),
+                ));
+            }
             match tag {
                 "duckpt" => {
                     if lineno != 1 || rest != ["2"] {
@@ -410,13 +426,71 @@ end duckpt
                 5,
                 "variable count",
             ),
-            ("duckpt 2\nfree 01x\nend duckpt\n", 2, "bad free bits"),
             (
-                "duckpt 2\nfree 01 10\nend duckpt\n",
-                2,
+                "duckpt 2\nphase converged\nfree 01x\nend duckpt\n",
+                3,
+                "bad free bits",
+            ),
+            (
+                "duckpt 2\nphase converged\nfree 01 10\nend duckpt\n",
+                3,
                 "two free bit strings",
             ),
             (CONVERGED_WITHOUT_FREE, 1, "missing free"),
+            (
+                "duckpt 2\ninstance 00000000000000ab\ninstance 00000000000000cd\nend duckpt\n",
+                3,
+                "repeated instance",
+            ),
+            (
+                "duckpt 2\nshape width 2 cells 1 captures 1\nshape width 2 cells 1 captures 1\n\
+                 end duckpt\n",
+                3,
+                "repeated shape",
+            ),
+            (
+                "duckpt 2\ncounters queries 0 retries 0 repaired 0 exhaustions 0\n\
+                 counters queries 0 retries 0 repaired 0 exhaustions 0\nend duckpt\n",
+                3,
+                "repeated counters",
+            ),
+            (
+                "duckpt 2\nphase running\nphase converged\nend duckpt\n",
+                3,
+                "repeated phase",
+            ),
+            (
+                CONVERGED_WITHOUT_FREE
+                    .replace("seed 01", "free 1\nfree 1\nseed 01")
+                    .as_str(),
+                7,
+                "repeated free",
+            ),
+            (
+                CONVERGED_WITHOUT_FREE.replace("seed 01", "free 1\nseed 01\nseed 01").as_str(),
+                8,
+                "repeated seed",
+            ),
+            (
+                CONVERGED_WITHOUT_FREE.replace("converged", "running").as_str(),
+                6,
+                "seed under phase running",
+            ),
+            (
+                CONVERGED_WITHOUT_FREE
+                    .replace("converged", "running")
+                    .replace("seed 01", "free 1")
+                    .as_str(),
+                6,
+                "free under phase running",
+            ),
+            (
+                CONVERGED_WITHOUT_FREE
+                    .replace("phase converged\nseed 01", "seed 01\nphase converged")
+                    .as_str(),
+                5,
+                "seed before phase converged",
+            ),
         ] {
             match Checkpoint::from_bytes(doc.as_bytes()) {
                 Err(CheckpointError::Malformed { line, .. }) => {

@@ -1121,7 +1121,7 @@ mod tests {
             panic!("vote + retry must repair this schedule");
         };
         assert!(f.same_class(&unlock.seed));
-        assert!(faults.retries > 0 || faulty.stats().faults() == 0);
+        assert!(faults.retries > 0 || faulty.stats().transient_faults == 0);
     }
 
     #[test]

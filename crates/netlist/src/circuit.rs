@@ -164,31 +164,6 @@ impl Circuit {
         }
     }
 
-    /// Summary statistics (gate counts by kind, depth, fan-in histogram).
-    pub fn stats(&self) -> CircuitStats {
-        let mut gates_by_kind = Vec::new();
-        for kind in GateKind::ALL {
-            let n = self.gates.iter().filter(|g| g.kind == kind).count();
-            if n > 0 {
-                gates_by_kind.push((kind, n));
-            }
-        }
-        let levels = crate::topo::levelize(self);
-        let depth = levels.iter().copied().max().unwrap_or(0);
-        let max_fanin = self.gates.iter().map(|g| g.inputs.len()).max().unwrap_or(0);
-        CircuitStats {
-            name: self.name.clone(),
-            num_inputs: self.inputs.len(),
-            num_outputs: self.outputs.len(),
-            num_dffs: self.dffs.len(),
-            num_gates: self.gates.len(),
-            num_nets: self.num_nets(),
-            depth,
-            max_fanin,
-            gates_by_kind,
-        }
-    }
-
     /// The set of nets in the transitive fan-in cone of `roots`, including
     /// the roots themselves. The cone stops at primary inputs and flop
     /// outputs (sequential boundaries).
@@ -244,42 +219,5 @@ impl fmt::Debug for Circuit {
             self.dffs.len(),
             self.gates.len()
         )
-    }
-}
-
-/// Summary statistics of a circuit; see [`Circuit::stats`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CircuitStats {
-    /// Circuit name.
-    pub name: String,
-    /// Number of primary inputs.
-    pub num_inputs: usize,
-    /// Number of primary outputs.
-    pub num_outputs: usize,
-    /// Number of flip-flops.
-    pub num_dffs: usize,
-    /// Number of combinational gates.
-    pub num_gates: usize,
-    /// Number of nets.
-    pub num_nets: usize,
-    /// Combinational depth (levels).
-    pub depth: usize,
-    /// Largest gate fan-in.
-    pub max_fanin: usize,
-    /// Gate count per kind (only kinds that occur).
-    pub gates_by_kind: Vec<(GateKind, usize)>,
-}
-
-impl fmt::Display for CircuitStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "{}: {} PI, {} PO, {} DFF, {} gates, depth {}",
-            self.name, self.num_inputs, self.num_outputs, self.num_dffs, self.num_gates, self.depth
-        )?;
-        for (kind, n) in &self.gates_by_kind {
-            writeln!(f, "  {kind:<6} {n}")?;
-        }
-        Ok(())
     }
 }

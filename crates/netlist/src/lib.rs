@@ -8,8 +8,8 @@
 //! * [`CircuitBuilder`] — ergonomic construction with name management;
 //! * [`bench`](mod@bench) — a reader/writer for the ISCAS-89 `.bench` format, so real
 //!   benchmark files can be dropped in unchanged;
-//! * [`topo`] — topological ordering and levelization of the combinational
-//!   core (the basis of simulation and CNF encoding);
+//! * [`topo`] — topological ordering of the combinational core (the basis
+//!   of simulation and CNF encoding);
 //! * [`generator`] — a seeded synthetic sequential-circuit generator;
 //! * [`profiles`] — generator profiles pinned to the post-synthesis
 //!   scan-flop counts the paper reports for its ten benchmarks
@@ -45,6 +45,6 @@ pub mod profiles;
 pub mod topo;
 
 pub use builder::CircuitBuilder;
-pub use circuit::{Circuit, CircuitStats, Dff, Gate, NetId};
+pub use circuit::{Circuit, Dff, Gate, NetId};
 pub use error::NetlistError;
 pub use gate::GateKind;

@@ -1,4 +1,4 @@
-//! Topological ordering and levelization of the combinational core.
+//! Topological ordering of the combinational core.
 //!
 //! DFFs cut the graph: a flop's Q pin is a *source* (like a primary input)
 //! and its D pin is a *sink* (like a primary output). Only paths through
@@ -50,75 +50,9 @@ pub fn topo_order(circuit: &Circuit) -> Result<Vec<usize>, NetlistError> {
     Ok(order)
 }
 
-/// Computes the logic level of every net: inputs/flop outputs are level 0,
-/// a gate's output is one more than its deepest input. Indexed by
-/// [`NetId::index`](crate::NetId::index).
-///
-/// # Panics
-///
-/// Panics if the circuit's stored topological order is stale (cannot happen
-/// for circuits built through [`CircuitBuilder`](crate::CircuitBuilder)).
-pub fn levelize(circuit: &Circuit) -> Vec<usize> {
-    let mut level = vec![0usize; circuit.num_nets()];
-    for &gi in &circuit.topo_order {
-        let gate = &circuit.gates[gi];
-        let l = gate
-            .inputs
-            .iter()
-            .map(|i| level[i.index()])
-            .max()
-            .unwrap_or(0);
-        level[gate.output.index()] = l + 1;
-    }
-    level
-}
-
 #[cfg(test)]
 mod tests {
-    use crate::{CircuitBuilder, GateKind};
-
-    #[test]
-    fn levels_of_chain() {
-        let mut b = CircuitBuilder::new("chain");
-        let x = b.input("x");
-        let a = b.gate(GateKind::Not, &[x], "a");
-        let c = b.gate(GateKind::Not, &[a], "c");
-        let d = b.gate(GateKind::Not, &[c], "d");
-        b.output(d);
-        let circ = b.finish().unwrap();
-        let lv = super::levelize(&circ);
-        assert_eq!(lv[x.index()], 0);
-        assert_eq!(lv[a.index()], 1);
-        assert_eq!(lv[c.index()], 2);
-        assert_eq!(lv[d.index()], 3);
-    }
-
-    #[test]
-    fn level_takes_max_of_inputs() {
-        let mut b = CircuitBuilder::new("m");
-        let x = b.input("x");
-        let y = b.input("y");
-        let deep = b.gate(GateKind::Not, &[x], "d1");
-        let deep2 = b.gate(GateKind::Not, &[deep], "d2");
-        let z = b.gate(GateKind::And, &[deep2, y], "z");
-        b.output(z);
-        let circ = b.finish().unwrap();
-        let lv = super::levelize(&circ);
-        assert_eq!(lv[z.index()], 3);
-    }
-
-    #[test]
-    fn flop_outputs_are_sources() {
-        let mut b = CircuitBuilder::new("ff");
-        let q = b.net("q");
-        let nq = b.gate(GateKind::Not, &[q], "nq");
-        b.dff_into(nq, q);
-        b.output(nq);
-        let circ = b.finish().unwrap();
-        let lv = super::levelize(&circ);
-        assert_eq!(lv[q.index()], 0);
-        assert_eq!(lv[nq.index()], 1);
-    }
+    use crate::CircuitBuilder;
 
     #[test]
     fn empty_circuit_topo() {
@@ -127,6 +61,5 @@ mod tests {
         b.output(x);
         let circ = b.finish().unwrap();
         assert!(circ.topo_gates().is_empty());
-        assert_eq!(super::levelize(&circ)[x.index()], 0);
     }
 }

@@ -127,7 +127,7 @@ fn main() -> ExitCode {
                     cnf.clauses.len(),
                     cnf.xors.len(),
                     cert.stats.steps(),
-                    cert.report.xor_steps,
+                    cert.stats.xor_steps,
                     cert.proof.len(),
                     elapsed.as_secs_f64() * 1e3,
                 );

@@ -37,7 +37,6 @@ use std::fmt;
 
 use gf2::BitVec;
 use satsolver::dimacs::Cnf;
-use satsolver::proof::ProofStats;
 use satsolver::{Lit, SolveResult, Solver};
 
 /// One parsed proof step.
@@ -109,6 +108,14 @@ pub struct CheckReport {
     pub deletions_applied: u64,
     /// Deletions ignored (no matching active clause).
     pub deletions_ignored: u64,
+}
+
+impl CheckReport {
+    /// Every checked step: additions, deletions (applied or ignored) and
+    /// xor-derived clauses.
+    pub fn steps(&self) -> u64 {
+        self.rup_additions + self.deletions_applied + self.deletions_ignored + self.xor_steps
+    }
 }
 
 /// Parses DRAT+xor proof text (the format `satsolver::proof::DratProof`
@@ -566,8 +573,8 @@ fn dimacs(lits: &[Lit]) -> String {
     format!("[{}]", codes.join(" "))
 }
 
-/// A checked UNSAT certificate: the formula, the proof text, and both
-/// sides' numbers. Carrying the formula makes the certificate
+/// A checked UNSAT certificate: the formula, the proof text, and the
+/// checker's report. Carrying the formula makes the certificate
 /// self-contained — it can be re-checked (or deliberately corrupted, in
 /// mutation tests) without reconstructing the instance, and dumped as a
 /// `.cnf`/`.drat` pair for the standalone `drat-check`.
@@ -578,9 +585,7 @@ pub struct Certificate {
     /// The DRAT+xor proof text.
     pub proof: String,
     /// The checked steps, counted by kind (see [`certify`]).
-    pub stats: ProofStats,
-    /// The checker-side verification report.
-    pub report: CheckReport,
+    pub stats: CheckReport,
 }
 
 /// Checks `proof` against `formula` and bundles both into a
@@ -595,17 +600,11 @@ pub struct Certificate {
 /// The [`CheckError`] of the first malformed line or failing step, or
 /// [`CheckError::NotRefutation`].
 pub fn certify(formula: Cnf, proof: String) -> Result<Certificate, CheckError> {
-    let report = check_text(&formula, &proof)?;
-    let stats = ProofStats {
-        additions: report.rup_additions,
-        deletions: report.deletions_applied + report.deletions_ignored,
-        xor_steps: report.xor_steps,
-    };
+    let stats = check_text(&formula, &proof)?;
     Ok(Certificate {
         formula,
         proof,
         stats,
-        report,
     })
 }
 
@@ -782,8 +781,8 @@ mod tests {
         let cnf = Cnf::parse("p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n").unwrap();
         let cert = certify(cnf.clone(), "2 0\nd 1 2 0\n0\n".to_string()).unwrap();
         assert_eq!(cert.stats.steps(), 3);
-        assert_eq!(cert.stats.additions, 2);
-        assert_eq!(cert.stats.deletions, 1);
+        assert_eq!(cert.stats.rup_additions, 2);
+        assert_eq!(cert.stats.deletions_applied, 1);
         assert_eq!(cert.formula.clauses, cnf.clauses);
         let sat = Cnf::parse("p cnf 2 1\n1 2 0\n").unwrap();
         let err = certify(sat, "1 0\n0\n".to_string()).unwrap_err();
@@ -794,8 +793,7 @@ mod tests {
     fn certify_pigeonhole() {
         let cnf = pigeonhole(4);
         let cert = certify_unsat(&cnf).unwrap();
-        assert!(cert.report.rup_additions > 0);
-        assert_eq!(cert.stats.additions, cert.report.rup_additions);
+        assert!(cert.stats.rup_additions > 0);
     }
 
     #[test]
@@ -803,7 +801,7 @@ mod tests {
         // Inconsistent at add time: the triangle refutes by elimination.
         let cnf = Cnf::parse("p cnf 3 3\nx1 2 0\nx2 3 0\nx1 3 0\n").unwrap();
         let cert = certify_unsat(&cnf).unwrap();
-        assert!(cert.report.xor_steps > 0, "refuted by an x-step");
+        assert!(cert.stats.xor_steps > 0, "refuted by an x-step");
 
         // Unit substitution: the clause units 9 and 10 are folded into
         // the wide rows before they cancel into 0 = 1.
@@ -811,8 +809,8 @@ mod tests {
         text.push_str("1 2 3 4 5 6 7 8 -10 0\n9 0\n10 0\n");
         let cnf = Cnf::parse(&text).unwrap();
         let cert = certify_unsat(&cnf).unwrap();
-        assert!(cert.report.xor_steps > 0);
-        assert!(cert.report.xor_units_checked > 0);
+        assert!(cert.stats.xor_steps > 0);
+        assert!(cert.stats.xor_units_checked > 0);
 
         // Needs search: the xor bank sums to 2⊕4⊕6 = 1 (odd count true)
         // while the clauses force exactly two of {2, 4, 6} true.
@@ -821,7 +819,7 @@ mod tests {
         )
         .unwrap();
         let cert = certify_unsat(&cnf).unwrap();
-        assert!(cert.report.xor_steps > 0, "search must lean on the rows");
+        assert!(cert.stats.xor_steps > 0, "search must lean on the rows");
     }
 
     #[test]

@@ -53,7 +53,7 @@ mod types;
 pub mod xor;
 
 pub use budget::Budget;
-pub use proof::{DratProof, ProofStats};
+pub use proof::DratProof;
 pub use solver::{SolveResult, Solver, SolverStats};
 pub use types::{Lit, Var};
 pub use xor::XorClause;

@@ -32,37 +32,22 @@
 //! [`crate::Solver::proof`]): when logging is off every
 //! call site is a single branch on a `None`, so proof support costs
 //! nothing unless switched on.
+//!
+//! The log keeps only its text: a certificate's step counts are the
+//! checker's (`proofcheck::CheckReport::steps`), taken over the steps it
+//! verified.
 
 use crate::types::Lit;
 
-/// Counters over the steps a [`DratProof`] holds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProofStats {
-    /// Clause addition steps (including the final empty clause).
-    pub additions: u64,
-    /// Clause deletion steps.
-    pub deletions: u64,
-    /// Xor-derived clause steps.
-    pub xor_steps: u64,
-}
-
-impl ProofStats {
-    /// Total step count.
-    pub fn steps(&self) -> u64 {
-        self.additions + self.deletions + self.xor_steps
-    }
-}
-
 /// The in-memory DRAT+xor proof log.
 ///
-/// Accumulates the textual proof (one step per line) plus step counters.
-/// The solver calls the step methods on every learnt clause, deletion,
-/// and xor reason analysis reads. The text format is the certificate interchange format checked by
-/// `proofcheck` (DESIGN.md §7).
+/// Accumulates the textual proof, one step per line. The solver calls
+/// the step methods on every learnt clause, deletion, and xor reason
+/// analysis reads. The text format is the certificate interchange format
+/// checked by `proofcheck` (DESIGN.md §7).
 #[derive(Debug, Default)]
 pub struct DratProof {
     text: String,
-    stats: ProofStats,
     /// Set once an empty-clause addition has been logged; later steps are
     /// suppressed (the refutation is complete, and the solver's fast
     /// top-level unsat paths may otherwise log twice).
@@ -78,11 +63,6 @@ impl DratProof {
     /// The proof text so far.
     pub fn text(&self) -> &str {
         &self.text
-    }
-
-    /// Step counters.
-    pub fn stats(&self) -> &ProofStats {
-        &self.stats
     }
 
     /// Whether an empty-clause addition has been logged (the proof is a
@@ -128,7 +108,6 @@ impl DratProof {
         if self.closed {
             return;
         }
-        self.stats.additions += 1;
         self.push_lits(lits);
         self.text.push('\n');
         if lits.is_empty() {
@@ -141,7 +120,6 @@ impl DratProof {
         if self.closed {
             return;
         }
-        self.stats.deletions += 1;
         self.text.push_str("d ");
         self.push_lits(lits);
         self.text.push('\n');
@@ -155,7 +133,6 @@ impl DratProof {
         if self.closed {
             return;
         }
-        self.stats.xor_steps += 1;
         self.text.push_str("x ");
         self.push_lits(lits);
         self.text.push(' ');
@@ -189,10 +166,6 @@ mod tests {
         p.add_xor_derived(&lits(&[3, -4]), &[0, 2], &lits(&[-5]));
         p.add_clause(&[]);
         assert_eq!(p.text(), "1 -2 0\nd 1 -2 0\nx 3 -4 0 1 3 0 -5 0\n0\n");
-        assert_eq!(p.stats().additions, 2);
-        assert_eq!(p.stats().deletions, 1);
-        assert_eq!(p.stats().xor_steps, 1);
-        assert_eq!(p.stats().steps(), 4);
         assert!(p.is_refutation());
     }
 
@@ -209,7 +182,6 @@ mod tests {
         p.add_clause(&[]);
         p.add_clause(&lits(&[1]));
         p.delete_clause(&lits(&[1]));
-        assert_eq!(p.stats().steps(), 1);
         assert_eq!(p.text(), "0\n");
     }
 }

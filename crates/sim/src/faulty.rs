@@ -24,20 +24,15 @@ use crate::oracle::{ScanAccess, ScanResponse};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum OracleFault {
-    /// The query never reached the chip (bus glitch, timeout); retry is
-    /// safe and the chip saw nothing.
+    /// The query's response was lost (bus glitch, timeout, a session that
+    /// died mid-shift); the power-on-reset contract makes a retry safe.
     Transient,
-    /// The session started but died before shift-out completed; the
-    /// response is lost, but the power-on-reset contract means a retry
-    /// still sees the same schedule.
-    SessionDropped,
 }
 
 impl fmt::Display for OracleFault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             OracleFault::Transient => write!(f, "transient query error"),
-            OracleFault::SessionDropped => write!(f, "session dropped mid-query"),
         }
     }
 }
@@ -123,12 +118,8 @@ pub struct FaultSpec {
     pub seed: u64,
     /// Probability (ppm) that any single response bit flips.
     pub bit_flip_ppm: u32,
-    /// Probability (ppm) that a query fails with [`OracleFault::Transient`]
-    /// before reaching the chip.
+    /// Probability (ppm) that a query fails with [`OracleFault::Transient`].
     pub transient_ppm: u32,
-    /// Probability (ppm) that a session starts but is dropped
-    /// ([`OracleFault::SessionDropped`]).
-    pub drop_session_ppm: u32,
 }
 
 impl FaultSpec {
@@ -138,7 +129,6 @@ impl FaultSpec {
             seed,
             bit_flip_ppm: 0,
             transient_ppm: 0,
-            drop_session_ppm: 0,
         }
     }
 
@@ -155,13 +145,6 @@ impl FaultSpec {
         self.transient_ppm = ppm;
         self
     }
-
-    /// Sets the per-query session-drop probability (parts per million).
-    #[must_use]
-    pub fn with_drops(mut self, ppm: u32) -> FaultSpec {
-        self.drop_session_ppm = ppm;
-        self
-    }
 }
 
 /// Counters accumulated by a [`FaultyOracle`] over its lifetime.
@@ -171,24 +154,15 @@ pub struct FaultyStats {
     pub queries: u64,
     /// Queries that failed with [`OracleFault::Transient`].
     pub transient_faults: u64,
-    /// Queries that failed with [`OracleFault::SessionDropped`].
-    pub dropped_sessions: u64,
     /// Response bits flipped by injected noise.
     pub flipped_bits: u64,
-}
-
-impl FaultyStats {
-    /// Total failed queries, either fault kind.
-    pub fn faults(&self) -> u64 {
-        self.transient_faults + self.dropped_sessions
-    }
 }
 
 /// A seeded fault-injection wrapper around an honest [`ScanAccess`]
 /// oracle.
 ///
-/// Each query attempt rolls, in order: transient error, session drop,
-/// then an independent flip roll per response bit. The roll sequence is
+/// Each query attempt rolls, in order: transient error, then an
+/// independent flip roll per response bit. The roll sequence is
 /// fixed, so a given `(seed, query sequence)` pair always produces the
 /// same fault schedule regardless of platform.
 #[derive(Debug, Clone)]
@@ -258,10 +232,6 @@ impl<O: ScanAccess> FallibleScanAccess for FaultyOracle<O> {
             self.stats.transient_faults += 1;
             return Err(OracleFault::Transient);
         }
-        if self.roll(self.spec.drop_session_ppm) {
-            self.stats.dropped_sessions += 1;
-            return Err(OracleFault::SessionDropped);
-        }
         let mut resp = self.inner.query_captures(pattern, pis, captures);
         if self.spec.bit_flip_ppm > 0 {
             for bit in resp.scan_out.iter_mut().chain(resp.po.iter_mut()) {
@@ -310,7 +280,7 @@ mod tests {
             let pi: Vec<bool> = (0..honest.num_pis()).map(|_| rng.gen_bool()).collect();
             assert_eq!(r.as_ref().unwrap(), &honest.query(&pat, &pi));
         }
-        assert_eq!(stats.faults(), 0);
+        assert_eq!(stats.transient_faults, 0);
         assert_eq!(stats.flipped_bits, 0);
         assert_eq!(stats.queries, 200);
     }
@@ -319,16 +289,16 @@ mod tests {
     fn schedules_are_deterministic_in_the_seed() {
         let spec = FaultSpec::new(0xFA17)
             .with_bit_flips(40_000)
-            .with_transients(100_000)
-            .with_drops(50_000);
+            .with_transients(100_000);
         let (a, sa) = run_schedule(spec);
         let (b, sb) = run_schedule(spec);
         assert_eq!(a, b);
         assert_eq!(sa, sb);
-        assert!(sa.faults() > 0, "rates this high must fire in 200 queries");
+        assert!(
+            sa.transient_faults > 0,
+            "rates this high must fire in 200 queries"
+        );
         assert!(sa.flipped_bits > 0);
-        assert!(sa.transient_faults > 0);
-        assert!(sa.dropped_sessions > 0);
     }
 
     #[test]

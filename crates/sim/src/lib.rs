@@ -15,9 +15,9 @@
 //! * [`ScanAccess`] — the oracle interface shared by unlocked and locked
 //!   chips (the attack only ever talks to this trait);
 //! * [`FaultyOracle`] / [`FallibleScanAccess`] — seeded fault injection
-//!   (bit flips, transient errors, dropped sessions) over any
-//!   honest oracle, and the fallible interface fault-tolerant attack
-//!   code consumes ([`Reliable`] lifts a trustworthy oracle into it).
+//!   (bit flips and transient errors) over any honest oracle, and the
+//!   fallible interface fault-tolerant attack code consumes
+//!   ([`Reliable`] lifts a trustworthy oracle into it).
 //!
 //! # Example
 //!

@@ -47,12 +47,11 @@ fn attack_unsat_proof_verifies_and_mutations_are_rejected() {
     // re-verify standalone from its own formula and proof text, with the
     // same numbers.
     let report = proofcheck::check_text(&cert.formula, &cert.proof).expect("re-check verifies");
-    assert_eq!(report, cert.report);
+    assert_eq!(report, cert.stats);
     assert!(
         report.xor_steps > 0,
         "a native-xor 64-bit attack must lean on x-steps"
     );
-    assert_eq!(cert.stats.xor_steps, report.xor_steps);
 
     // Mutation 1: corrupt the first proof line into a clause over a
     // variable the formula does not have — rejected at step 0 no matter
@@ -105,7 +104,7 @@ fn certificates_of_random_small_locks_all_verify() {
         let cert = u.certificate.expect("certification was requested");
         let report = proofcheck::check_text(&cert.formula, &cert.proof)
             .unwrap_or_else(|e| panic!("round {round}: certificate rejected: {e}"));
-        assert_eq!(report, cert.report, "round {round}");
+        assert_eq!(report, cert.stats, "round {round}");
     }
 }
 
@@ -146,7 +145,7 @@ fn resumed_attack_certificate_rechecks() {
         RobustOutcome::Partial(report) => panic!("resumed run degraded: {}", report.reason),
     };
     let report = proofcheck::check_text(&cert.formula, &cert.proof).expect("re-check verifies");
-    assert_eq!(report, cert.report);
+    assert_eq!(report, cert.stats);
 
     if let Some(dir) = std::env::var_os("CERT_CORPUS_DIR") {
         let dir = std::path::PathBuf::from(dir);

@@ -493,7 +493,7 @@ fn certified_resume_twice_keeps_the_uninterrupted_formula() {
     let cert = certificate_of(resumed.run(&mut oracle));
     assert_eq!(cert.formula, reference.formula, "same verbatim inputs");
     let report = proofcheck::check_text(&cert.formula, &cert.proof).expect("re-check verifies");
-    assert_eq!(report, cert.report);
+    assert_eq!(report, cert.stats);
     let steps = proofcheck::parse_proof(&cert.proof).unwrap().len() as u64;
     assert_eq!(cert.stats.steps(), steps, "stats count every checked step");
 }
