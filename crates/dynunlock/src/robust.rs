@@ -712,23 +712,22 @@ impl<'a> AttackState<'a> {
         // differ". Each closed output's refutation left its ¬diff as a
         // level-0 fact derived by logged steps, so once the verbatim input
         // mirror is closed with the OR of the difference literals, the
-        // empty clause is RUP: the live log plus that one line refutes the
-        // closed miter, and the independent checker verifies it once. A
+        // empty clause is RUP with that clause as its one hint: the live
+        // log plus that one line refutes the closed miter, and the
+        // independent checker verifies it once. The mirror and the log
+        // move out of the solver, which has nothing left to log. A
         // failure here is a solver soundness bug, not an attack failure.
         if self.cfg.base.certify {
             let t0 = Instant::now();
-            let solver = self.enc.solver();
+            let solver = self.enc.solver_mut();
             let mut formula = solver
-                .input_mirror()
-                .expect("mirror enabled at attack start")
-                .clone();
+                .take_input_mirror()
+                .expect("mirror enabled at attack start");
+            let mut log = solver.take_proof().expect("proof enabled at attack start");
             formula.add_clause(self.diffs.clone());
-            let mut proof = solver
-                .proof()
-                .expect("proof enabled at attack start")
-                .text()
-                .to_string();
-            proof.push_str("0\n");
+            let closing = -(formula.clauses.len() as i64);
+            log.add_clause(&[], &[closing]);
+            let proof = log.into_text();
             match proofcheck::certify(formula, proof) {
                 Ok(cert) => self.certificate = Some(cert),
                 Err(e) => {

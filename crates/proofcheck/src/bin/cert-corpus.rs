@@ -103,8 +103,17 @@ fn main() -> ExitCode {
     ];
 
     println!(
-        "{:<12} {:>6} {:>7} {:>6} {:>8} {:>6} {:>9} {:>9}",
-        "instance", "vars", "clauses", "xors", "steps", "x-steps", "bytes", "check-ms"
+        "{:<12} {:>6} {:>7} {:>6} {:>8} {:>7} {:>6} {:>10} {:>9} {:>9}",
+        "instance",
+        "vars",
+        "clauses",
+        "xors",
+        "steps",
+        "x-steps",
+        "hinted",
+        "propagated",
+        "bytes",
+        "check-ms"
     );
     let mut failed = false;
     for (name, cnf) in &corpus {
@@ -121,13 +130,15 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
                 println!(
-                    "{:<12} {:>6} {:>7} {:>6} {:>8} {:>6} {:>9} {:>9.3}",
+                    "{:<12} {:>6} {:>7} {:>6} {:>8} {:>7} {:>6} {:>10} {:>9} {:>9.3}",
                     name,
                     cnf.num_vars,
                     cnf.clauses.len(),
                     cnf.xors.len(),
                     cert.stats.steps(),
                     cert.stats.xor_steps,
+                    cert.stats.hinted_additions(),
+                    cert.stats.propagated_additions,
                     cert.proof.len(),
                     elapsed.as_secs_f64() * 1e3,
                 );

@@ -10,7 +10,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use proofcheck::{check, parse_proof};
+use proofcheck::check_text;
 use satsolver::dimacs::Cnf;
 
 fn main() -> ExitCode {
@@ -42,24 +42,20 @@ fn main() -> ExitCode {
     };
 
     let start = Instant::now();
-    let steps = match parse_proof(&proof_text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("drat-check: NOT VERIFIED: {e}");
-            return ExitCode::from(1);
-        }
-    };
-    match check(&cnf, &steps) {
+    match check_text(&cnf, &proof_text) {
         Ok(report) => {
             let elapsed = start.elapsed();
             println!(
                 "VERIFIED: {} vars, {} clauses, {} xors; \
-                 {} RUP additions, {} xor steps ({} units substituted), \
+                 {} RUP additions ({} hinted, {} propagated), \
+                 {} xor steps ({} units substituted), \
                  {} deletions applied ({} ignored); {:.3} ms",
                 cnf.num_vars,
                 cnf.clauses.len(),
                 cnf.xors.len(),
                 report.rup_additions,
+                report.hinted_additions(),
+                report.propagated_additions,
                 report.xor_steps,
                 report.xor_units_checked,
                 report.deletions_applied,

@@ -1,33 +1,41 @@
 //! Standalone checker for DRAT+xor proofs emitted by `satsolver`.
 //!
-//! A certifying solver run (see `satsolver::proof`) streams three step
+//! A certifying solver run (see `satsolver::proof`) writes three step
 //! kinds; this crate re-verifies them against the input formula with an
 //! independent implementation — no solver code is trusted:
 //!
 //! * **Clause additions** are checked by RUP (reverse unit propagation):
-//!   assume the negation of every literal, unit-propagate over the active
-//!   clause set, and require a conflict. Propagation here is a separate
-//!   two-watched-literal engine written for checking, not solving.
+//!   assume the negation of every literal and require a conflict by unit
+//!   steps over the active clause set. An addition may carry hints (the
+//!   ids of the clauses its derivation used, in propagation order): the
+//!   checker walks them first, assigning the literal of each hint that is
+//!   unit and stopping at the first that is falsified. A hint that is
+//!   neither is skipped, and a walk that ends without a conflict falls
+//!   back to full propagation over every active clause — a separate
+//!   two-watched-literal engine written for checking, not solving — so
+//!   hints only make the check faster: they are never a premise.
 //! * **Xor-derived clauses** (`x` lines) are *not* RUP in general — that
 //!   is the point of native GF(2) reasoning — so each one carries its
 //!   derivation: the input xor constraints whose GF(2) sum, after
 //!   substituting the listed (RUP-verified) unit literals, yields the row
-//!   the clause was read off. The checker refolds that sum densely over
-//!   [`gf2::BitVec`] and accepts the clause iff its variables are exactly
-//!   the row's and its unique falsifying assignment violates the row's
-//!   parity.
+//!   the clause was read off. The checker refolds that sum sparsely, over
+//!   the variables the named constraints hold, and accepts the clause iff
+//!   its variables are exactly the row's and its unique falsifying
+//!   assignment violates the row's parity.
 //! * **Deletions** deactivate the matching clause (by literal multiset).
 //!   Because every activated clause was verified implied before use,
 //!   ignoring an unmatched deletion is sound — deletions can only make
 //!   the checker reject more, never accept more.
 //!
-//! The check is a forward pass: each addition is verified against the
-//! clauses active *at that point*, and the run succeeds when a verified
-//! empty clause closes the refutation. [`certify`] turns a formula and
-//! a checked proof into a [`Certificate`]; `dynunlock`'s `certify` flag
-//! calls it on the proof its live solver logged. [`certify_unsat`]
-//! bundles the whole loop — fresh logged solver, proof extraction,
-//! [`certify`] — for the fuzz tests and the certificate corpus.
+//! The check is one forward pass over the text, parsing each line into
+//! reused buffers and checking it at once against the clauses active *at
+//! that point*; clauses live in one flat arena. The run succeeds when a
+//! verified empty clause closes the refutation, and nothing after that
+//! line is read. [`certify`] turns a formula and a checked proof into a
+//! [`Certificate`]; `dynunlock`'s `certify` flag calls it on the proof
+//! its live solver logged. [`certify_unsat`] bundles the whole loop —
+//! fresh logged solver, proof extraction, [`certify`] — for the fuzz
+//! tests and the certificate corpus.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,15 +43,21 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use gf2::BitVec;
 use satsolver::dimacs::Cnf;
-use satsolver::{Lit, SolveResult, Solver};
+use satsolver::{Lit, SolveResult, Solver, Var};
 
 /// One parsed proof step.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProofStep {
     /// Clause addition (empty = refutation), checked by RUP.
-    Add(Vec<Lit>),
+    Add {
+        /// The added clause.
+        lits: Vec<Lit>,
+        /// Ids of the clauses its RUP check walks first: `-k` is the
+        /// formula's `k`-th clause, `n` the proof's `n`-th addition (plain
+        /// or `x`). Empty when the line has no hint group.
+        hints: Vec<i64>,
+    },
     /// Clause deletion (advisory; unmatched deletions are ignored).
     Delete(Vec<Lit>),
     /// Xor-derived clause with its GF(2) provenance.
@@ -100,6 +114,10 @@ pub struct CheckReport {
     /// Clause additions verified by RUP (including the empty clause if it
     /// closed the proof as a plain addition).
     pub rup_additions: u64,
+    /// Of those, the additions checked by full propagation: every
+    /// unhinted one that needed propagating, and every hinted one whose
+    /// hints reached no conflict (a fallback).
+    pub propagated_additions: u64,
     /// Xor-derived steps verified by GF(2) refolding.
     pub xor_steps: u64,
     /// Unit literals RUP-verified inside xor steps.
@@ -116,100 +134,220 @@ impl CheckReport {
     pub fn steps(&self) -> u64 {
         self.rup_additions + self.deletions_applied + self.deletions_ignored + self.xor_steps
     }
+
+    /// Clause additions verified without full propagation: by their
+    /// hints, or at once (a literal already true, or a checker state that
+    /// is already contradictory).
+    pub fn hinted_additions(&self) -> u64 {
+        self.rup_additions - self.propagated_additions
+    }
+}
+
+/// The kind of a parsed [`Line`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+enum Kind {
+    #[default]
+    Add,
+    Delete,
+    Xor,
+}
+
+/// One proof line, parsed into buffers reused from line to line.
+#[derive(Debug, Default)]
+struct Line {
+    kind: Kind,
+    lits: Vec<Lit>,
+    hints: Vec<i64>,
+    origins: Vec<u32>,
+    units: Vec<Lit>,
+}
+
+impl Line {
+    /// Parses `raw` into `self`. Returns `Ok(false)` for a blank or
+    /// comment line, `Err` with a message for a malformed one.
+    fn parse(&mut self, raw: &str) -> Result<bool, &'static str> {
+        let mut toks = raw.split_ascii_whitespace().peekable();
+        let Some(&first) = toks.peek() else {
+            return Ok(false);
+        };
+        if first.starts_with('c') {
+            return Ok(false);
+        }
+        self.lits.clear();
+        self.hints.clear();
+        self.origins.clear();
+        self.units.clear();
+        let mut rest_of_first = None;
+        if first == "d" {
+            self.kind = Kind::Delete;
+            toks.next();
+        } else if let Some(glued) = first.strip_prefix('x') {
+            self.kind = Kind::Xor;
+            toks.next();
+            rest_of_first = Some(glued).filter(|t| !t.is_empty());
+        } else {
+            self.kind = Kind::Add;
+        }
+        let mut toks = rest_of_first.into_iter().chain(toks);
+        match self.kind {
+            Kind::Delete => {
+                lit_group(&mut toks, &mut self.lits).ok_or("malformed deletion")?;
+                if toks.next().is_some() {
+                    return Err("trailing tokens after deletion");
+                }
+            }
+            Kind::Xor => {
+                lit_group(&mut toks, &mut self.lits).ok_or("malformed x-line lits")?;
+                id_group(&mut toks, &mut self.origins).ok_or("malformed x-line origins")?;
+                lit_group(&mut toks, &mut self.units).ok_or("malformed x-line units")?;
+                if toks.next().is_some() {
+                    return Err("trailing tokens after x-line");
+                }
+            }
+            Kind::Add => {
+                lit_group(&mut toks, &mut self.lits).ok_or("malformed addition")?;
+                let mut hints = toks.peekable();
+                if hints.peek().is_some() {
+                    hint_group(&mut hints, &mut self.hints).ok_or("malformed hints")?;
+                    if hints.next().is_some() {
+                        return Err("trailing tokens after hints");
+                    }
+                }
+            }
+        }
+        Ok(true)
+    }
+
+    /// The parsed line as an owned [`ProofStep`].
+    fn to_step(&self) -> ProofStep {
+        match self.kind {
+            Kind::Add => ProofStep::Add {
+                lits: self.lits.clone(),
+                hints: self.hints.clone(),
+            },
+            Kind::Delete => ProofStep::Delete(self.lits.clone()),
+            Kind::Xor => ProofStep::XorDerived {
+                lits: self.lits.clone(),
+                origins: self.origins.clone(),
+                units: self.units.clone(),
+            },
+        }
+    }
+}
+
+/// Reads DIMACS-coded literals up to a `0` terminator into `out`.
+fn lit_group<'a>(toks: &mut impl Iterator<Item = &'a str>, out: &mut Vec<Lit>) -> Option<()> {
+    loop {
+        let code: i64 = toks.next()?.parse().ok()?;
+        if code == 0 {
+            return Some(());
+        }
+        out.push(Lit::try_from_dimacs(code)?);
+    }
+}
+
+/// Reads the 1-based origin-id group up to its `0` terminator into `out`
+/// as 0-based indices.
+fn id_group<'a>(toks: &mut impl Iterator<Item = &'a str>, out: &mut Vec<u32>) -> Option<()> {
+    loop {
+        let id: u32 = toks.next()?.parse().ok()?;
+        match id.checked_sub(1) {
+            None => return Some(()),
+            Some(zero_based) => out.push(zero_based),
+        }
+    }
+}
+
+/// Reads the clause-id hint group up to its `0` terminator into `out`.
+fn hint_group<'a>(toks: &mut impl Iterator<Item = &'a str>, out: &mut Vec<i64>) -> Option<()> {
+    loop {
+        let id: i64 = toks.next()?.parse().ok()?;
+        if id == 0 {
+            return Some(());
+        }
+        out.push(id);
+    }
 }
 
 /// Parses DRAT+xor proof text (the format `satsolver::proof::DratProof`
-/// emits — see DESIGN.md §7).
+/// emits — see DESIGN.md §7) into owned steps. [`check_text`] does not
+/// need this: it checks each line as it parses it.
 ///
 /// # Errors
 ///
 /// Returns [`CheckError::Parse`] on the first malformed line.
 pub fn parse_proof(text: &str) -> Result<Vec<ProofStep>, CheckError> {
     let mut steps = Vec::new();
+    let mut line = Line::default();
     for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('c') {
-            continue;
-        }
-        let err = |msg: &str| CheckError::Parse {
+        let parsed = line.parse(raw).map_err(|msg| CheckError::Parse {
             line: lineno + 1,
             msg: msg.to_string(),
-        };
-        if let Some(rest) = line.strip_prefix("d ") {
-            let (lits, extra) = parse_lit_group(rest).ok_or_else(|| err("malformed deletion"))?;
-            if !extra.trim().is_empty() {
-                return Err(err("trailing tokens after deletion"));
-            }
-            steps.push(ProofStep::Delete(lits));
-        } else if let Some(rest) = line.strip_prefix('x') {
-            let (lits, rest) = parse_lit_group(rest).ok_or_else(|| err("malformed x-line lits"))?;
-            let (origins, rest) =
-                parse_u32_group(rest).ok_or_else(|| err("malformed x-line origins"))?;
-            let (units, extra) =
-                parse_lit_group(rest).ok_or_else(|| err("malformed x-line units"))?;
-            if !extra.trim().is_empty() {
-                return Err(err("trailing tokens after x-line"));
-            }
-            steps.push(ProofStep::XorDerived {
-                lits,
-                origins,
-                units,
-            });
-        } else {
-            let (lits, extra) = parse_lit_group(line).ok_or_else(|| err("malformed addition"))?;
-            if !extra.trim().is_empty() {
-                return Err(err("trailing tokens after addition"));
-            }
-            steps.push(ProofStep::Add(lits));
+        })?;
+        if parsed {
+            steps.push(line.to_step());
         }
     }
     Ok(steps)
 }
 
-/// Parses DIMACS-coded literals up to a `0` terminator; returns the
-/// literals and the unconsumed remainder.
-fn parse_lit_group(text: &str) -> Option<(Vec<Lit>, &str)> {
-    let mut lits = Vec::new();
-    let mut rest = text;
-    loop {
-        let trimmed = rest.trim_start();
-        let end = trimmed.find(char::is_whitespace).unwrap_or(trimmed.len());
-        let (tok, tail) = trimmed.split_at(end);
-        let code: i64 = tok.parse().ok()?;
-        rest = tail;
-        if code == 0 {
-            return Some((lits, rest));
+/// Per-variable marks of the sparse refold ([`Checker::xor_step`]).
+const IN_ROW: u8 = 1;
+const IN_CLAUSE: u8 = 2;
+const TOUCHED: u8 = 4;
+
+/// Scratch of the sparse refold: per-variable marks ([`IN_ROW`],
+/// [`IN_CLAUSE`], [`TOUCHED`]), all zero after each verified step (a
+/// failed step ends the check), and the variables a step marked.
+#[derive(Debug)]
+struct Refold {
+    marks: Vec<u8>,
+    touched: Vec<usize>,
+}
+
+impl Refold {
+    /// Flips variable `v`'s row bit, noting it as touched.
+    fn flip(&mut self, v: usize) {
+        if self.marks[v] & TOUCHED == 0 {
+            self.marks[v] |= TOUCHED;
+            self.touched.push(v);
         }
-        lits.push(Lit::try_from_dimacs(code)?);
+        self.marks[v] ^= IN_ROW;
+    }
+
+    /// How many touched variables are in the row.
+    fn row_len(&self) -> usize {
+        self.touched
+            .iter()
+            .filter(|&&v| self.marks[v] & IN_ROW != 0)
+            .count()
+    }
+
+    /// Zeroes every mark.
+    fn clear(&mut self) {
+        for &v in &self.touched {
+            self.marks[v] = 0;
+        }
+        self.touched.clear();
     }
 }
 
-/// Parses the 1-based origin-id group up to its `0` terminator, returning
-/// 0-based indices and the unconsumed remainder.
-fn parse_u32_group(text: &str) -> Option<(Vec<u32>, &str)> {
-    let mut ids = Vec::new();
-    let mut rest = text;
-    loop {
-        let trimmed = rest.trim_start();
-        let end = trimmed.find(char::is_whitespace).unwrap_or(trimmed.len());
-        let (tok, tail) = trimmed.split_at(end);
-        let id: u32 = tok.parse().ok()?;
-        rest = tail;
-        match id.checked_sub(1) {
-            None => return Some((ids, rest)),
-            Some(zero_based) => ids.push(zero_based),
-        }
-    }
-}
-
-/// The checker's own unit-propagation engine: two watched literals over
-/// an arena of (de)activatable clauses, with a persistent trail for
-/// formula-level facts and a rollback mark for per-check assumptions.
-#[derive(Debug, Default)]
-struct Prop {
+/// The checker's state: the formula and every verified step as clauses in
+/// one flat arena, its own unit-propagation engine (two watched literals
+/// over (de)activatable clauses, with a persistent level-0 trail and a
+/// rollback mark for per-check assumptions), and the input xor rows.
+#[derive(Debug)]
+struct Checker {
     /// Clause literals, reordered freely (slots 0/1 are the watch pair).
-    clauses: Vec<Vec<Lit>>,
+    lits: Vec<Lit>,
+    /// Clause `c` is `lits[starts[c]..starts[c + 1]]`: the formula's
+    /// clauses in order, then one per verified addition line.
+    starts: Vec<usize>,
     active: Vec<bool>,
+    /// How many of the clauses are the formula's.
+    num_inputs: usize,
+    /// Addition lines verified so far (plain and `x`).
+    additions: usize,
     /// `watches[l.index()]`: clauses watching literal `l` (visited when
     /// `l` becomes false). Stale entries are dropped lazily.
     watches: Vec<Vec<u32>>,
@@ -224,15 +362,46 @@ struct Prop {
     /// from the arena when the first deletion arrives, so a proof without
     /// deletions never pays for it.
     by_key: Option<HashMap<Vec<Lit>, Vec<u32>>>,
+    /// Input xor constraints as (sorted vars, parity). They are *not*
+    /// clauses and never join propagation.
+    xors: Vec<(Vec<Var>, bool)>,
+    refold: Refold,
+    /// Arena indices of the current addition's hints.
+    hint_cids: Vec<usize>,
+    report: CheckReport,
 }
 
-impl Prop {
-    fn new(num_vars: usize) -> Prop {
-        Prop {
-            assigns: vec![None; num_vars],
-            watches: vec![Vec::new(); 2 * num_vars],
-            ..Prop::default()
+impl Checker {
+    fn new(cnf: &Cnf) -> Checker {
+        let n = cnf.num_vars;
+        let mut checker = Checker {
+            lits: Vec::new(),
+            starts: vec![0],
+            active: Vec::new(),
+            num_inputs: cnf.clauses.len(),
+            additions: 0,
+            watches: vec![Vec::new(); 2 * n],
+            assigns: vec![None; n],
+            trail: Vec::new(),
+            qhead: 0,
+            contradiction: false,
+            by_key: None,
+            xors: cnf
+                .xors
+                .iter()
+                .map(satsolver::XorClause::normalized)
+                .collect(),
+            refold: Refold {
+                marks: vec![0; n],
+                touched: Vec::new(),
+            },
+            hint_cids: Vec::new(),
+            report: CheckReport::default(),
+        };
+        for c in &cnf.clauses {
+            checker.add_clause(c);
         }
+        checker
     }
 
     fn value(&self, l: Lit) -> Option<bool> {
@@ -245,6 +414,11 @@ impl Prop {
         self.trail.push(l);
     }
 
+    /// Arena range of clause `cid`.
+    fn range(&self, cid: usize) -> std::ops::Range<usize> {
+        self.starts[cid]..self.starts[cid + 1]
+    }
+
     /// Sorted-dedup key for deletion matching.
     fn key(lits: &[Lit]) -> Vec<Lit> {
         let mut k = lits.to_vec();
@@ -253,70 +427,66 @@ impl Prop {
         k
     }
 
-    /// Activates a clause: registers watches, enqueues persistent units,
-    /// and propagates to a fixpoint. Any conflict flips `contradiction`.
-    /// The clause is published to the arena *before* propagation runs —
-    /// propagation may revisit it through its own watch entries.
+    /// Activates a clause: appends it to the arena, registers watches,
+    /// enqueues persistent units, and propagates to a fixpoint. Any
+    /// conflict flips `contradiction`. The clause is in the arena
+    /// *before* propagation runs — propagation may revisit it through its
+    /// own watch entries.
     fn add_clause(&mut self, lits: &[Lit]) {
-        let mut lits = Self::key(lits);
-        let cid = self.clauses.len() as u32;
-        if let Some(index) = self.by_key.as_mut() {
-            index.entry(lits.clone()).or_default().push(cid);
-        }
+        let key = Self::key(lits);
+        let cid = self.active.len() as u32;
+        let base = self.lits.len();
         // Prefer non-false literals in the watch slots so the watch
         // invariant (a false watched literal has been visited) holds
         // from the start.
+        self.lits.extend_from_slice(&key);
         let mut slot = 0usize;
-        for i in 0..lits.len() {
-            if self.value(lits[i]) != Some(false) {
-                lits.swap(slot, i);
+        for (i, &l) in key.iter().enumerate() {
+            if self.value(l) != Some(false) {
+                self.lits.swap(base + slot, base + i);
                 slot += 1;
                 if slot == 2 {
                     break;
                 }
             }
         }
-        let first = lits.first().copied();
-        let watch_pair = (lits.len() >= 2).then(|| (lits[0], lits[1]));
-        self.clauses.push(lits);
-        self.active.push(true);
-        if let Some((w0, w1)) = watch_pair {
-            self.watches[w0.index()].push(cid);
-            self.watches[w1.index()].push(cid);
+        if let Some(index) = self.by_key.as_mut() {
+            index.entry(key).or_default().push(cid);
         }
-        let Some(first) = first else {
-            self.contradiction = true; // empty clause
-            return;
-        };
-        match slot {
-            0 => self.contradiction = true, // every literal already false
-            1 => match self.value(first) {
-                Some(true) => {}
-                Some(false) => unreachable!("slot counted it non-false"),
-                None => {
-                    self.enqueue(first);
-                    if self.propagate() {
-                        self.contradiction = true;
-                    }
+        self.starts.push(self.lits.len());
+        self.active.push(true);
+        let len = self.lits.len() - base;
+        if len >= 2 {
+            self.watches[self.lits[base].index()].push(cid);
+            self.watches[self.lits[base + 1].index()].push(cid);
+        }
+        if len == 0 || slot == 0 {
+            self.contradiction = true; // empty, or every literal already false
+        } else if slot == 1 {
+            let first = self.lits[base];
+            if self.value(first).is_none() {
+                self.enqueue(first);
+                if self.propagate() {
+                    self.contradiction = true;
                 }
-            },
-            _ => {}
+            }
         }
     }
 
     /// Deactivates the most recently added active clause with the same
     /// literal set. Returns whether a clause matched.
     fn delete_clause(&mut self, lits: &[Lit]) -> bool {
-        let (clauses, active) = (&self.clauses, &self.active);
-        let index = self.by_key.get_or_insert_with(|| {
+        if self.by_key.is_none() {
             let mut index: HashMap<Vec<Lit>, Vec<u32>> = HashMap::new();
-            for (cid, clause) in clauses.iter().enumerate() {
-                if active[cid] {
-                    index.entry(Self::key(clause)).or_default().push(cid as u32);
+            for cid in 0..self.active.len() {
+                if self.active[cid] {
+                    let key = Self::key(&self.lits[self.range(cid)]);
+                    index.entry(key).or_default().push(cid as u32);
                 }
             }
-            index
-        });
+            self.by_key = Some(index);
+        }
+        let index = self.by_key.as_mut().expect("built above");
         if let Some(stack) = index.get_mut(&Self::key(lits)) {
             while let Some(cid) = stack.pop() {
                 if self.active[cid as usize] {
@@ -341,29 +511,31 @@ impl Prop {
             let mut j = 0;
             let mut conflict = false;
             'next: while i < ws.len() {
-                let cid = ws[i] as usize;
+                let cid = ws[i];
                 i += 1;
-                if !self.active[cid] {
+                if !self.active[cid as usize] {
                     continue; // stale entry for a deleted clause
                 }
-                if self.clauses[cid][0] == fl {
-                    self.clauses[cid].swap(0, 1);
+                let range = self.range(cid as usize);
+                let base = range.start;
+                if self.lits[base] == fl {
+                    self.lits.swap(base, base + 1);
                 }
-                let first = self.clauses[cid][0];
+                let first = self.lits[base];
                 if self.value(first) == Some(true) {
-                    ws[j] = cid as u32;
+                    ws[j] = cid;
                     j += 1;
                     continue;
                 }
-                for k in 2..self.clauses[cid].len() {
-                    let l = self.clauses[cid][k];
+                for k in base + 2..range.end {
+                    let l = self.lits[k];
                     if self.value(l) != Some(false) {
-                        self.clauses[cid].swap(1, k);
-                        self.watches[l.index()].push(cid as u32);
+                        self.lits.swap(base + 1, k);
+                        self.watches[l.index()].push(cid);
                         continue 'next;
                     }
                 }
-                ws[j] = cid as u32;
+                ws[j] = cid;
                 j += 1;
                 match self.value(first) {
                     Some(false) => {
@@ -387,9 +559,58 @@ impl Prop {
         false
     }
 
-    /// RUP check: is `clause` implied by unit propagation over the active
-    /// set? Temporary assumptions are rolled back before returning.
-    fn is_rup(&mut self, clause: &[Lit]) -> bool {
+    /// The arena index of the clause hint `id` names, if it names one
+    /// before the current addition: `-k` is the formula's `k`-th clause,
+    /// `n` the `n`-th verified addition line.
+    fn hint_cid(&self, id: i64) -> Option<usize> {
+        let k = usize::try_from(id.unsigned_abs()).ok()?.checked_sub(1)?;
+        if id < 0 {
+            (k < self.num_inputs).then_some(k)
+        } else {
+            (k < self.additions).then_some(self.num_inputs + k)
+        }
+    }
+
+    /// Walks the hints in `hint_cids` over the current assignment: the
+    /// literal of each active hint that is unit is assigned, and the walk
+    /// stops with `true` at the first that is falsified. Any other hint
+    /// (inactive, satisfied, or with two open literals) is skipped.
+    fn walk_hints(&mut self) -> bool {
+        for h in 0..self.hint_cids.len() {
+            let cid = self.hint_cids[h];
+            if !self.active[cid] {
+                continue;
+            }
+            let mut open = None;
+            let mut skip = false;
+            for k in self.range(cid) {
+                let l = self.lits[k];
+                match self.value(l) {
+                    Some(false) => {}
+                    None if open.is_none() => open = Some(l),
+                    _ => {
+                        skip = true; // satisfied, or a second open literal
+                        break;
+                    }
+                }
+            }
+            if skip {
+                continue;
+            }
+            match open {
+                None => return true,
+                Some(l) => self.enqueue(l),
+            }
+        }
+        false
+    }
+
+    /// RUP check: is `clause` implied by unit steps over the active set?
+    /// The hints in `hint_cids` are walked first; full propagation runs
+    /// only if they reach no conflict (counted in the report when
+    /// `addition`). Temporary assumptions are rolled back before
+    /// returning.
+    fn is_rup(&mut self, clause: &[Lit], addition: bool) -> bool {
         if self.contradiction {
             return true;
         }
@@ -406,166 +627,173 @@ impl Prop {
                 None => self.enqueue(!l),
             }
         }
-        let ok = conflict || self.propagate();
+        if !conflict && !self.hint_cids.is_empty() {
+            conflict = self.walk_hints();
+        }
+        if !conflict {
+            self.report.propagated_additions += u64::from(addition);
+            conflict = self.propagate();
+        }
         for idx in saved..self.trail.len() {
             self.assigns[self.trail[idx].var().index()] = None;
         }
         self.trail.truncate(saved);
         self.qhead = saved;
-        ok
+        conflict
     }
-}
 
-/// Checks a parsed proof against its input formula.
-///
-/// # Errors
-///
-/// Returns the first failing step ([`CheckError::Step`]) or
-/// [`CheckError::NotRefutation`] if the proof never derives the empty
-/// clause.
-pub fn check(cnf: &Cnf, steps: &[ProofStep]) -> Result<CheckReport, CheckError> {
-    let mut prop = Prop::new(cnf.num_vars);
-    for c in &cnf.clauses {
-        prop.add_clause(c);
+    /// Verifies an `x` step: refolds the claimed derivation sparsely over
+    /// the named input rows and units, and checks `lits` against the row.
+    fn xor_step(&mut self, lits: &[Lit], origins: &[u32], units: &[Lit]) -> Result<(), String> {
+        let mut rhs = false;
+        for &id in origins {
+            let (vars, parity) = self
+                .xors
+                .get(id as usize)
+                .ok_or_else(|| format!("origin {id} out of range"))?;
+            rhs ^= parity;
+            for v in vars {
+                self.refold.flip(v.index());
+            }
+        }
+        self.hint_cids.clear();
+        for &u in units {
+            // Substituting `u` is xoring in the singleton constraint
+            // `var(u) = polarity(u)` — sound only if the unit itself is
+            // derivable.
+            if !self.is_rup(&[u], false) {
+                return Err(format!("substituted unit {} is not RUP", u.to_dimacs()));
+            }
+            self.report.xor_units_checked += 1;
+            self.refold.flip(u.var().index());
+            rhs ^= u.is_positive();
+        }
+        let row_len = self.refold.row_len();
+        // The clause must cover the row's variables exactly, and its
+        // unique falsifying assignment must violate the row: that
+        // assignment sets each variable to the negation of its literal's
+        // polarity, so its parity is the negative-literal count mod 2.
+        let mut neg = 0usize;
+        let marks = &mut self.refold.marks;
+        for l in lits {
+            let v = l.var().index();
+            if marks[v] & IN_CLAUSE != 0 {
+                return Err(format!("duplicate variable in {}", dimacs(lits)));
+            }
+            if marks[v] & IN_ROW == 0 {
+                return Err(format!(
+                    "variable {} of {} not in the derived row",
+                    l.var(),
+                    dimacs(lits)
+                ));
+            }
+            marks[v] |= IN_CLAUSE;
+            neg += usize::from(!l.is_positive());
+        }
+        // Only row variables, all touched, got an `IN_CLAUSE` mark.
+        self.refold.clear();
+        if lits.is_empty() {
+            // Refutation by inconsistent row: 0 = 1.
+            if row_len != 0 || !rhs {
+                return Err("empty x-line does not refold to 0 = 1".to_string());
+            }
+        } else if lits.len() != row_len {
+            return Err(format!(
+                "clause {} misses {} row variable(s)",
+                dimacs(lits),
+                row_len - lits.len()
+            ));
+        } else if (neg % 2 == 1) == rhs {
+            return Err(format!(
+                "clause {} does not block the row's violating parity",
+                dimacs(lits)
+            ));
+        }
+        Ok(())
     }
-    // Input xor constraints, normalized to (sorted vars, parity) for the
-    // dense refold. They are *not* clauses and never join propagation.
-    let inputs: Vec<(Vec<satsolver::Var>, bool)> = cnf
-        .xors
-        .iter()
-        .map(satsolver::XorClause::normalized)
-        .collect();
 
-    let mut report = CheckReport::default();
-    for (index, step) in steps.iter().enumerate() {
-        let fail = |reason: String| CheckError::Step { index, reason };
+    /// Checks one step. Returns `Ok(true)` when it closes the refutation.
+    fn step(&mut self, line: &Line) -> Result<bool, String> {
         // Reject out-of-range variables up front: a malformed proof must
         // fail the check, not panic the checker.
-        let step_lits: &[Lit] = match step {
-            ProofStep::Add(lits) | ProofStep::Delete(lits) => lits,
-            ProofStep::XorDerived { lits, .. } => lits,
-        };
-        let unit_lits: &[Lit] = match step {
-            ProofStep::XorDerived { units, .. } => units,
-            _ => &[],
-        };
-        for l in step_lits.iter().chain(unit_lits) {
-            if l.var().index() >= cnf.num_vars {
-                return Err(fail(format!(
-                    "variable {} out of range (formula has {})",
-                    l.var(),
-                    cnf.num_vars
-                )));
-            }
+        let num_vars = self.assigns.len();
+        if let Some(l) = line
+            .lits
+            .iter()
+            .chain(&line.units)
+            .find(|l| l.var().index() >= num_vars)
+        {
+            return Err(format!(
+                "variable {} out of range (formula has {num_vars})",
+                l.var()
+            ));
         }
-        match step {
-            ProofStep::Delete(lits) => {
-                if prop.delete_clause(lits) {
-                    report.deletions_applied += 1;
+        match line.kind {
+            Kind::Delete => {
+                if self.delete_clause(&line.lits) {
+                    self.report.deletions_applied += 1;
                 } else {
-                    report.deletions_ignored += 1;
+                    self.report.deletions_ignored += 1;
                 }
+                return Ok(false);
             }
-            ProofStep::Add(lits) => {
-                if !prop.is_rup(lits) {
-                    return Err(fail(format!("clause {} is not RUP", dimacs(lits))));
+            Kind::Add => {
+                self.hint_cids.clear();
+                for &id in &line.hints {
+                    let cid = self
+                        .hint_cid(id)
+                        .ok_or_else(|| format!("hint {id} names no earlier clause"))?;
+                    self.hint_cids.push(cid);
                 }
-                report.rup_additions += 1;
-                if lits.is_empty() {
-                    return Ok(report);
+                if !self.is_rup(&line.lits, true) {
+                    return Err(format!("clause {} is not RUP", dimacs(&line.lits)));
                 }
-                prop.add_clause(lits);
+                self.report.rup_additions += 1;
             }
-            ProofStep::XorDerived {
-                lits,
-                origins,
-                units,
-            } => {
-                // Refold the claimed derivation densely over GF(2).
-                let mut row = BitVec::zeros(cnf.num_vars);
-                let mut rhs = false;
-                for &id in origins {
-                    let (vars, r) = inputs
-                        .get(id as usize)
-                        .ok_or_else(|| fail(format!("origin {id} out of range")))?;
-                    for v in vars {
-                        row.flip(v.index());
-                    }
-                    rhs ^= r;
-                }
-                for &u in units {
-                    // Substituting `u` is xoring in the singleton
-                    // constraint `var(u) = polarity(u)` — sound only if
-                    // the unit itself is derivable.
-                    if !prop.is_rup(&[u]) {
-                        return Err(fail(format!(
-                            "substituted unit {} is not RUP",
-                            u.to_dimacs()
-                        )));
-                    }
-                    report.xor_units_checked += 1;
-                    row.flip(u.var().index());
-                    rhs ^= u.is_positive();
-                }
-                if lits.is_empty() {
-                    // Refutation by inconsistent row: 0 = 1.
-                    if !row.is_zero() || !rhs {
-                        return Err(fail("empty x-line does not refold to 0 = 1".to_string()));
-                    }
-                    report.xor_steps += 1;
-                    return Ok(report);
-                }
-                // The clause must cover the row's variables exactly, and
-                // its unique falsifying assignment must violate the row:
-                // that assignment sets each variable to the negation of
-                // its literal's polarity, so its parity is the negative-
-                // literal count mod 2.
-                let mut neg = 0usize;
-                let mut seen = BitVec::zeros(cnf.num_vars);
-                for l in lits {
-                    let v = l.var().index();
-                    if seen.get(v) {
-                        return Err(fail(format!("duplicate variable in {}", dimacs(lits))));
-                    }
-                    seen.flip(v);
-                    if !row.get(v) {
-                        return Err(fail(format!(
-                            "variable {} of {} not in the derived row",
-                            l.var(),
-                            dimacs(lits)
-                        )));
-                    }
-                    neg += usize::from(!l.is_positive());
-                }
-                if lits.len() != row.count_ones() {
-                    return Err(fail(format!(
-                        "clause {} misses {} row variable(s)",
-                        dimacs(lits),
-                        row.count_ones() - lits.len()
-                    )));
-                }
-                if (neg % 2 == 1) == rhs {
-                    return Err(fail(format!(
-                        "clause {} does not block the row's violating parity",
-                        dimacs(lits)
-                    )));
-                }
-                report.xor_steps += 1;
-                prop.add_clause(lits);
+            Kind::Xor => {
+                self.xor_step(&line.lits, &line.origins, &line.units)?;
+                self.report.xor_steps += 1;
             }
         }
+        if line.lits.is_empty() {
+            return Ok(true);
+        }
+        self.additions += 1;
+        self.add_clause(&line.lits);
+        Ok(false)
     }
-    Err(CheckError::NotRefutation)
 }
 
-/// Parses and checks proof text in one call.
+/// Checks DRAT+xor proof text against its input formula in one streaming
+/// pass: each line is parsed and checked before the next is read, and
+/// the check ends at the verified empty clause.
 ///
 /// # Errors
 ///
-/// See [`parse_proof`] and [`check`].
+/// [`CheckError::Parse`] for a malformed line, [`CheckError::Step`] for
+/// the first failing step, or [`CheckError::NotRefutation`] if the proof
+/// never derives the empty clause.
 pub fn check_text(cnf: &Cnf, proof: &str) -> Result<CheckReport, CheckError> {
-    let steps = parse_proof(proof)?;
-    check(cnf, &steps)
+    let mut checker = Checker::new(cnf);
+    let mut line = Line::default();
+    let mut index = 0;
+    for (lineno, raw) in proof.lines().enumerate() {
+        let parsed = line.parse(raw).map_err(|msg| CheckError::Parse {
+            line: lineno + 1,
+            msg: msg.to_string(),
+        })?;
+        if !parsed {
+            continue;
+        }
+        let closed = checker
+            .step(&line)
+            .map_err(|reason| CheckError::Step { index, reason })?;
+        if closed {
+            return Ok(checker.report);
+        }
+        index += 1;
+    }
+    Err(CheckError::NotRefutation)
 }
 
 fn dimacs(lits: &[Lit]) -> String {
@@ -658,8 +886,8 @@ pub fn certify_unsat(cnf: &Cnf) -> Result<Certificate, CertifyError> {
     if !unsat && solver.solve() == SolveResult::Sat {
         return Err(CertifyError::Sat);
     }
-    let proof = solver.proof().expect("proof logging enabled above").text();
-    certify(cnf.clone(), proof.to_string()).map_err(CertifyError::Check)
+    let proof = solver.take_proof().expect("proof logging enabled above");
+    certify(cnf.clone(), proof.into_text()).map_err(CertifyError::Check)
 }
 
 #[cfg(test)]
@@ -688,11 +916,23 @@ mod tests {
         cnf
     }
 
+    fn add(codes: &[i64], hints: &[i64]) -> ProofStep {
+        ProofStep::Add {
+            lits: lits(codes),
+            hints: hints.to_vec(),
+        }
+    }
+
+    /// (a ∨ b)(¬a ∨ b)(a ∨ ¬b)(¬a ∨ ¬b)(c ∨ d): UNSAT, with a clause of
+    /// its own that stays open.
+    const SQUARE: &str = "p cnf 4 5\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n3 4 0\n";
+
     #[test]
     fn parse_the_three_step_kinds() {
-        let steps = parse_proof("1 -2 0\nd 1 -2 0\nx 3 -4 0 1 2 0 -5 0\n0\n").unwrap();
-        assert_eq!(steps.len(), 4);
-        assert_eq!(steps[0], ProofStep::Add(lits(&[1, -2])));
+        let text = "1 -2 0\nd 1 -2 0\nx 3 -4 0 1 2 0 -5 0\n-3 0 -1 2 0\n0\n";
+        let steps = parse_proof(text).unwrap();
+        assert_eq!(steps.len(), 5);
+        assert_eq!(steps[0], add(&[1, -2], &[]));
         assert_eq!(steps[1], ProofStep::Delete(lits(&[1, -2])));
         assert_eq!(
             steps[2],
@@ -702,7 +942,8 @@ mod tests {
                 units: lits(&[-5]),
             }
         );
-        assert_eq!(steps[3], ProofStep::Add(Vec::new()));
+        assert_eq!(steps[3], add(&[-3], &[-1, 2]));
+        assert_eq!(steps[4], add(&[], &[]));
     }
 
     #[test]
@@ -719,6 +960,7 @@ mod tests {
             "99999999999 0\n",
             "d -99999999999 0\n",
             "x 99999999999 0 0 0\n",
+            "1 0 99999999999999999999 0\n",
         ] {
             assert!(
                 matches!(
@@ -731,11 +973,113 @@ mod tests {
     }
 
     #[test]
+    fn malformed_hint_groups_are_parse_errors() {
+        for bad in [
+            "2 0 -1\n",
+            "2 0 -1 banana 0\n",
+            "2 0 -1 0 3\n",
+            "0 -1 0 0\n",
+        ] {
+            assert!(
+                matches!(parse_proof(bad), Err(CheckError::Parse { line: 1, .. })),
+                "{bad:?} must be rejected"
+            );
+            let cnf = Cnf::parse(SQUARE).unwrap();
+            assert!(
+                matches!(
+                    check_text(&cnf, bad),
+                    Err(CheckError::Parse { line: 1, .. })
+                ),
+                "{bad:?} must be rejected by the checker"
+            );
+        }
+    }
+
+    #[test]
     fn hand_written_rup_refutation_checks() {
         // (a ∨ b)(¬a ∨ b)(a ∨ ¬b)(¬a ∨ ¬b) with the classic two-step proof.
         let cnf = Cnf::parse("p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n").unwrap();
         let report = check_text(&cnf, "2 0\n0\n").unwrap();
         assert_eq!(report.rup_additions, 2);
+    }
+
+    #[test]
+    fn hints_check_without_propagation_and_skip_non_units() {
+        let cnf = Cnf::parse(SQUARE).unwrap();
+        // [2]: assume ¬2; (1 ∨ 2) makes 1, then (¬1 ∨ 2) is falsified.
+        // The hint (3 ∨ 4) has two open literals and (¬1 ∨ ¬2) is
+        // satisfied by ¬2: both are skipped, not errors.
+        let report = check_text(&cnf, "2 0 -5 -4 -1 -2 0\n0\n").unwrap();
+        assert_eq!(report.rup_additions, 2);
+        assert_eq!(report.propagated_additions, 0);
+        assert_eq!(report.hinted_additions(), 2);
+        // The same lemma without hints is checked by propagation.
+        let report = check_text(&cnf, "2 0\n0\n").unwrap();
+        assert_eq!(report.propagated_additions, 1);
+    }
+
+    #[test]
+    fn unhelpful_hints_fall_back_to_propagation() {
+        let cnf = Cnf::parse(SQUARE).unwrap();
+        // Only skipped hints: the walk ends without a conflict, and full
+        // propagation proves the lemma anyway.
+        let report = check_text(&cnf, "2 0 -5 -4 0\n0\n").unwrap();
+        assert_eq!(report.propagated_additions, 1);
+        // A deleted hint is skipped: citing it proves nothing.
+        let report = check_text(&cnf, "d 3 4 0\n2 0 -5 -1 -2 0\n0\n").unwrap();
+        assert_eq!(report.deletions_applied, 1);
+        assert_eq!((report.rup_additions, report.propagated_additions), (2, 0));
+        let err = check_text(&cnf, "d -1 2 0\n2 0 -1 -2 0\n0\n").unwrap_err();
+        assert!(matches!(err, CheckError::Step { index: 1, .. }), "{err}");
+    }
+
+    #[test]
+    fn hint_naming_no_earlier_clause_is_an_error() {
+        let cnf = Cnf::parse(SQUARE).unwrap();
+        for (proof, index) in [
+            ("2 0 -6 0\n0\n", 0),                   // past the formula's 5 clauses
+            ("2 0 1 0\n0\n", 0),                    // itself
+            ("2 0 -1 -2 0\n0 2 0\n", 1),            // a later step
+            ("2 0 9223372036854775807 0\n0\n", 0),  // far past the end
+            ("2 0 -9223372036854775808 0\n0\n", 0), // far before the start
+        ] {
+            let err = check_text(&cnf, proof).unwrap_err();
+            assert!(
+                matches!(&err, CheckError::Step { index: i, reason } if *i == index && reason.contains("names no earlier clause")),
+                "{proof:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn non_rup_lemma_with_real_hints_is_rejected() {
+        let cnf = Cnf::parse(SQUARE).unwrap();
+        // [3] is not implied: its hints name real clauses, one of which
+        // even becomes unit, but no conflict follows with or without them.
+        let err = check_text(&cnf, "3 0 -5 -1 0\n0\n").unwrap_err();
+        assert!(matches!(err, CheckError::Step { index: 0, .. }), "{err}");
+        // A non-empty clause cannot close the proof through its hints.
+        let err = check_text(&cnf, "0 -5 0\n").unwrap_err();
+        assert!(matches!(err, CheckError::Step { index: 0, .. }), "{err}");
+    }
+
+    #[test]
+    fn empty_xor_does_not_shift_origin_ids() {
+        // ⊕∅ = 0 is trivially true: the mirror drops it, so the engine
+        // must not number it, or every later x-line names the wrong row.
+        let mut s = Solver::new();
+        s.enable_input_mirror();
+        s.enable_proof();
+        let v: Vec<Lit> = (0..3).map(|_| Lit::positive(s.new_var())).collect();
+        assert!(s.add_xor(&[], false));
+        assert!(s.add_xor(&[v[0], v[1]], false));
+        assert!(s.add_xor(&[v[1], v[2]], false));
+        assert!(!s.add_xor(&[v[0], v[2]], true));
+        let mirror = s.input_mirror().unwrap();
+        assert_eq!(mirror.xors.len(), 3);
+        let proof = s.proof().unwrap();
+        assert!(proof.is_refutation());
+        check_text(mirror, proof.text()).unwrap();
     }
 
     #[test]
@@ -840,6 +1184,30 @@ mod tests {
         let mutated = format!("1 0\n{rest}");
         let err = check_text(&cnf, &mutated).unwrap_err();
         assert!(matches!(err, CheckError::Step { index: 0, .. }), "{err}");
+    }
+
+    #[test]
+    fn x_lines_are_checked_against_the_refolded_row() {
+        // One row, x1 ⊕ x2 ⊕ x3 = 1; x4 is in no row.
+        let cnf = Cnf::parse("p cnf 4 1\nx1 2 3 0\n").unwrap();
+        assert_eq!(
+            check_text(&cnf, "x 3 1 2 0 1 0 0\n"),
+            Err(CheckError::NotRefutation)
+        );
+        for (proof, why) in [
+            ("x 1 1 2 3 0 1 0 0\n", "duplicate variable"),
+            ("x 1 2 0 1 0 0\n", "misses 1 row variable"),
+            ("x 1 2 3 4 0 1 0 0\n", "not in the derived row"),
+            ("x -1 2 3 0 1 0 0\n", "violating parity"),
+            ("x 1 2 3 0 2 0 0\n", "origin 1 out of range"),
+            ("x 1 2 0 1 0 3 0\n", "substituted unit 3 is not RUP"),
+        ] {
+            let err = check_text(&cnf, proof).unwrap_err();
+            assert!(
+                matches!(&err, CheckError::Step { index: 0, reason } if reason.contains(why)),
+                "{proof:?}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -4,8 +4,14 @@
 //! offset of its header ([`ClauseRef`]) and laid out as:
 //!
 //! ```text
-//! [len] [flags: learnt|deleted] [activity f32 bits] [lit 0] [lit 1] ...
+//! [len] [proof id | deleted | learnt] [activity f32 bits] [lit 0] [lit 1] ...
 //! ```
+//!
+//! The proof id is the clause's name in a certifying run's proof log
+//! (`0` when logging is off, or when the id does not fit its 30 bits;
+//! see [`crate::proof`]), read back when the clause serves as a reason so
+//! a learnt clause can cite it as a hint. It shares the flags word, so a
+//! clause costs no more arena than without logging.
 //!
 //! Deletion marks the header; [`ClauseDb::compact`] rebuilds the arena and
 //! returns the old one as a [`Forwarding`] table (each survivor's new
@@ -16,6 +22,8 @@ use crate::types::Lit;
 
 const FLAG_LEARNT: u32 = 1;
 const FLAG_DELETED: u32 = 2;
+/// The proof id sits above the two flag bits, as a signed 30-bit value.
+const ID_SHIFT: u32 = 2;
 const HEADER_WORDS: usize = 3;
 
 /// Reference to a clause in the arena (offset of its header word).
@@ -38,12 +46,21 @@ impl ClauseDb {
         ClauseDb::default()
     }
 
-    /// Allocates a clause; caller guarantees `lits.len() >= 2`.
-    pub(crate) fn alloc(&mut self, lits: &[Lit], learnt: bool) -> ClauseRef {
+    /// Allocates a clause named `proof_id` in the proof log (stored as
+    /// `0`, no id, when it does not fit); caller guarantees
+    /// `lits.len() >= 2`.
+    pub(crate) fn alloc(&mut self, lits: &[Lit], learnt: bool, proof_id: i64) -> ClauseRef {
         debug_assert!(lits.len() >= 2, "arena clauses have at least 2 literals");
         let cref = ClauseRef(self.data.len() as u32);
+        let limit = 1i64 << (31 - ID_SHIFT);
+        let id = if (-limit..limit).contains(&proof_id) {
+            proof_id as i32
+        } else {
+            0
+        };
         self.data.push(lits.len() as u32);
-        self.data.push(if learnt { FLAG_LEARNT } else { 0 });
+        self.data
+            .push(((id << ID_SHIFT) as u32) | if learnt { FLAG_LEARNT } else { 0 });
         self.data.push(0f32.to_bits());
         self.data.extend(lits.iter().map(|l| l.0));
         if learnt {
@@ -107,6 +124,11 @@ impl ClauseDb {
 
     pub(crate) fn set_activity(&mut self, c: ClauseRef, a: f32) {
         self.data[c.0 as usize + 2] = a.to_bits();
+    }
+
+    /// The clause's proof id (`0` if it was allocated without one).
+    pub(crate) fn proof_id(&self, c: ClauseRef) -> i64 {
+        i64::from((self.data[c.0 as usize + 1] as i32) >> ID_SHIFT)
     }
 
     /// Total arena words (for memory accounting).
@@ -196,8 +218,8 @@ mod tests {
     #[test]
     fn alloc_and_read_back() {
         let mut db = ClauseDb::new();
-        let c1 = db.alloc(&lits(&[1, -2, 3]), false);
-        let c2 = db.alloc(&lits(&[-1, 2]), true);
+        let c1 = db.alloc(&lits(&[1, -2, 3]), false, -1);
+        let c2 = db.alloc(&lits(&[-1, 2]), true, 7);
         assert_eq!(db.len(c1), 3);
         assert_eq!(db.len(c2), 2);
         assert_eq!(db.lit(c1, 1), Lit::negative(Var(1)));
@@ -205,12 +227,23 @@ mod tests {
         assert!(db.is_learnt(c2));
         assert_eq!(db.num_original, 1);
         assert_eq!(db.num_learnt, 1);
+        assert_eq!((db.proof_id(c1), db.proof_id(c2)), (-1, 7));
+        // Ids that do not fit the flags word are stored as "no id".
+        let big = db.alloc(&lits(&[1, 2]), false, 1 << 29);
+        let low = db.alloc(&lits(&[1, 2]), true, -(1 << 29));
+        let high = db.alloc(&lits(&[1, 2]), true, (1 << 29) - 1);
+        assert_eq!(db.proof_id(big), 0);
+        assert_eq!(
+            (db.proof_id(low), db.proof_id(high)),
+            (-(1 << 29), (1 << 29) - 1)
+        );
+        assert!(db.is_learnt(low) && !db.is_learnt(big));
     }
 
     #[test]
     fn swap_and_set() {
         let mut db = ClauseDb::new();
-        let c = db.alloc(&lits(&[1, 2, 3]), false);
+        let c = db.alloc(&lits(&[1, 2, 3]), false, 0);
         db.swap_lits(c, 0, 2);
         assert_eq!(db.lit(c, 0).to_dimacs(), 3);
         assert_eq!(db.lit(c, 2).to_dimacs(), 1);
@@ -221,7 +254,7 @@ mod tests {
     #[test]
     fn activity_storage() {
         let mut db = ClauseDb::new();
-        let c = db.alloc(&lits(&[1, 2]), true);
+        let c = db.alloc(&lits(&[1, 2]), true, 0);
         db.set_activity(c, 3.5);
         assert_eq!(db.activity(c), 3.5);
     }
@@ -244,7 +277,7 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(i, c)| {
-                let cref = db.alloc(&lits(c), i % 2 == 1);
+                let cref = db.alloc(&lits(c), i % 2 == 1, i as i64 - 3);
                 db.set_activity(cref, i as f32 + 0.5);
                 cref
             })
@@ -272,6 +305,7 @@ mod tests {
             assert_eq!(db.is_learnt(new), i % 2 == 1, "clause {i} class");
             assert!(!db.is_deleted(new));
             assert_eq!(db.activity(new), i as f32 + 0.5, "clause {i} activity");
+            assert_eq!(db.proof_id(new), i as i64 - 3, "clause {i} proof id");
         }
         assert_eq!(db.arena_words(), expect_offset as usize);
         // Iteration sees exactly the survivors, in order.
@@ -283,9 +317,9 @@ mod tests {
     #[test]
     fn iter_skips_deleted() {
         let mut db = ClauseDb::new();
-        let a = db.alloc(&lits(&[1, 2]), false);
-        let b = db.alloc(&lits(&[2, 3]), false);
-        let c = db.alloc(&lits(&[3, 4]), false);
+        let a = db.alloc(&lits(&[1, 2]), false, 0);
+        let b = db.alloc(&lits(&[2, 3]), false, 0);
+        let c = db.alloc(&lits(&[3, 4]), false, 0);
         db.delete(b);
         let seen: Vec<ClauseRef> = db.iter_refs().collect();
         assert_eq!(seen, vec![a, c]);

@@ -1,4 +1,5 @@
-//! Proof logging: DRAT with an `x` extension for xor-derived clauses.
+//! Proof logging: DRAT with an `x` extension for xor-derived clauses and
+//! LRAT-style antecedent hints on clause additions.
 //!
 //! A certifying run writes every inference the solver makes to a
 //! [`DratProof`]; together with the input formula the resulting log is a
@@ -6,9 +7,13 @@
 //! `drat-check`). Three step kinds are emitted:
 //!
 //! * **Clause addition** — a learnt clause (or the empty clause on
-//!   refutation), one DIMACS-coded line terminated by `0`. Checkable by
-//!   RUP: assuming the negation of every literal and unit-propagating over
-//!   the active clause set must yield a conflict.
+//!   refutation): `<lits> 0 <hints> 0`, or `<lits> 0` with no hints.
+//!   Checkable by RUP: assuming the negation of every literal and
+//!   unit-propagating over the active clause set must yield a conflict.
+//!   The hints name the clauses that propagation needs, in the order the
+//!   solver's trail used them and the conflict last, so the checker can
+//!   walk them instead of propagating over everything. Literals false at
+//!   level 0 need no hint: the checker holds them on its own trail.
 //! * **Clause deletion** — `d` followed by the clause. Deletions keep the
 //!   checker's propagation state small and mirror the solver's learnt-DB
 //!   reduction exactly.
@@ -16,34 +21,80 @@
 //!   Clauses read off the GF(2) engine's rows are *not* RUP in general
 //!   (that is the whole point of native xor reasoning), so each one is
 //!   logged with its derivation. The solver logs one when conflict
-//!   analysis first reads a row reason during an assignment, on every
-//!   conflicting row, and on every level-0 xor implication; an
-//!   implication analysis never reads is never logged. Each line carries
-//!   the set of input xor constraints whose GF(2) sum, after substituting
-//!   the listed top-level unit literals, yields the row the clause was
-//!   read off. Origin ids are **1-based** on the wire (`0` is the group
-//!   terminator): id `k` is the formula's `k`-th `x`-line in add order.
-//!   The checker re-runs the elimination densely and verifies the clause
-//!   against the reconstructed row — no RUP involved. See DESIGN.md §7
-//!   for the exact soundness argument.
+//!   analysis cites a row reason or a conflicting row, and on every
+//!   level-0 xor implication; an implication analysis never cites is
+//!   never logged. Each line carries the set of input xor constraints
+//!   whose GF(2) sum, after substituting the listed top-level unit
+//!   literals, yields the row the clause was read off. Origin ids are
+//!   **1-based** on the wire (`0` is the group terminator): id `k` is the
+//!   formula's `k`-th `x`-line in add order. The checker re-runs the
+//!   elimination and verifies the clause against the reconstructed row —
+//!   no RUP involved. See DESIGN.md §7 for the exact soundness argument.
+//!
+//! **Clause ids.** Every clause a hint can name has an id. The `k`-th
+//! input clause named by [`DratProof::input_clause`] (one per
+//! `add_clause` call on a logging solver, so the formula's `k`-th clause)
+//! is `-k`; the `n`-th addition line, plain or `x`, is step `n`. Each
+//! distinct xor-derived clause is written once: a repeat with the same
+//! literal set, in any order, returns the first line's id and writes
+//! nothing. A deletion with that literal set re-arms the clause — the
+//! checker may have deactivated that very copy — so the next repeat is
+//! written again under a new id.
 //!
 //! The solver holds the log as an `Option<DratProof>`
 //! ([`crate::Solver::enable_proof`]; read back with
-//! [`crate::Solver::proof`]): when logging is off every
-//! call site is a single branch on a `None`, so proof support costs
-//! nothing unless switched on.
+//! [`crate::Solver::proof`], moved out with
+//! [`crate::Solver::take_proof`]): when logging is off every call site
+//! is a single branch on a `None`, so proof support costs nothing unless
+//! switched on.
 //!
-//! The log keeps only its text: a certificate's step counts are the
-//! checker's (`proofcheck::CheckReport::steps`), taken over the steps it
-//! verified.
+//! The log keeps only its text and the ids it hands out: a certificate's
+//! step counts are the checker's (`proofcheck::CheckReport::steps`),
+//! taken over the steps it verified.
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::types::Lit;
+
+/// A multiply-rotate hasher (FxHash's mix) for the literal sets the log
+/// dedups. The keys are the solver's own clauses, not input from outside
+/// the program, so the default hasher's resistance to crafted collisions
+/// buys nothing, while its per-word cost is paid on every cited row.
+#[derive(Debug, Default)]
+struct LitSetHasher(u64);
+
+impl LitSetHasher {
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for LitSetHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.mix(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.mix(u64::from(word));
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.mix(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// The in-memory DRAT+xor proof log.
 ///
 /// Accumulates the textual proof, one step per line. The solver calls
 /// the step methods on every learnt clause, deletion, and xor reason
-/// analysis reads. The text format is the certificate interchange format
+/// analysis cites. The text format is the certificate interchange format
 /// checked by `proofcheck` (DESIGN.md §7).
 #[derive(Debug, Default)]
 pub struct DratProof {
@@ -52,6 +103,15 @@ pub struct DratProof {
     /// suppressed (the refutation is complete, and the solver's fast
     /// top-level unsat paths may otherwise log twice).
     closed: bool,
+    /// Addition lines written so far (the last one's id).
+    steps: i64,
+    /// Input clauses named so far.
+    inputs: i64,
+    /// The id of each xor-derived clause written and not since re-armed,
+    /// by sorted literal set.
+    xor_ids: HashMap<Vec<Lit>, i64, BuildHasherDefault<LitSetHasher>>,
+    /// Scratch for the sorted literal set of a lookup.
+    key: Vec<Lit>,
 }
 
 impl DratProof {
@@ -65,10 +125,22 @@ impl DratProof {
         &self.text
     }
 
+    /// The proof text, moved out of the log.
+    pub fn into_text(self) -> String {
+        self.text
+    }
+
     /// Whether an empty-clause addition has been logged (the proof is a
     /// complete refutation).
     pub fn is_refutation(&self) -> bool {
         self.closed
+    }
+
+    /// Names the next input clause: the `k`-th call returns `-k`, the id
+    /// hints use for the formula's `k`-th clause.
+    pub fn input_clause(&mut self) -> i64 {
+        self.inputs += 1;
+        -self.inputs
     }
 
     /// Appends the decimal digits of `v`, with no intermediate string.
@@ -102,36 +174,72 @@ impl DratProof {
         self.text.push('0');
     }
 
-    /// A clause addition step (learnt clause, derived unit, or the empty
-    /// clause closing a refutation).
-    pub fn add_clause(&mut self, lits: &[Lit]) {
-        if self.closed {
-            return;
-        }
-        self.push_lits(lits);
+    /// Ends an addition line and returns its step id.
+    fn end_addition(&mut self, lits: &[Lit]) -> i64 {
         self.text.push('\n');
         if lits.is_empty() {
             self.closed = true;
         }
+        self.steps += 1;
+        self.steps
     }
 
-    /// A clause deletion step.
-    pub fn delete_clause(&mut self, lits: &[Lit]) {
+    /// Sorts `lits` into the lookup scratch `key`.
+    fn load_key(&mut self, lits: &[Lit]) {
+        self.key.clear();
+        self.key.extend_from_slice(lits);
+        self.key.sort_unstable();
+    }
+
+    /// A clause addition step (learnt clause, derived unit, or the empty
+    /// clause closing a refutation) with its antecedent `hints` (clause
+    /// ids, in propagation order with the conflict last; may be empty).
+    /// Returns the step's id, or `0` once the proof is closed.
+    pub fn add_clause(&mut self, lits: &[Lit], hints: &[i64]) -> i64 {
         if self.closed {
-            return;
+            return 0;
+        }
+        self.push_lits(lits);
+        if !hints.is_empty() {
+            for &id in hints {
+                self.text.push(' ');
+                self.push_int(id);
+            }
+            self.text.push_str(" 0");
+        }
+        self.end_addition(lits)
+    }
+
+    /// A clause deletion step. Returns whether it re-armed an
+    /// xor-derived clause with the same literal set, whose id its holder
+    /// must then stop citing.
+    pub fn delete_clause(&mut self, lits: &[Lit]) -> bool {
+        if self.closed {
+            return false;
         }
         self.text.push_str("d ");
         self.push_lits(lits);
         self.text.push('\n');
+        if self.xor_ids.is_empty() {
+            return false;
+        }
+        self.load_key(lits);
+        self.xor_ids.remove(self.key.as_slice()).is_some()
     }
 
     /// An xor-derived clause: `lits` is implied by the GF(2) sum of the
     /// input xor constraints `origins` (0-based indices in add order;
     /// rendered 1-based on the wire) after substituting the top-level
-    /// unit literals `units`.
-    pub fn add_xor_derived(&mut self, lits: &[Lit], origins: &[u32], units: &[Lit]) {
+    /// unit literals `units`. Returns the clause's id: a new step, or the
+    /// step that already wrote the same literal set. `0` once the proof
+    /// is closed.
+    pub fn add_xor_derived(&mut self, lits: &[Lit], origins: &[u32], units: &[Lit]) -> i64 {
         if self.closed {
-            return;
+            return 0;
+        }
+        self.load_key(lits);
+        if let Some(&id) = self.xor_ids.get(self.key.as_slice()) {
+            return id;
         }
         self.text.push_str("x ");
         self.push_lits(lits);
@@ -143,10 +251,11 @@ impl DratProof {
         }
         self.text.push_str("0 ");
         self.push_lits(units);
-        self.text.push('\n');
-        if lits.is_empty() {
-            self.closed = true;
+        let id = self.end_addition(lits);
+        if !lits.is_empty() {
+            self.xor_ids.insert(self.key.clone(), id);
         }
+        id
     }
 }
 
@@ -161,11 +270,16 @@ mod tests {
     #[test]
     fn text_format_round_trips_by_eye() {
         let mut p = DratProof::new();
-        p.add_clause(&lits(&[1, -2]));
+        assert_eq!((p.input_clause(), p.input_clause()), (-1, -2));
+        assert_eq!(p.add_clause(&lits(&[1, -2]), &[]), 1);
         p.delete_clause(&lits(&[1, -2]));
-        p.add_xor_derived(&lits(&[3, -4]), &[0, 2], &lits(&[-5]));
-        p.add_clause(&[]);
-        assert_eq!(p.text(), "1 -2 0\nd 1 -2 0\nx 3 -4 0 1 3 0 -5 0\n0\n");
+        assert_eq!(p.add_xor_derived(&lits(&[3, -4]), &[0, 2], &lits(&[-5])), 2);
+        assert_eq!(p.add_clause(&lits(&[-3]), &[-1, 2]), 3);
+        assert_eq!(p.add_clause(&[], &[3, -2]), 4);
+        assert_eq!(
+            p.text(),
+            "1 -2 0\nd 1 -2 0\nx 3 -4 0 1 3 0 -5 0\n-3 0 -1 2 0\n0 3 -2 0\n"
+        );
         assert!(p.is_refutation());
     }
 
@@ -179,9 +293,46 @@ mod tests {
     #[test]
     fn steps_after_refutation_are_suppressed() {
         let mut p = DratProof::new();
-        p.add_clause(&[]);
-        p.add_clause(&lits(&[1]));
+        assert_eq!(p.add_clause(&[], &[]), 1);
+        assert_eq!(p.add_clause(&lits(&[1]), &[1]), 0);
         p.delete_clause(&lits(&[1]));
+        assert_eq!(p.add_xor_derived(&lits(&[2]), &[0], &[]), 0);
         assert_eq!(p.text(), "0\n");
+    }
+
+    #[test]
+    fn repeated_xor_clause_returns_the_first_id_and_writes_nothing() {
+        let mut p = DratProof::new();
+        assert_eq!(p.add_xor_derived(&lits(&[1, -2, 3]), &[0], &[]), 1);
+        assert_eq!(p.add_clause(&lits(&[4]), &[1]), 2);
+        let written = p.text().len();
+        // The same literal set in another order, from another derivation.
+        assert_eq!(
+            p.add_xor_derived(&lits(&[3, 1, -2]), &[1, 2], &lits(&[5])),
+            1
+        );
+        assert_eq!(p.add_xor_derived(&lits(&[-2, 3, 1]), &[0], &[]), 1);
+        assert_eq!(p.text().len(), written, "a repeat writes nothing");
+        // Another literal set is a new clause.
+        assert_eq!(p.add_xor_derived(&lits(&[1, 2, 3]), &[0], &[]), 3);
+    }
+
+    #[test]
+    fn deletion_rearms_a_logged_xor_clause() {
+        let mut p = DratProof::new();
+        assert_eq!(p.add_xor_derived(&lits(&[1, -2]), &[0], &[]), 1);
+        // A deletion of another set leaves it armed.
+        assert!(!p.delete_clause(&lits(&[1, 2])));
+        assert_eq!(p.add_xor_derived(&lits(&[-2, 1]), &[0], &[]), 1);
+        // The same set, in any order: the checker may have deactivated
+        // the logged copy, so the next repeat is written again.
+        assert!(p.delete_clause(&lits(&[-2, 1])));
+        assert!(!p.delete_clause(&lits(&[-2, 1])), "re-armed once");
+        assert_eq!(p.add_xor_derived(&lits(&[1, -2]), &[0], &[]), 2);
+        assert_eq!(p.add_xor_derived(&lits(&[1, -2]), &[0], &[]), 2);
+        assert_eq!(
+            p.text(),
+            "x 1 -2 0 1 0 0\nd 1 2 0\nd -2 1 0\nd -2 1 0\nx 1 -2 0 1 0 0\n"
+        );
     }
 }

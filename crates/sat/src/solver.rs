@@ -8,6 +8,12 @@
 //! the arena's forwarding table when it compacts. An xor implication's
 //! reason is its row ([`Reason::Xor`]); analysis reads the row's literals
 //! on demand and nothing enters the arena.
+//!
+//! A certifying run logs each learnt clause with the proof ids of the
+//! reasons analysis resolved on and minimization walked through, as
+//! hints for the checker ([`crate::proof`]). Every hint-collecting site
+//! sits behind a branch on the log, so a run without one does no extra
+//! work per conflict.
 
 use std::collections::HashMap;
 
@@ -122,10 +128,10 @@ pub struct Solver {
     /// Implying clause or xor row, per assigned variable (`None` for
     /// decisions, assumptions and top-level units).
     reason: Vec<Option<Reason>>,
-    /// Per variable: whether the proof already holds the `x` line of its
-    /// current xor reason. Set the first time analysis reads the reason,
-    /// cleared when the variable is unassigned.
-    xor_logged: Vec<bool>,
+    /// Per variable: the proof id of the `x` line of its current xor
+    /// reason, or `0` before the proof holds one. Set the first time
+    /// analysis cites the reason, cleared when the variable is unassigned.
+    xor_step: Vec<i64>,
     /// Decision level of the assignment, per assigned variable.
     level: Vec<u32>,
     /// Assignment stack in chronological order.
@@ -157,6 +163,16 @@ pub struct Solver {
     /// The literals of the reason analysis is reading
     /// ([`Solver::load_reason`]).
     reason_lits: Vec<Lit>,
+    /// Proof ids of the reasons the first-UIP walk resolved, conflict
+    /// first (logging only; emptied into `learnt_hints`).
+    analyze_hints: Vec<i64>,
+    /// The hints of the learnt clause analysis just built, in the order
+    /// the checker walks them (logging only).
+    learnt_hints: Vec<i64>,
+    /// Scratch for the clause of an `x` line being logged.
+    xor_clause: Vec<Lit>,
+    /// Scratch stack of [`Solver::minimization_hints`].
+    hint_walk: Vec<(Var, Option<i64>)>,
     /// Proof log of a certifying run ([`Solver::enable_proof`]); `None`
     /// (the default) makes every logging site a single branch.
     proof: Option<DratProof>,
@@ -186,7 +202,7 @@ impl Solver {
         self.assigns.push(LBool::Undef);
         self.phase.push(false);
         self.reason.push(None);
-        self.xor_logged.push(false);
+        self.xor_step.push(0);
         self.level.push(0);
         self.activity.push(0.0);
         self.seen.push(false);
@@ -235,6 +251,13 @@ impl Solver {
         self.proof.as_ref()
     }
 
+    /// Moves the proof log out of the solver, which logs nothing more.
+    pub fn take_proof(&mut self) -> Option<DratProof> {
+        // The step ids name lines of the log that leaves.
+        self.xor_step.fill(0);
+        self.proof.take()
+    }
+
     /// Starts recording every subsequently added clause and xor
     /// constraint verbatim (pre-simplification) into an input mirror.
     ///
@@ -255,11 +278,16 @@ impl Solver {
         self.input_mirror.as_ref()
     }
 
-    /// Logs a clause addition step if proof logging is on.
-    fn log_add(&mut self, lits: &[Lit]) {
-        if let Some(p) = self.proof.as_mut() {
-            p.add_clause(lits);
-        }
+    /// Moves the input mirror out of the solver, which records nothing
+    /// more.
+    pub fn take_input_mirror(&mut self) -> Option<crate::dimacs::Cnf> {
+        self.input_mirror.take()
+    }
+
+    /// Logs a clause addition step with its antecedent hints if proof
+    /// logging is on. Returns the step's id (`0` when not logged).
+    fn log_add(&mut self, lits: &[Lit], hints: &[i64]) -> i64 {
+        self.proof.as_mut().map_or(0, |p| p.add_clause(lits, hints))
     }
 
     /// Logs a clause deletion step if proof logging is on.
@@ -272,40 +300,61 @@ impl Solver {
                 .map(|&raw| Lit::from_index(raw as usize))
                 .collect();
             if let Some(p) = self.proof.as_mut() {
-                p.delete_clause(&lits);
+                if p.delete_clause(&lits) {
+                    // The checker may have deactivated the `x` line a
+                    // variable's id names: cite none of them again.
+                    self.xor_step.fill(0);
+                }
             }
         }
     }
 
-    /// Logs row `row`'s clause as an `x` line if proof logging is on:
-    /// the trail literal of `implied` (when given) followed by
-    /// `reason_lits`, which [`Solver::load_reason`] just filled from the
-    /// row. An implication is logged once per assignment; a conflict
-    /// every time.
-    fn log_xor_reason(&mut self, row: u32, implied: Option<Var>) {
-        let Some(p) = self.proof.as_mut() else { return };
-        let mut lits = Vec::with_capacity(self.reason_lits.len() + 1);
+    /// The proof id of `reason`, for a hint: the clause's own id, or the
+    /// id of the row's `x` line, logged now unless this assignment
+    /// already did. For a row, `reason_lits` must hold what
+    /// [`Solver::load_reason`] just read off it. Call only while logging.
+    fn reason_id(&mut self, reason: Reason, implied: Option<Var>) -> i64 {
+        match reason {
+            Reason::Clause(cref) => self.db.proof_id(cref),
+            Reason::Xor(row) => self.log_xor_reason(row, implied),
+        }
+    }
+
+    /// Logs row `row`'s clause as an `x` line and returns its id: the
+    /// trail literal of `implied` (when given) followed by `reason_lits`.
+    /// An implication is logged once per assignment; a conflict every
+    /// time it is cited (the log writes each literal set once).
+    fn log_xor_reason(&mut self, row: u32, implied: Option<Var>) -> i64 {
+        let Some(p) = self.proof.as_mut() else {
+            return 0;
+        };
+        let clause = &mut self.xor_clause;
+        clause.clear();
         if let Some(v) = implied {
             let v = v.index();
-            if self.xor_logged[v] {
-                return;
+            if self.xor_step[v] != 0 {
+                return self.xor_step[v];
             }
-            self.xor_logged[v] = true;
-            lits.push(Lit::new(Var::from_index(v), self.assigns[v] == LBool::True));
+            clause.push(Lit::new(Var::from_index(v), self.assigns[v] == LBool::True));
         }
-        lits.extend_from_slice(&self.reason_lits);
+        clause.extend_from_slice(&self.reason_lits);
         let (origin, units) = self.xors.row_meta(row);
-        p.add_xor_derived(&lits, origin, units);
+        let id = p.add_xor_derived(clause, origin, units);
+        if let Some(v) = implied {
+            self.xor_step[v.index()] = id;
+        }
+        id
     }
 
-    /// Records a conflict at decision level 0: logs the refutation (after
-    /// the conflicting row's `x` line, which its RUP check needs) and
+    /// Records a conflict at decision level 0: logs the refutation, citing
+    /// the conflict (after logging a conflicting row's `x` line), and
     /// marks the clause set unsatisfiable.
     fn refute(&mut self, confl: Reason) {
         if self.proof.is_some() {
             self.load_reason(confl, None);
+            let id = self.reason_id(confl, None);
+            self.log_add(&[], &[id]);
         }
-        self.log_add(&[]);
         self.ok = false;
     }
 
@@ -389,6 +438,7 @@ impl Solver {
         if let Some(m) = self.input_mirror.as_mut() {
             m.add_clause(lits.to_vec());
         }
+        let id = self.proof.as_mut().map_or(0, DratProof::input_clause);
 
         // Sort by packed code: the two polarities of one variable become
         // adjacent, making duplicates and tautologies local checks.
@@ -409,7 +459,9 @@ impl Solver {
 
         match out.len() {
             0 => {
-                self.log_add(&[]);
+                // Every literal is false at level 0: the clause itself is
+                // the conflict.
+                self.log_add(&[], &[id]);
                 self.ok = false;
                 false
             }
@@ -421,7 +473,7 @@ impl Solver {
                 self.ok
             }
             _ => {
-                let cref = self.db.alloc(&out, false);
+                let cref = self.db.alloc(&out, false, id);
                 self.attach_clause(cref);
                 true
             }
@@ -435,7 +487,10 @@ impl Solver {
     /// Gauss–Jordan plus watched-column propagation during search), not
     /// through a Tseitin clause expansion — see [`crate::xor`]. Signs
     /// fold into `rhs` and duplicate variables cancel. Returns `false` if
-    /// the solver is now known unsatisfiable at the top level.
+    /// the solver is now known unsatisfiable at the top level. The
+    /// trivially true empty constraint (`⊕ ∅ = 0`) is ignored, as
+    /// [`crate::dimacs::Cnf::add_xor`] ignores it: the input mirror and the
+    /// proof's origin ids both skip it.
     ///
     /// # Panics
     ///
@@ -445,6 +500,9 @@ impl Solver {
         debug_assert_eq!(self.decision_level(), 0, "xors are added at level 0");
         if !self.ok {
             return false;
+        }
+        if lits.is_empty() && !rhs {
+            return true;
         }
         for l in lits {
             assert!(
@@ -483,7 +541,7 @@ impl Solver {
                 LBool::False => {
                     // The derived unit contradicts the level-0 trail: the
                     // empty clause is now RUP.
-                    self.log_add(&[]);
+                    self.log_add(&[], &[]);
                     self.ok = false;
                     return false;
                 }
@@ -639,13 +697,15 @@ impl Solver {
                     return SearchOutcome::Unsat;
                 }
                 let (learnt, backtrack) = self.analyze(confl);
-                self.log_add(&learnt);
+                let hints = std::mem::take(&mut self.learnt_hints);
+                let id = self.log_add(&learnt, &hints);
+                self.learnt_hints = hints;
                 self.cancel_until(backtrack);
                 self.stats.learnt_clauses += 1;
                 if learnt.len() == 1 {
                     self.unchecked_enqueue(learnt[0], None);
                 } else {
-                    let cref = self.db.alloc(&learnt, true);
+                    let cref = self.db.alloc(&learnt, true, id);
                     self.learnts.push(cref);
                     self.attach_clause(cref);
                     self.cla_bump(cref);
@@ -728,8 +788,13 @@ impl Solver {
             self.phase[v] = p.is_positive();
             self.assigns[v] = LBool::Undef;
             self.reason[v] = None;
-            self.xor_logged[v] = false;
             self.order.insert(v, &self.activity);
+        }
+        // Only a logging run ever sets a step id.
+        if self.proof.is_some() {
+            for p in &self.trail[lim..] {
+                self.xor_step[p.var().index()] = 0;
+            }
         }
         self.trail.truncate(lim);
         self.trail_lim.truncate(level);
@@ -890,6 +955,7 @@ impl Solver {
                     // checker needs the unit for later RUP steps.
                     if self.decision_level() == 0 && self.proof.is_some() {
                         self.load_reason(reason, Some(imp.lit.var()));
+                        self.reason_id(reason, Some(imp.lit.var()));
                     }
                 }
                 // Two rows disagreed on the variable: the later row is now
@@ -913,8 +979,8 @@ impl Solver {
     /// analysis: the clause minus its implied first literal, or the row's
     /// columns other than `implied`, each read as the literal the
     /// assignment falsifies. A conflict (`implied == None`) contributes
-    /// every literal. Reading a row logs its `x` line
-    /// ([`Solver::log_xor_reason`]).
+    /// every literal. Reading logs nothing: a reason enters the proof
+    /// when analysis cites it ([`Solver::reason_id`]).
     fn load_reason(&mut self, reason: Reason, implied: Option<Var>) {
         self.reason_lits.clear();
         match reason {
@@ -927,7 +993,6 @@ impl Solver {
             Reason::Xor(row) => {
                 self.xors
                     .reason_lits(row, implied, &self.assigns, &mut self.reason_lits);
-                self.log_xor_reason(row, implied);
             }
         }
     }
@@ -937,13 +1002,17 @@ impl Solver {
     // ------------------------------------------------------------------
 
     /// First-UIP conflict analysis. Returns the learnt clause (asserting
-    /// literal first) and the level to backtrack to.
+    /// literal first) and the level to backtrack to. While logging, also
+    /// leaves the clause's hints in `learnt_hints`: the reasons that
+    /// rederive the literals minimization removed, then the reasons the
+    /// walk resolved on in trail order, then the conflict.
     fn analyze(&mut self, confl: Reason) -> (Vec<Lit>, usize) {
         let mut learnt: Vec<Lit> = vec![Lit::from_index(0)]; // slot 0 = asserting lit
         let mut counter = 0usize; // literals of the current level still to resolve
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
         let mut confl = confl;
+        let logging = self.proof.is_some();
 
         loop {
             if let Reason::Clause(cref) = confl {
@@ -954,6 +1023,10 @@ impl Solver {
             // A reason contributes all but the literal it implied; the
             // original conflict contributes everything.
             self.load_reason(confl, p.map(Lit::var));
+            if logging {
+                let id = self.reason_id(confl, p.map(Lit::var));
+                self.analyze_hints.push(id);
+            }
             for k in 0..self.reason_lits.len() {
                 let q = self.reason_lits[k];
                 let v = q.var().index();
@@ -993,12 +1066,15 @@ impl Solver {
             .iter()
             .fold(0u32, |m, l| m | self.abstract_level(l.var().index()));
         let before = learnt.len();
+        let mut removed: Vec<Lit> = Vec::new();
         let mut j = 1;
         for i in 1..learnt.len() {
             let l = learnt[i];
             if self.reason[l.var().index()].is_none() || !self.lit_redundant(l, abstract_levels) {
                 learnt[j] = l;
                 j += 1;
+            } else if logging {
+                removed.push(l);
             }
         }
         learnt.truncate(j);
@@ -1010,6 +1086,17 @@ impl Solver {
             self.seen[v] = false;
         }
         self.analyze_toclear.clear();
+
+        if logging {
+            self.learnt_hints.clear();
+            if !removed.is_empty() {
+                self.minimization_hints(&learnt, &removed);
+            }
+            // The walk cited the conflict first and then went down the
+            // trail: reversed, that is trail order with the conflict last.
+            let hints = self.analyze_hints.drain(..).rev().filter(|&id| id != 0);
+            self.learnt_hints.extend(hints);
+        }
 
         // Backtrack level: the second-highest level in the clause; that
         // literal moves to slot 1 so it is watched after attachment.
@@ -1025,6 +1112,55 @@ impl Solver {
         learnt.swap(1, max_i);
         let backtrack = self.level[learnt[1].var().index()] as usize;
         (learnt, backtrack)
+    }
+
+    /// Appends to `learnt_hints` the reasons that rederive the negation of
+    /// each `removed` literal, in an order the checker can walk: every
+    /// other literal of a cited reason is in `learnt`, false at level 0,
+    /// or rederived by a reason cited before it. A post-order walk over
+    /// the reasons, with the learnt clause's variables as its leaves.
+    /// Minimization proved each removed literal redundant, so the walk
+    /// only meets implied variables; one without a reason is skipped,
+    /// which costs the checker a propagation fallback, never soundness.
+    fn minimization_hints(&mut self, learnt: &[Lit], removed: &[Lit]) {
+        debug_assert!(self.analyze_toclear.is_empty());
+        for &l in learnt {
+            self.seen[l.var().index()] = true;
+        }
+        // `(v, None)` visits `v`; `(v, Some(id))` cites its reason once
+        // everything the reason needs has been cited.
+        let mut stack = std::mem::take(&mut self.hint_walk);
+        stack.extend(removed.iter().map(|l| (l.var(), None)));
+        while let Some((v, cite)) = stack.pop() {
+            if let Some(id) = cite {
+                if id != 0 {
+                    self.learnt_hints.push(id);
+                }
+                continue;
+            }
+            let vi = v.index();
+            let Some(reason) = self.reason[vi].filter(|_| !self.seen[vi]) else {
+                continue;
+            };
+            self.seen[vi] = true;
+            self.analyze_toclear.push(Lit::positive(v));
+            self.load_reason(reason, Some(v));
+            let id = self.reason_id(reason, Some(v));
+            stack.push((v, Some(id)));
+            for k in 0..self.reason_lits.len() {
+                let u = self.reason_lits[k].var();
+                if !self.seen[u.index()] && self.level[u.index()] > 0 {
+                    stack.push((u, None));
+                }
+            }
+        }
+        self.hint_walk = stack;
+        for &l in learnt {
+            self.seen[l.var().index()] = false;
+        }
+        for l in self.analyze_toclear.drain(..) {
+            self.seen[l.var().index()] = false;
+        }
     }
 
     /// One-hot abstraction of a decision level, for the cheap set test in
@@ -1165,7 +1301,7 @@ impl Solver {
         for (name, len) in [
             ("phase", self.phase.len()),
             ("reason", self.reason.len()),
-            ("xor_logged", self.xor_logged.len()),
+            ("xor_step", self.xor_step.len()),
             ("level", self.level.len()),
             ("activity", self.activity.len()),
             ("seen", self.seen.len()),

@@ -42,11 +42,14 @@
 //!   So the learnt-clause database holds learnt clauses only: reasons
 //!   add no watches, do not fill `max_learnts`, and leave database
 //!   reduction alone. Most implications are never read at all.
-//! * Proof logging follows the reads. A certifying run logs a reason's
-//!   `x` line the first time analysis reads it during that assignment,
-//!   logs a conflicting row's `x` line each time, and logs a level-0
-//!   implication when it is made: analysis never reads those, but the
-//!   checker needs the unit for later RUP steps (see [`crate::proof`]).
+//! * Proof logging follows the citations. A certifying run logs a
+//!   reason's `x` line the first time a learnt clause cites it during
+//!   that assignment (the variable keeps the line's id for later
+//!   citations), logs a conflicting row's clause each time it is cited
+//!   (the log writes each literal set once and returns the first id),
+//!   and logs a level-0 implication when it is made: analysis never reads
+//!   those, but the checker needs the unit for later steps (see
+//!   [`crate::proof`]).
 //!
 //! Backtracking needs no undo hooks: row operations are linear
 //! combinations (sound regardless of the assignment) and watches are

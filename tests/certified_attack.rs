@@ -1,7 +1,8 @@
 //! End-to-end certified solving: a full 64-bit-key attack under the
 //! native xor mode must converge with a machine-checked UNSAT
-//! certificate, the certificate must re-verify standalone, and corrupted
-//! proofs must be rejected.
+//! certificate, the certificate must re-verify standalone — every
+//! addition by its hints, none by a propagation fallback — and corrupted
+//! proofs must be rejected, while scrambled hints only cost a fallback.
 
 use dynunlock_repro::dynunlock::{
     unlock, AttackConfig, AttackState, Checkpoint, RobustConfig, RobustOutcome, Step,
@@ -52,6 +53,10 @@ fn attack_unsat_proof_verifies_and_mutations_are_rejected() {
         report.xor_steps > 0,
         "a native-xor 64-bit attack must lean on x-steps"
     );
+    assert_eq!(
+        report.propagated_additions, 0,
+        "every lemma checks by its hints"
+    );
 
     // Mutation 1: corrupt the first proof line into a clause over a
     // variable the formula does not have — rejected at step 0 no matter
@@ -67,6 +72,68 @@ fn attack_unsat_proof_verifies_and_mutations_are_rejected() {
     let last_line_start = cert.proof.trim_end().rfind('\n').map_or(0, |i| i + 1);
     let truncated = &cert.proof[..last_line_start];
     assert!(proofcheck::check_text(&cert.formula, truncated).is_err());
+}
+
+/// `proof` with the hints of its `n`-th lemma that cites three or more
+/// clauses reversed, without the conflict, which comes last; `None` if
+/// there is no such lemma.
+fn scramble_hints(proof: &str, n: usize) -> Option<String> {
+    let mut out = String::with_capacity(proof.len());
+    let mut seen = 0;
+    let mut done = false;
+    for line in proof.lines() {
+        let toks: Vec<&str> = line.split(' ').collect();
+        let lits_end = toks.iter().position(|&t| t == "0");
+        match lits_end {
+            Some(end) if !done && !line.starts_with(['x', 'd']) && toks.len() >= end + 5 => {
+                if seen == n {
+                    // The hints, then the group's `0`: keep all but the
+                    // conflict, reversed.
+                    let mut hints = toks[end + 1..toks.len() - 2].to_vec();
+                    hints.reverse();
+                    out.push_str(&toks[..=end].join(" "));
+                    out.push(' ');
+                    out.push_str(&hints.join(" "));
+                    out.push_str(" 0");
+                    done = true;
+                } else {
+                    out.push_str(line);
+                }
+                seen += 1;
+            }
+            _ => out.push_str(line),
+        }
+        out.push('\n');
+    }
+    done.then_some(out)
+}
+
+/// Hints are never a premise. A lemma's hints reversed, without the
+/// conflict, assign only literals that agree with the solver's trail, so
+/// no hint is falsified and the walk ends without a conflict; the lemma
+/// must still verify, through full propagation. (The checker holds the
+/// whole formula from the start, so its level-0 trail may already decide
+/// an early lemma; the test scrambles lemma after lemma until one needs
+/// the fallback, and every scrambled proof must verify.)
+#[test]
+fn scrambled_hints_fall_back_to_propagation() {
+    let cert = certified_64_bit_unlock();
+    let base = cert.stats.propagated_additions;
+    let mut fell_back = false;
+    for n in 0.. {
+        let Some(scrambled) = scramble_hints(&cert.proof, n) else {
+            break;
+        };
+        let report = proofcheck::check_text(&cert.formula, &scrambled)
+            .unwrap_or_else(|e| panic!("lemma {n} scrambled: {e}"));
+        assert_eq!(report.steps(), cert.stats.steps());
+        if report.propagated_additions == base + 1 {
+            fell_back = true;
+            break;
+        }
+        assert_eq!(report.propagated_additions, base, "lemma {n} scrambled");
+    }
+    assert!(fell_back, "no scrambled lemma needed the fallback");
 }
 
 /// Convergence is certified from the verbatim inputs closed by "some
@@ -105,6 +172,7 @@ fn certificates_of_random_small_locks_all_verify() {
         let report = proofcheck::check_text(&cert.formula, &cert.proof)
             .unwrap_or_else(|e| panic!("round {round}: certificate rejected: {e}"));
         assert_eq!(report, cert.stats, "round {round}");
+        assert_eq!(report.propagated_additions, 0, "round {round}");
     }
 }
 
@@ -146,6 +214,7 @@ fn resumed_attack_certificate_rechecks() {
     };
     let report = proofcheck::check_text(&cert.formula, &cert.proof).expect("re-check verifies");
     assert_eq!(report, cert.stats);
+    assert_eq!(report.propagated_additions, 0);
 
     if let Some(dir) = std::env::var_os("CERT_CORPUS_DIR") {
         let dir = std::path::PathBuf::from(dir);

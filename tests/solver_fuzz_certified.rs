@@ -9,11 +9,17 @@
 //! refutation has to survive assumption-driven learnt clauses and
 //! restarts that happened before the final answer. A second, xor-heavy
 //! family covers the proof steps of row reasons: the `x` line of a
-//! reason that analysis or minimization reads, and of an xor implication
+//! reason that analysis or minimization cites, and of an xor implication
 //! at level 0.
+//!
+//! Every refutation is checked twice: as logged, and with every hint
+//! group stripped. Hints may only speed the check up — both must verify
+//! with the same step count — and on a proof without deletions the
+//! logged hints must carry every addition without a propagation
+//! fallback, but for a closing line written without hints.
 
 use dynunlock_repro::gf2::{Rng64, Xoshiro256};
-use dynunlock_repro::proofcheck;
+use dynunlock_repro::proofcheck::{self, CheckReport};
 use dynunlock_repro::satsolver::dimacs::Cnf;
 use dynunlock_repro::satsolver::{Budget, Lit, SolveResult, Solver, Var};
 
@@ -47,6 +53,58 @@ fn random_cnf(rng: &mut Xoshiro256) -> Cnf {
         cnf.add_xor(lits, rng.gen_bool());
     }
     cnf
+}
+
+/// `proof` with every hint group stripped: each plain addition keeps its
+/// literals up to their terminating `0`.
+fn strip_hints(proof: &str) -> String {
+    let mut out = String::with_capacity(proof.len());
+    for line in proof.lines() {
+        if line.starts_with('x') || line.starts_with('d') {
+            out.push_str(line);
+        } else {
+            let toks: Vec<&str> = line.split(' ').collect();
+            let end = toks
+                .iter()
+                .position(|&t| t == "0")
+                .expect("an addition ends its literals with 0");
+            out.push_str(&toks[..=end].join(" "));
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// Checks a refutation as logged and with its hints stripped (see the
+/// module docs), returning the logged run's report.
+fn check_with_and_without_hints(cnf: &Cnf, proof: &str, round: u64) -> CheckReport {
+    let logged = proofcheck::check_text(cnf, proof)
+        .unwrap_or_else(|e| panic!("round {round}: emitted proof rejected: {e}\n{proof}"));
+    let stripped = proofcheck::check_text(cnf, &strip_hints(proof))
+        .unwrap_or_else(|e| panic!("round {round}: proof without hints rejected: {e}\n{proof}"));
+    assert_eq!(logged.steps(), stripped.steps(), "round {round}");
+    assert_eq!(
+        logged.rup_additions, stripped.rup_additions,
+        "round {round}"
+    );
+    if !proof.lines().any(|l| l.starts_with('d')) {
+        let unhinted_close = proof.lines().last() == Some("0");
+        assert!(
+            logged.propagated_additions <= u64::from(unhinted_close),
+            "round {round}: {} propagation fallbacks\n{proof}",
+            logged.propagated_additions
+        );
+    }
+    logged
+}
+
+#[test]
+fn stripping_hints_keeps_every_literal() {
+    let proof = "1 -2 0 -3 4 0\n-5 0\nd 1 -2 0\nx 3 -4 0 1 2 0 -5 0\n10 0 -7 0\n0 12 0\n";
+    assert_eq!(
+        strip_hints(proof),
+        "1 -2 0\n-5 0\nd 1 -2 0\nx 3 -4 0 1 2 0 -5 0\n10 0\n0\n"
+    );
 }
 
 fn assert_audit_clean(s: &Solver, round: u64, site: &str) {
@@ -135,12 +193,7 @@ fn random_instances_audit_clean_and_certify() {
                 unsat_rounds += 1;
                 let proof = s.proof().expect("proof logging enabled");
                 assert!(proof.is_refutation(), "round {round}: proof not closed");
-                let report = proofcheck::check_text(&cnf, proof.text()).unwrap_or_else(|e| {
-                    panic!(
-                        "round {round}: emitted proof rejected: {e}\n{}",
-                        proof.text()
-                    )
-                });
+                let report = check_with_and_without_hints(&cnf, proof.text(), round);
                 assert!(report.rup_additions + report.xor_steps > 0);
             }
         }
@@ -218,12 +271,7 @@ fn certify_xor_heavy_rounds(seed: u64, xors_first: bool) {
         minimized += st.minimized_literals;
         let proof = s.proof().expect("proof logging enabled");
         assert!(proof.is_refutation(), "round {round}: proof not closed");
-        if let Err(e) = proofcheck::check_text(&cnf, proof.text()) {
-            panic!(
-                "round {round} (xors first: {xors_first}): emitted proof rejected: {e}\n{}",
-                proof.text()
-            );
-        }
+        check_with_and_without_hints(&cnf, proof.text(), round);
     }
     assert!(
         searched_unsat > 10,
