@@ -419,13 +419,11 @@ impl<'a> AttackState<'a> {
 
         let mut enc = Encoder::new();
         if cfg.base.certify {
-            // Before any constraint exists: record every constraint
-            // verbatim and log every inference, so the convergence proof
-            // this solver finds is checkable against the true inputs
-            // rather than against its own derived facts.
-            let solver = enc.solver_mut();
-            solver.enable_input_mirror();
-            solver.enable_proof();
+            // Before any constraint exists: the log records every
+            // constraint verbatim and every inference, so the convergence
+            // proof this solver finds is checkable against the true
+            // inputs rather than against its own derived facts.
+            enc.solver_mut().enable_proof();
         }
         let copies = [
             mask_copy(&mut enc, &basis.bits, n),
@@ -710,24 +708,23 @@ impl<'a> AttackState<'a> {
 
         // Certification: the convergence claim is exactly "no output can
         // differ". Each closed output's refutation left its ¬diff as a
-        // level-0 fact derived by logged steps, so once the verbatim input
-        // mirror is closed with the OR of the difference literals, the
-        // empty clause is RUP with that clause as its one hint: the live
-        // log plus that one line refutes the closed miter, and the
-        // independent checker verifies it once. The mirror and the log
-        // move out of the solver, which has nothing left to log. A
-        // failure here is a solver soundness bug, not an attack failure.
+        // level-0 fact derived by logged steps, so once the log's
+        // verbatim inputs are closed with the OR of the difference
+        // literals, the empty clause is RUP with that clause as its one
+        // hint: the live log plus that one line refutes the closed miter,
+        // and the independent checker verifies it once. The log moves out
+        // of the solver, which has nothing left to log. A failure here is
+        // a solver soundness bug, not an attack failure.
         if self.cfg.base.certify {
             let t0 = Instant::now();
-            let solver = self.enc.solver_mut();
-            let mut formula = solver
-                .take_input_mirror()
-                .expect("mirror enabled at attack start");
-            let mut log = solver.take_proof().expect("proof enabled at attack start");
-            formula.add_clause(self.diffs.clone());
-            let closing = -(formula.clauses.len() as i64);
+            let mut log = self
+                .enc
+                .solver_mut()
+                .take_proof()
+                .expect("proof enabled at attack start");
+            let closing = log.input_clause(&self.diffs);
             log.add_clause(&[], &[closing]);
-            let proof = log.into_text();
+            let (formula, proof) = log.into_parts();
             match proofcheck::certify(formula, proof) {
                 Ok(cert) => self.certificate = Some(cert),
                 Err(e) => {

@@ -174,17 +174,6 @@ impl BitMatrix {
         result
     }
 
-    /// Transposed copy.
-    pub fn transpose(&self) -> BitMatrix {
-        let mut out = BitMatrix::zeros(self.cols, self.num_rows());
-        for (i, row) in self.rows.iter().enumerate() {
-            for j in row.iter_ones() {
-                out.set(j, i, true);
-            }
-        }
-        out
-    }
-
     /// Rank via Gauss–Jordan elimination on a working copy.
     pub fn rank(&self) -> usize {
         let mut work = self.rows.clone();
@@ -198,16 +187,6 @@ impl BitMatrix {
         let pivots = crate::rref::rref(&mut work);
         let nrows = pivots.len();
         crate::rref::nullspace_from_rref(&work[..nrows], &pivots, self.cols)
-    }
-
-    /// Whether this is a square identity matrix.
-    pub fn is_identity(&self) -> bool {
-        self.num_rows() == self.cols
-            && self
-                .rows
-                .iter()
-                .enumerate()
-                .all(|(i, r)| r.count_ones() == 1 && r.get(i))
     }
 }
 
@@ -243,7 +222,6 @@ mod tests {
     #[test]
     fn identity_properties() {
         let i = BitMatrix::identity(10);
-        assert!(i.is_identity());
         assert_eq!(i.rank(), 10);
         let m = random_square(10, 3);
         assert_eq!(i.mul(&m), m);
@@ -278,23 +256,6 @@ mod tests {
             assert_eq!(a.pow(e), acc, "exponent {e}");
             acc = acc.mul(&a);
         }
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let mut rng = Xoshiro256::new(5);
-        let a = BitMatrix::random(4, 9, &mut rng);
-        assert_eq!(a.transpose().transpose(), a);
-    }
-
-    #[test]
-    fn transpose_swaps_entries() {
-        let mut a = BitMatrix::zeros(3, 2);
-        a.set(2, 1, true);
-        let t = a.transpose();
-        assert!(t.get(1, 2));
-        assert_eq!(t.num_rows(), 2);
-        assert_eq!(t.num_cols(), 3);
     }
 
     #[test]

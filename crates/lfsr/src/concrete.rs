@@ -26,7 +26,6 @@ use crate::TapSet;
 pub struct Lfsr {
     taps: TapSet,
     state: BitVec,
-    steps: u64,
 }
 
 impl Lfsr {
@@ -37,11 +36,7 @@ impl Lfsr {
     /// Panics if `seed.len() != taps.width()`.
     pub fn new(taps: TapSet, seed: BitVec) -> Self {
         assert_eq!(seed.len(), taps.width(), "seed width mismatch");
-        Lfsr {
-            taps,
-            state: seed,
-            steps: 0,
-        }
+        Lfsr { taps, state: seed }
     }
 
     /// The tap set.
@@ -52,11 +47,6 @@ impl Lfsr {
     /// Current state; bit `j` drives key gate `j` in the locked chip.
     pub fn state(&self) -> &BitVec {
         &self.state
-    }
-
-    /// Number of steps taken since construction or the last reseed.
-    pub fn steps_taken(&self) -> u64 {
-        self.steps
     }
 
     /// Reads state bit `j`.
@@ -77,7 +67,6 @@ impl Lfsr {
             .fold(false, |acc, &t| acc ^ self.state.get(t));
         shift_up_words(&mut self.state);
         self.state.set(0, feedback);
-        self.steps += 1;
     }
 
     /// Advances `n` clocks.
@@ -95,7 +84,6 @@ impl Lfsr {
     pub fn reseed(&mut self, seed: BitVec) {
         assert_eq!(seed.len(), self.taps.width(), "seed width mismatch");
         self.state = seed;
-        self.steps = 0;
     }
 }
 
@@ -139,7 +127,6 @@ mod tests {
             l.step();
             assert_eq!(l.state().to_bools(), exp.to_vec(), "step {}", i + 1);
         }
-        assert_eq!(l.steps_taken(), 7);
     }
 
     #[test]
@@ -165,7 +152,6 @@ mod tests {
         let mut l = Lfsr::new(taps3(), BitVec::from_u64(3, 0b101));
         l.run(5);
         l.reseed(BitVec::from_u64(3, 0b011));
-        assert_eq!(l.steps_taken(), 0);
         assert_eq!(l.state(), &BitVec::from_u64(3, 0b011));
     }
 

@@ -69,18 +69,6 @@ impl CircuitBuilder {
         id
     }
 
-    /// Declares a fresh net with an auto-generated unique name.
-    pub fn fresh_net(&mut self, prefix: &str) -> NetId {
-        let mut i = self.net_names.len();
-        loop {
-            let candidate = format!("{prefix}{i}");
-            if !self.name_index.contains_key(&candidate) {
-                return self.net(candidate);
-            }
-            i += 1;
-        }
-    }
-
     /// Declares a primary input and returns its net.
     pub fn input(&mut self, name: impl Into<String>) -> NetId {
         let id = self.net(name);
@@ -285,14 +273,6 @@ mod tests {
         let a2 = b.net("a");
         assert_eq!(a1, a2);
         assert_eq!(b.num_nets(), 1);
-    }
-
-    #[test]
-    fn fresh_net_avoids_collisions() {
-        let mut b = CircuitBuilder::new("f");
-        b.net("tmp1");
-        let f = b.fresh_net("tmp");
-        assert_ne!(b.find_net("tmp1"), Some(f));
     }
 
     #[test]

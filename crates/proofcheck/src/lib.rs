@@ -46,32 +46,6 @@ use std::fmt;
 use satsolver::dimacs::Cnf;
 use satsolver::{Lit, SolveResult, Solver, Var};
 
-/// One parsed proof step.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProofStep {
-    /// Clause addition (empty = refutation), checked by RUP.
-    Add {
-        /// The added clause.
-        lits: Vec<Lit>,
-        /// Ids of the clauses its RUP check walks first: `-k` is the
-        /// formula's `k`-th clause, `n` the proof's `n`-th addition (plain
-        /// or `x`). Empty when the line has no hint group.
-        hints: Vec<i64>,
-    },
-    /// Clause deletion (advisory; unmatched deletions are ignored).
-    Delete(Vec<Lit>),
-    /// Xor-derived clause with its GF(2) provenance.
-    XorDerived {
-        /// The derived clause (empty = refutation by inconsistent row).
-        lits: Vec<Lit>,
-        /// Indices of the input `x`-line constraints summed, 0-based in
-        /// add order (the wire format is 1-based; `0` terminates).
-        origins: Vec<u32>,
-        /// Unit literals substituted into the sum; each is RUP-verified.
-        units: Vec<Lit>,
-    },
-}
-
 /// Why a proof failed to verify.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -217,22 +191,6 @@ impl Line {
         }
         Ok(true)
     }
-
-    /// The parsed line as an owned [`ProofStep`].
-    fn to_step(&self) -> ProofStep {
-        match self.kind {
-            Kind::Add => ProofStep::Add {
-                lits: self.lits.clone(),
-                hints: self.hints.clone(),
-            },
-            Kind::Delete => ProofStep::Delete(self.lits.clone()),
-            Kind::Xor => ProofStep::XorDerived {
-                lits: self.lits.clone(),
-                origins: self.origins.clone(),
-                units: self.units.clone(),
-            },
-        }
-    }
 }
 
 /// Reads DIMACS-coded literals up to a `0` terminator into `out`.
@@ -267,28 +225,6 @@ fn hint_group<'a>(toks: &mut impl Iterator<Item = &'a str>, out: &mut Vec<i64>) 
         }
         out.push(id);
     }
-}
-
-/// Parses DRAT+xor proof text (the format `satsolver::proof::DratProof`
-/// emits — see DESIGN.md §7) into owned steps. [`check_text`] does not
-/// need this: it checks each line as it parses it.
-///
-/// # Errors
-///
-/// Returns [`CheckError::Parse`] on the first malformed line.
-pub fn parse_proof(text: &str) -> Result<Vec<ProofStep>, CheckError> {
-    let mut steps = Vec::new();
-    let mut line = Line::default();
-    for (lineno, raw) in text.lines().enumerate() {
-        let parsed = line.parse(raw).map_err(|msg| CheckError::Parse {
-            line: lineno + 1,
-            msg: msg.to_string(),
-        })?;
-        if parsed {
-            steps.push(line.to_step());
-        }
-    }
-    Ok(steps)
 }
 
 /// Per-variable marks of the sparse refold ([`Checker::xor_step`]).
@@ -862,6 +798,8 @@ impl std::error::Error for CertifyError {}
 ///
 /// The solver is built fresh with proof logging on **before** any
 /// constraint is added, so add-time xor eliminations are captured too.
+/// The certificate's formula is the one the log recorded: `cnf`'s
+/// constraints, verbatim, less any trivially true `⊕ ∅ = 0`.
 ///
 /// # Errors
 ///
@@ -870,12 +808,10 @@ impl std::error::Error for CertifyError {}
 /// a solver soundness bug).
 pub fn certify_unsat(cnf: &Cnf) -> Result<Certificate, CertifyError> {
     let mut solver = Solver::new();
-    solver.enable_proof();
     for _ in 0..cnf.num_vars {
         solver.new_var();
     }
-    // Mirror `Cnf::to_solver` add order: clauses then xors, so origin ids
-    // in the proof index `cnf.xors` directly.
+    solver.enable_proof();
     let mut unsat = false;
     for c in &cnf.clauses {
         unsat |= !solver.add_clause(c);
@@ -886,17 +822,16 @@ pub fn certify_unsat(cnf: &Cnf) -> Result<Certificate, CertifyError> {
     if !unsat && solver.solve() == SolveResult::Sat {
         return Err(CertifyError::Sat);
     }
-    let proof = solver.take_proof().expect("proof logging enabled above");
-    certify(cnf.clone(), proof.into_text()).map_err(CertifyError::Check)
+    let (formula, proof) = solver
+        .take_proof()
+        .expect("proof logging enabled above")
+        .into_parts();
+    certify(formula, proof).map_err(CertifyError::Check)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn lits(codes: &[i64]) -> Vec<Lit> {
-        codes.iter().map(|&c| Lit::from_dimacs(c)).collect()
-    }
 
     /// Pigeonhole formula: `holes + 1` pigeons into `holes` holes (UNSAT).
     fn pigeonhole(holes: usize) -> Cnf {
@@ -916,47 +851,35 @@ mod tests {
         cnf
     }
 
-    fn add(codes: &[i64], hints: &[i64]) -> ProofStep {
-        ProofStep::Add {
-            lits: lits(codes),
-            hints: hints.to_vec(),
-        }
-    }
-
     /// (a ∨ b)(¬a ∨ b)(a ∨ ¬b)(¬a ∨ ¬b)(c ∨ d): UNSAT, with a clause of
     /// its own that stays open.
     const SQUARE: &str = "p cnf 4 5\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n3 4 0\n";
 
     #[test]
     fn parse_the_three_step_kinds() {
-        let text = "1 -2 0\nd 1 -2 0\nx 3 -4 0 1 2 0 -5 0\n-3 0 -1 2 0\n0\n";
-        let steps = parse_proof(text).unwrap();
-        assert_eq!(steps.len(), 5);
-        assert_eq!(steps[0], add(&[1, -2], &[]));
-        assert_eq!(steps[1], ProofStep::Delete(lits(&[1, -2])));
-        assert_eq!(
-            steps[2],
-            ProofStep::XorDerived {
-                lits: lits(&[3, -4]),
-                origins: vec![0, 1],
-                units: lits(&[-5]),
-            }
-        );
-        assert_eq!(steps[3], add(&[-3], &[-1, 2]));
-        assert_eq!(steps[4], add(&[], &[]));
+        // Clauses -1..-5; x-lines 1: x3 ⊕ x5 = 1, 2: x4 = 1.
+        let cnf =
+            Cnf::parse("p cnf 5 7\n-5 0\n1 -2 0\n-3 -4 0\n3 4 0\n3 -4 0\nx3 5 0\nx4 0\n").unwrap();
+        // An unhinted addition, its deletion, an x-line summing both
+        // inputs with the unit ¬5 substituted (x3 ⊕ x4 = 0, step 2), a
+        // hinted lemma citing it, and a hinted refutation.
+        let text = "1 -2 0\nd 1 -2 0\nx -3 4 0 1 2 0 -5 0\n-3 0 2 -3 0\n0 3 -4 -5 0\n";
+        let report = check_text(&cnf, text).unwrap();
+        assert_eq!(report.rup_additions, 3);
+        assert_eq!(report.propagated_additions, 1, "only the unhinted one");
+        assert_eq!(report.deletions_applied, 1);
+        assert_eq!(report.deletions_ignored, 0);
+        assert_eq!(report.xor_steps, 1);
+        assert_eq!(report.xor_units_checked, 1);
+        assert_eq!(report.steps(), 5);
     }
 
     #[test]
     fn parse_rejects_garbage() {
-        assert!(matches!(
-            parse_proof("1 banana 0\n"),
-            Err(CheckError::Parse { line: 1, .. })
-        ));
-        assert!(matches!(
-            parse_proof("1 2\n"),
-            Err(CheckError::Parse { .. })
-        ));
-        for oversized in [
+        let cnf = Cnf::parse(SQUARE).unwrap();
+        for garbage in [
+            "1 banana 0\n",
+            "1 2\n",
             "99999999999 0\n",
             "d -99999999999 0\n",
             "x 99999999999 0 0 0\n",
@@ -964,27 +887,23 @@ mod tests {
         ] {
             assert!(
                 matches!(
-                    parse_proof(oversized),
+                    check_text(&cnf, garbage),
                     Err(CheckError::Parse { line: 1, .. })
                 ),
-                "{oversized:?} must be rejected"
+                "{garbage:?} must be rejected"
             );
         }
     }
 
     #[test]
     fn malformed_hint_groups_are_parse_errors() {
+        let cnf = Cnf::parse(SQUARE).unwrap();
         for bad in [
             "2 0 -1\n",
             "2 0 -1 banana 0\n",
             "2 0 -1 0 3\n",
             "0 -1 0 0\n",
         ] {
-            assert!(
-                matches!(parse_proof(bad), Err(CheckError::Parse { line: 1, .. })),
-                "{bad:?} must be rejected"
-            );
-            let cnf = Cnf::parse(SQUARE).unwrap();
             assert!(
                 matches!(
                     check_text(&cnf, bad),
@@ -1065,21 +984,29 @@ mod tests {
 
     #[test]
     fn empty_xor_does_not_shift_origin_ids() {
-        // ⊕∅ = 0 is trivially true: the mirror drops it, so the engine
-        // must not number it, or every later x-line names the wrong row.
+        // ⊕ ∅ = 0 is trivially true: the log neither records nor numbers
+        // it, or every later x-line names the wrong row. Clauses between
+        // the xors must not shift the origin ids either.
         let mut s = Solver::new();
-        s.enable_input_mirror();
         s.enable_proof();
-        let v: Vec<Lit> = (0..3).map(|_| Lit::positive(s.new_var())).collect();
+        let v: Vec<Lit> = (0..4).map(|_| Lit::positive(s.new_var())).collect();
         assert!(s.add_xor(&[], false));
         assert!(s.add_xor(&[v[0], v[1]], false));
+        assert!(s.add_clause(&[v[3], v[3], v[2]]));
+        assert!(s.add_xor(&[], false));
         assert!(s.add_xor(&[v[1], v[2]], false));
+        // ¬x3 forces x2, and the rows carry it to x1 and x0 ...
+        assert!(s.add_clause(&[!v[3]]));
+        assert!(s.add_xor(&[], false));
+        // ... so x0 ⊕ x2 = 1 refutes, by an x-line naming all three rows.
         assert!(!s.add_xor(&[v[0], v[2]], true));
-        let mirror = s.input_mirror().unwrap();
-        assert_eq!(mirror.xors.len(), 3);
         let proof = s.proof().unwrap();
+        let formula = proof.formula();
+        assert_eq!(formula.clauses, vec![vec![v[3], v[3], v[2]], vec![!v[3]]]);
+        assert_eq!(formula.xors.len(), 3);
         assert!(proof.is_refutation());
-        check_text(mirror, proof.text()).unwrap();
+        let report = check_text(formula, proof.text()).unwrap();
+        assert!(report.xor_steps > 0);
     }
 
     #[test]

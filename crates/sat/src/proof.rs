@@ -31,30 +31,37 @@
 //!   elimination and verifies the clause against the reconstructed row —
 //!   no RUP involved. See DESIGN.md §7 for the exact soundness argument.
 //!
-//! **Clause ids.** Every clause a hint can name has an id. The `k`-th
-//! input clause named by [`DratProof::input_clause`] (one per
-//! `add_clause` call on a logging solver, so the formula's `k`-th clause)
-//! is `-k`; the `n`-th addition line, plain or `x`, is step `n`. Each
-//! distinct xor-derived clause is written once: a repeat with the same
-//! literal set, in any order, returns the first line's id and writes
-//! nothing. A deletion with that literal set re-arms the clause — the
-//! checker may have deactivated that very copy — so the next repeat is
-//! written again under a new id.
+//! **The log owns the certified formula and every id.** A certifying
+//! solver hands each input constraint to the log verbatim, before any
+//! simplification: [`DratProof::input_clause`] records the `k`-th input
+//! clause and returns its id `-k`; [`DratProof::input_xor`] records the
+//! `k`-th input xor constraint and returns its origin id `k - 1` (0-based
+//! in memory, written 1-based). [`DratProof::formula`] is therefore the
+//! formula the proof refutes, and [`DratProof::into_parts`] hands a
+//! certifier the formula and the text together. The `n`-th addition
+//! line, plain or `x`, is step `n`. Each distinct xor-derived clause is
+//! written once: a repeat with the same literal set, in any order,
+//! returns the first line's id and writes nothing — the log's literal-set
+//! map is the only cache of `x`-line ids. A deletion with that literal
+//! set drops it from the map, since the checker may have deactivated that
+//! very copy, so the next repeat is written again under a new id.
 //!
 //! The solver holds the log as an `Option<DratProof>`
-//! ([`crate::Solver::enable_proof`]; read back with
+//! ([`crate::Solver::enable_proof`], the one switch of a certifying run,
+//! turned on before the first constraint; read back with
 //! [`crate::Solver::proof`], moved out with
 //! [`crate::Solver::take_proof`]): when logging is off every call site
 //! is a single branch on a `None`, so proof support costs nothing unless
 //! switched on.
 //!
-//! The log keeps only its text and the ids it hands out: a certificate's
-//! step counts are the checker's (`proofcheck::CheckReport::steps`),
-//! taken over the steps it verified.
+//! The log keeps its inputs, its text and the ids it hands out: a
+//! certificate's step counts are the checker's
+//! (`proofcheck::CheckReport::steps`), taken over the steps it verified.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
+use crate::dimacs::Cnf;
 use crate::types::Lit;
 
 /// A multiply-rotate hasher (FxHash's mix) for the literal sets the log
@@ -92,12 +99,17 @@ impl Hasher for LitSetHasher {
 
 /// The in-memory DRAT+xor proof log.
 ///
-/// Accumulates the textual proof, one step per line. The solver calls
-/// the step methods on every learnt clause, deletion, and xor reason
-/// analysis cites. The text format is the certificate interchange format
-/// checked by `proofcheck` (DESIGN.md §7).
+/// Records the input formula and accumulates the textual proof, one step
+/// per line. The solver hands it every input constraint and calls the
+/// step methods on every learnt clause, deletion, and xor reason analysis
+/// cites. The text format is the certificate interchange format checked
+/// by `proofcheck` (DESIGN.md §7).
 #[derive(Debug, Default)]
 pub struct DratProof {
+    /// The inputs, verbatim and in add order: the formula the proof
+    /// refutes. Clause `k` (1-based) has id `-k`; xor `k` has origin id
+    /// `k - 1`.
+    formula: Cnf,
     text: String,
     /// Set once an empty-clause addition has been logged; later steps are
     /// suppressed (the refutation is complete, and the solver's fast
@@ -105,9 +117,7 @@ pub struct DratProof {
     closed: bool,
     /// Addition lines written so far (the last one's id).
     steps: i64,
-    /// Input clauses named so far.
-    inputs: i64,
-    /// The id of each xor-derived clause written and not since re-armed,
+    /// The id of each xor-derived clause written and not since deleted,
     /// by sorted literal set.
     xor_ids: HashMap<Vec<Lit>, i64, BuildHasherDefault<LitSetHasher>>,
     /// Scratch for the sorted literal set of a lookup.
@@ -115,9 +125,18 @@ pub struct DratProof {
 }
 
 impl DratProof {
-    /// An empty proof.
-    pub fn new() -> DratProof {
-        DratProof::default()
+    /// An empty proof over a formula of `num_vars` variables (grown to
+    /// cover every recorded input).
+    pub fn new(num_vars: usize) -> DratProof {
+        DratProof {
+            formula: Cnf::new(num_vars),
+            ..DratProof::default()
+        }
+    }
+
+    /// The inputs recorded so far: the formula the proof refutes.
+    pub fn formula(&self) -> &Cnf {
+        &self.formula
     }
 
     /// The proof text so far.
@@ -125,9 +144,9 @@ impl DratProof {
         &self.text
     }
 
-    /// The proof text, moved out of the log.
-    pub fn into_text(self) -> String {
-        self.text
+    /// The recorded formula and the proof text, moved out of the log.
+    pub fn into_parts(self) -> (Cnf, String) {
+        (self.formula, self.text)
     }
 
     /// Whether an empty-clause addition has been logged (the proof is a
@@ -136,11 +155,20 @@ impl DratProof {
         self.closed
     }
 
-    /// Names the next input clause: the `k`-th call returns `-k`, the id
-    /// hints use for the formula's `k`-th clause.
-    pub fn input_clause(&mut self) -> i64 {
-        self.inputs += 1;
-        -self.inputs
+    /// Records an input clause verbatim: the `k`-th call returns `-k`,
+    /// the id hints use for the formula's `k`-th clause.
+    pub fn input_clause(&mut self, lits: &[Lit]) -> i64 {
+        self.formula.add_clause(lits);
+        -(self.formula.clauses.len() as i64)
+    }
+
+    /// Records an input xor constraint `⊕ lits = rhs` verbatim and
+    /// returns its origin id: `k - 1` for the `k`-th call. The trivially
+    /// true `⊕ ∅ = 0` has no spelling in the formula; do not record it.
+    pub fn input_xor(&mut self, lits: &[Lit], rhs: bool) -> u32 {
+        debug_assert!(!lits.is_empty() || rhs, "⊕ ∅ = 0 is not an input");
+        self.formula.add_xor(lits, rhs);
+        self.formula.xors.len() as u32 - 1
     }
 
     /// Appends the decimal digits of `v`, with no intermediate string.
@@ -210,21 +238,19 @@ impl DratProof {
         self.end_addition(lits)
     }
 
-    /// A clause deletion step. Returns whether it re-armed an
-    /// xor-derived clause with the same literal set, whose id its holder
-    /// must then stop citing.
-    pub fn delete_clause(&mut self, lits: &[Lit]) -> bool {
+    /// A clause deletion step. An xor-derived clause with the same
+    /// literal set is forgotten: its next repeat is written again.
+    pub fn delete_clause(&mut self, lits: &[Lit]) {
         if self.closed {
-            return false;
+            return;
         }
         self.text.push_str("d ");
         self.push_lits(lits);
         self.text.push('\n');
-        if self.xor_ids.is_empty() {
-            return false;
+        if !self.xor_ids.is_empty() {
+            self.load_key(lits);
+            self.xor_ids.remove(self.key.as_slice());
         }
-        self.load_key(lits);
-        self.xor_ids.remove(self.key.as_slice()).is_some()
     }
 
     /// An xor-derived clause: `lits` is implied by the GF(2) sum of the
@@ -269,8 +295,27 @@ mod tests {
 
     #[test]
     fn text_format_round_trips_by_eye() {
-        let mut p = DratProof::new();
-        assert_eq!((p.input_clause(), p.input_clause()), (-1, -2));
+        let mut p = DratProof::new(3);
+        // Inputs are recorded verbatim and numbered by kind, interleaved
+        // or not: clauses `-k`, xors 0-based origin ids.
+        assert_eq!(p.input_clause(&lits(&[1, 1, -2])), -1);
+        assert_eq!(p.input_xor(&lits(&[-3, 4]), true), 0);
+        assert_eq!(p.input_clause(&lits(&[5])), -2);
+        assert_eq!(p.input_xor(&[], true), 1);
+        assert_eq!(p.input_xor(&lits(&[2, 3]), false), 2);
+        let f = p.formula();
+        assert_eq!(f.num_vars, 5, "grown to cover the inputs");
+        assert_eq!(f.clauses, vec![lits(&[1, 1, -2]), lits(&[5])]);
+        let xors: Vec<_> = f.xors.iter().map(|x| (x.lits.clone(), x.rhs)).collect();
+        assert_eq!(
+            xors,
+            vec![
+                (lits(&[-3, 4]), true),
+                (vec![], true),
+                (lits(&[2, 3]), false)
+            ]
+        );
+        assert_eq!(p.text(), "", "inputs write no proof line");
         assert_eq!(p.add_clause(&lits(&[1, -2]), &[]), 1);
         p.delete_clause(&lits(&[1, -2]));
         assert_eq!(p.add_xor_derived(&lits(&[3, -4]), &[0, 2], &lits(&[-5])), 2);
@@ -281,18 +326,23 @@ mod tests {
             "1 -2 0\nd 1 -2 0\nx 3 -4 0 1 3 0 -5 0\n-3 0 -1 2 0\n0 3 -2 0\n"
         );
         assert!(p.is_refutation());
+        // Inputs after the refutation still belong to the formula.
+        assert_eq!(p.input_clause(&lits(&[2])), -3);
+        let (formula, text) = p.into_parts();
+        assert_eq!(formula.clauses.len(), 3);
+        assert_eq!(text.lines().count(), 5);
     }
 
     #[test]
     fn wide_literals_and_origin_ids_print_every_digit() {
-        let mut p = DratProof::new();
+        let mut p = DratProof::new(0);
         p.add_xor_derived(&lits(&[-1_000_000_007]), &[4_294_967_294], &[]);
         assert_eq!(p.text(), "x -1000000007 0 4294967295 0 0\n");
     }
 
     #[test]
     fn steps_after_refutation_are_suppressed() {
-        let mut p = DratProof::new();
+        let mut p = DratProof::new(0);
         assert_eq!(p.add_clause(&[], &[]), 1);
         assert_eq!(p.add_clause(&lits(&[1]), &[1]), 0);
         p.delete_clause(&lits(&[1]));
@@ -302,7 +352,7 @@ mod tests {
 
     #[test]
     fn repeated_xor_clause_returns_the_first_id_and_writes_nothing() {
-        let mut p = DratProof::new();
+        let mut p = DratProof::new(0);
         assert_eq!(p.add_xor_derived(&lits(&[1, -2, 3]), &[0], &[]), 1);
         assert_eq!(p.add_clause(&lits(&[4]), &[1]), 2);
         let written = p.text().len();
@@ -319,15 +369,15 @@ mod tests {
 
     #[test]
     fn deletion_rearms_a_logged_xor_clause() {
-        let mut p = DratProof::new();
+        let mut p = DratProof::new(0);
         assert_eq!(p.add_xor_derived(&lits(&[1, -2]), &[0], &[]), 1);
         // A deletion of another set leaves it armed.
-        assert!(!p.delete_clause(&lits(&[1, 2])));
+        p.delete_clause(&lits(&[1, 2]));
         assert_eq!(p.add_xor_derived(&lits(&[-2, 1]), &[0], &[]), 1);
         // The same set, in any order: the checker may have deactivated
         // the logged copy, so the next repeat is written again.
-        assert!(p.delete_clause(&lits(&[-2, 1])));
-        assert!(!p.delete_clause(&lits(&[-2, 1])), "re-armed once");
+        p.delete_clause(&lits(&[-2, 1]));
+        p.delete_clause(&lits(&[-2, 1]));
         assert_eq!(p.add_xor_derived(&lits(&[1, -2]), &[0], &[]), 2);
         assert_eq!(p.add_xor_derived(&lits(&[1, -2]), &[0], &[]), 2);
         assert_eq!(

@@ -9,11 +9,14 @@
 //! reason is its row ([`Reason::Xor`]); analysis reads the row's literals
 //! on demand and nothing enters the arena.
 //!
-//! A certifying run logs each learnt clause with the proof ids of the
-//! reasons analysis resolved on and minimization walked through, as
-//! hints for the checker ([`crate::proof`]). Every hint-collecting site
-//! sits behind a branch on the log, so a run without one does no extra
-//! work per conflict.
+//! A certifying run ([`Solver::enable_proof`], its one switch, turned on
+//! before the first constraint) hands every input constraint to the
+//! proof log verbatim, and logs each learnt clause with the proof ids of
+//! the reasons analysis resolved on and minimization walked through, as
+//! hints for the checker ([`crate::proof`]). Every id comes from the
+//! log; the solver caches none. Every hint-collecting site sits behind a
+//! branch on the log, so a run without one does no extra work per
+//! conflict.
 
 use std::collections::HashMap;
 
@@ -128,10 +131,6 @@ pub struct Solver {
     /// Implying clause or xor row, per assigned variable (`None` for
     /// decisions, assumptions and top-level units).
     reason: Vec<Option<Reason>>,
-    /// Per variable: the proof id of the `x` line of its current xor
-    /// reason, or `0` before the proof holds one. Set the first time
-    /// analysis cites the reason, cleared when the variable is unassigned.
-    xor_step: Vec<i64>,
     /// Decision level of the assignment, per assigned variable.
     level: Vec<u32>,
     /// Assignment stack in chronological order.
@@ -173,12 +172,10 @@ pub struct Solver {
     xor_clause: Vec<Lit>,
     /// Scratch stack of [`Solver::minimization_hints`].
     hint_walk: Vec<(Var, Option<i64>)>,
-    /// Proof log of a certifying run ([`Solver::enable_proof`]); `None`
-    /// (the default) makes every logging site a single branch.
+    /// Proof log of a certifying run ([`Solver::enable_proof`]), which
+    /// also records the inputs; `None` (the default) makes every logging
+    /// site a single branch.
     proof: Option<DratProof>,
-    /// Verbatim record of every added constraint, kept only when a
-    /// certifying caller enabled it ([`Solver::enable_input_mirror`]).
-    input_mirror: Option<crate::dimacs::Cnf>,
     stats: SolverStats,
 }
 
@@ -202,7 +199,6 @@ impl Solver {
         self.assigns.push(LBool::Undef);
         self.phase.push(false);
         self.reason.push(None);
-        self.xor_step.push(0);
         self.level.push(0);
         self.activity.push(0.0);
         self.seen.push(false);
@@ -236,13 +232,18 @@ impl Solver {
         &self.stats
     }
 
-    /// Starts a proof log; every inference from here on is written to it
-    /// (DRAT+xor, see [`crate::proof`]). Enable **before** adding
-    /// constraints: add-time xor eliminations derive facts too, and a
-    /// proof that misses them will not check.
+    /// Starts a proof log, the one switch of a certifying run: every
+    /// constraint added from here on is recorded verbatim in the log's
+    /// formula ([`DratProof::formula`]), and every inference is written
+    /// to its text (DRAT+xor, see [`crate::proof`]). Enable **before**
+    /// the first constraint: the formula must hold every input, and
+    /// add-time xor eliminations derive facts too. [`Solver::to_cnf`] is
+    /// no substitute for the recorded formula: it snapshots the
+    /// *processed* state, whose trail units are themselves unverified
+    /// solver derivations.
     pub fn enable_proof(&mut self) {
         if self.proof.is_none() {
-            self.proof = Some(DratProof::new());
+            self.proof = Some(DratProof::new(self.num_vars()));
         }
     }
 
@@ -253,35 +254,7 @@ impl Solver {
 
     /// Moves the proof log out of the solver, which logs nothing more.
     pub fn take_proof(&mut self) -> Option<DratProof> {
-        // The step ids name lines of the log that leaves.
-        self.xor_step.fill(0);
         self.proof.take()
-    }
-
-    /// Starts recording every subsequently added clause and xor
-    /// constraint verbatim (pre-simplification) into an input mirror.
-    ///
-    /// Certifying callers check the proof log against the mirror, so the
-    /// certificate is over the true inputs. [`Solver::to_cnf`] is not
-    /// suitable for that: it snapshots the *processed* state, whose trail
-    /// units are themselves unverified solver derivations. Enable before
-    /// adding constraints.
-    pub fn enable_input_mirror(&mut self) {
-        if self.input_mirror.is_none() {
-            self.input_mirror = Some(crate::dimacs::Cnf::new(self.num_vars()));
-        }
-    }
-
-    /// The recorded input mirror, if [`Solver::enable_input_mirror`] was
-    /// called.
-    pub fn input_mirror(&self) -> Option<&crate::dimacs::Cnf> {
-        self.input_mirror.as_ref()
-    }
-
-    /// Moves the input mirror out of the solver, which records nothing
-    /// more.
-    pub fn take_input_mirror(&mut self) -> Option<crate::dimacs::Cnf> {
-        self.input_mirror.take()
     }
 
     /// Logs a clause addition step with its antecedent hints if proof
@@ -292,26 +265,20 @@ impl Solver {
 
     /// Logs a clause deletion step if proof logging is on.
     fn log_delete(&mut self, cref: ClauseRef) {
-        if self.proof.is_some() {
+        if let Some(p) = self.proof.as_mut() {
             let lits: Vec<Lit> = self
                 .db
                 .lits(cref)
                 .iter()
                 .map(|&raw| Lit::from_index(raw as usize))
                 .collect();
-            if let Some(p) = self.proof.as_mut() {
-                if p.delete_clause(&lits) {
-                    // The checker may have deactivated the `x` line a
-                    // variable's id names: cite none of them again.
-                    self.xor_step.fill(0);
-                }
-            }
+            p.delete_clause(&lits);
         }
     }
 
     /// The proof id of `reason`, for a hint: the clause's own id, or the
-    /// id of the row's `x` line, logged now unless this assignment
-    /// already did. For a row, `reason_lits` must hold what
+    /// id of the row's `x` line, logged now unless the log already holds
+    /// its literal set. For a row, `reason_lits` must hold what
     /// [`Solver::load_reason`] just read off it. Call only while logging.
     fn reason_id(&mut self, reason: Reason, implied: Option<Var>) -> i64 {
         match reason {
@@ -322,8 +289,8 @@ impl Solver {
 
     /// Logs row `row`'s clause as an `x` line and returns its id: the
     /// trail literal of `implied` (when given) followed by `reason_lits`.
-    /// An implication is logged once per assignment; a conflict every
-    /// time it is cited (the log writes each literal set once).
+    /// The log writes each literal set once, so a reason cited again
+    /// returns the first line's id.
     fn log_xor_reason(&mut self, row: u32, implied: Option<Var>) -> i64 {
         let Some(p) = self.proof.as_mut() else {
             return 0;
@@ -331,19 +298,11 @@ impl Solver {
         let clause = &mut self.xor_clause;
         clause.clear();
         if let Some(v) = implied {
-            let v = v.index();
-            if self.xor_step[v] != 0 {
-                return self.xor_step[v];
-            }
-            clause.push(Lit::new(Var::from_index(v), self.assigns[v] == LBool::True));
+            clause.push(Lit::new(v, self.assigns[v.index()] == LBool::True));
         }
         clause.extend_from_slice(&self.reason_lits);
         let (origin, units) = self.xors.row_meta(row);
-        let id = p.add_xor_derived(clause, origin, units);
-        if let Some(v) = implied {
-            self.xor_step[v.index()] = id;
-        }
-        id
+        p.add_xor_derived(clause, origin, units)
     }
 
     /// Records a conflict at decision level 0: logs the refutation, citing
@@ -425,9 +384,6 @@ impl Solver {
     /// [`Solver::new_var`].
     pub fn add_clause(&mut self, lits: &[Lit]) -> bool {
         debug_assert_eq!(self.decision_level(), 0, "clauses are added at level 0");
-        if !self.ok {
-            return false;
-        }
         for l in lits {
             assert!(
                 l.var().index() < self.num_vars(),
@@ -435,10 +391,11 @@ impl Solver {
                 l.var()
             );
         }
-        if let Some(m) = self.input_mirror.as_mut() {
-            m.add_clause(lits.to_vec());
+        // Recorded even once refuted: the log's formula is every input.
+        let id = self.proof.as_mut().map_or(0, |p| p.input_clause(lits));
+        if !self.ok {
+            return false;
         }
-        let id = self.proof.as_mut().map_or(0, DratProof::input_clause);
 
         // Sort by packed code: the two polarities of one variable become
         // adjacent, making duplicates and tautologies local checks.
@@ -489,8 +446,8 @@ impl Solver {
     /// fold into `rhs` and duplicate variables cancel. Returns `false` if
     /// the solver is now known unsatisfiable at the top level. The
     /// trivially true empty constraint (`⊕ ∅ = 0`) is ignored, as
-    /// [`crate::dimacs::Cnf::add_xor`] ignores it: the input mirror and the
-    /// proof's origin ids both skip it.
+    /// [`crate::dimacs::Cnf::add_xor`] ignores it: the proof log neither
+    /// records nor numbers it.
     ///
     /// # Panics
     ///
@@ -498,11 +455,8 @@ impl Solver {
     /// [`Solver::new_var`].
     pub fn add_xor(&mut self, lits: &[Lit], rhs: bool) -> bool {
         debug_assert_eq!(self.decision_level(), 0, "xors are added at level 0");
-        if !self.ok {
-            return false;
-        }
         if lits.is_empty() && !rhs {
-            return true;
+            return self.ok;
         }
         for l in lits {
             assert!(
@@ -511,8 +465,10 @@ impl Solver {
                 l.var()
             );
         }
-        if let Some(m) = self.input_mirror.as_mut() {
-            m.add_xor(lits.to_vec(), rhs);
+        // Recorded even once refuted, as `add_clause` records.
+        let origin = self.proof.as_mut().map(|p| p.input_xor(lits, rhs));
+        if !self.ok {
+            return false;
         }
         let (vars, rhs) = XorClause {
             lits: lits.to_vec(),
@@ -520,10 +476,14 @@ impl Solver {
         }
         .normalized();
         let mut units = Vec::new();
-        if !self
-            .xors
-            .add(&vars, rhs, &self.assigns, &mut units, &mut self.proof)
-        {
+        if !self.xors.add(
+            &vars,
+            rhs,
+            origin,
+            &self.assigns,
+            &mut units,
+            &mut self.proof,
+        ) {
             // The engine logged the inconsistent row as an empty x-line.
             self.ok = false;
             return false;
@@ -789,12 +749,6 @@ impl Solver {
             self.assigns[v] = LBool::Undef;
             self.reason[v] = None;
             self.order.insert(v, &self.activity);
-        }
-        // Only a logging run ever sets a step id.
-        if self.proof.is_some() {
-            for p in &self.trail[lim..] {
-                self.xor_step[p.var().index()] = 0;
-            }
         }
         self.trail.truncate(lim);
         self.trail_lim.truncate(level);
@@ -1301,7 +1255,6 @@ impl Solver {
         for (name, len) in [
             ("phase", self.phase.len()),
             ("reason", self.reason.len()),
-            ("xor_step", self.xor_step.len()),
             ("level", self.level.len()),
             ("activity", self.activity.len()),
             ("seen", self.seen.len()),
@@ -1546,23 +1499,32 @@ mod tests {
     #[test]
     fn input_mirror_records_constraints_verbatim() {
         let mut s = Solver::new();
-        s.enable_input_mirror();
+        // The one switch: the proof log records the inputs.
+        s.enable_proof();
         for _ in 0..3 {
             s.new_var();
         }
         // The solver simplifies (dedups, drops satisfied clauses); the
-        // mirror must keep the verbatim stream anyway.
+        // log's formula must keep the verbatim stream anyway.
         s.add_clause(&[lit(1)]);
         s.add_clause(&[lit(1), lit(2), lit(2)]);
+        s.add_xor(&[], false);
         s.add_xor(&[lit(2), lit(-3)], true);
-        let m = s.input_mirror().expect("enabled");
+        let m = s.proof().expect("enabled").formula();
+        assert_eq!(m.num_vars, 3);
         assert_eq!(m.clauses.len(), 2);
         assert_eq!(m.clauses[1], vec![lit(1), lit(2), lit(2)]);
-        assert_eq!(m.xors.len(), 1);
+        assert_eq!(m.xors.len(), 1, "⊕ ∅ = 0 is not recorded");
         assert_eq!(m.xors[0].lits, vec![lit(2), lit(-3)]);
-        // Solving derives facts but never touches the mirror.
+        // Solving derives facts but never touches the formula.
         assert_eq!(s.solve(), SolveResult::Sat);
-        assert_eq!(s.input_mirror().unwrap().clauses.len(), 2);
+        assert_eq!(s.proof().unwrap().formula().clauses.len(), 2);
+        // Inputs after a refutation are still recorded.
+        assert!(!s.add_clause(&[lit(-1)]));
+        assert!(!s.add_xor(&[lit(3)], true));
+        assert!(!s.add_xor(&[], false));
+        let m = s.proof().unwrap().formula();
+        assert_eq!((m.clauses.len(), m.xors.len()), (3, 2));
     }
 
     #[test]

@@ -42,14 +42,14 @@
 //!   So the learnt-clause database holds learnt clauses only: reasons
 //!   add no watches, do not fill `max_learnts`, and leave database
 //!   reduction alone. Most implications are never read at all.
-//! * Proof logging follows the citations. A certifying run logs a
-//!   reason's `x` line the first time a learnt clause cites it during
-//!   that assignment (the variable keeps the line's id for later
-//!   citations), logs a conflicting row's clause each time it is cited
-//!   (the log writes each literal set once and returns the first id),
-//!   and logs a level-0 implication when it is made: analysis never reads
-//!   those, but the checker needs the unit for later steps (see
-//!   [`crate::proof`]).
+//! * Proof logging follows the citations. A certifying run hands a
+//!   reason's or a conflicting row's clause to the log each time a
+//!   learnt clause cites it (the log writes each literal set once and
+//!   returns the first id; nothing here caches ids), and logs a level-0
+//!   implication when it is made: analysis never reads those, but the
+//!   checker needs the unit for later steps (see [`crate::proof`]). Each
+//!   row's origin list names the input constraints it sums by the ids the
+//!   log handed out; a run that does not log keeps none.
 //!
 //! Backtracking needs no undo hooks: row operations are linear
 //! combinations (sound regardless of the assignment) and watches are
@@ -162,10 +162,11 @@ struct XorRow {
     pivot: u32,
     /// Dead rows (eliminated to units/tautologies) are skipped lazily.
     alive: bool,
-    /// Derivation provenance: the set of input xor constraints (ids in add
-    /// order) whose GF(2) sum, after substituting `units`, equals this
-    /// row. Maintained by symmetric difference under every row operation,
-    /// so `fold(origin) ⊕ fold(units) = (cols, rhs)` is an invariant.
+    /// Derivation provenance: the set of input xor constraints (the
+    /// proof log's origin ids) whose GF(2) sum, after substituting
+    /// `units`, equals this row. Maintained by symmetric difference under
+    /// every row operation, so `fold(origin) ⊕ fold(units) = (cols, rhs)`
+    /// is an invariant. Empty in a run that does not log.
     origin: Vec<u32>,
     /// Top-level unit literals substituted into this row (each `l` stands
     /// for the singleton constraint `var(l) = polarity(l)`).
@@ -209,8 +210,6 @@ pub(crate) struct XorEngine {
     watchers: Vec<Vec<u32>>,
     /// Live row count.
     num_live: usize,
-    /// Input xor constraints seen so far (the next constraint's proof id).
-    next_input_id: u32,
 }
 
 impl XorEngine {
@@ -251,19 +250,20 @@ impl XorEngine {
     /// pivots (incremental Gauss–Jordan), and installs the surviving row,
     /// eliminating its pivot column from every other row. Implied
     /// top-level units are pushed to `units` for the caller to enqueue.
-    /// Returns `false` if the xor system became inconsistent.
+    /// `id` is the constraint's origin id in the proof log, `None` when
+    /// not logging: then every row's origin list stays empty. Returns
+    /// `false` if the xor system became inconsistent.
     pub(crate) fn add(
         &mut self,
         vars: &[Var],
         rhs: bool,
+        id: Option<u32>,
         assigns: &[LBool],
         units: &mut Vec<Lit>,
         proof: &mut Option<DratProof>,
     ) -> bool {
-        let id = self.next_input_id;
-        self.next_input_id += 1;
         let fresh = self.col_var.len() as u32;
-        let mut origin = vec![id];
+        let mut origin: Vec<u32> = id.into_iter().collect();
         let mut umeta: Vec<Lit> = Vec::new();
 
         // Substitute fixed variables, map the rest onto columns.
@@ -907,14 +907,14 @@ mod tests {
         let mut units = Vec::new();
         let mut proof = None;
         let vars: Vec<Var> = (0..3).map(Var::from_index).collect();
-        assert!(eng.add(&vars, true, &assigns, &mut units, &mut proof));
+        assert!(eng.add(&vars, true, None, &assigns, &mut units, &mut proof));
         assert_eq!(eng.num_rows(), 1);
         // The same row again is redundant.
-        assert!(eng.add(&vars, true, &assigns, &mut units, &mut proof));
+        assert!(eng.add(&vars, true, None, &assigns, &mut units, &mut proof));
         assert_eq!(eng.num_rows(), 1);
         assert!(units.is_empty());
         // The same row with flipped parity is inconsistent.
-        assert!(!eng.add(&vars, false, &assigns, &mut units, &mut proof));
+        assert!(!eng.add(&vars, false, None, &assigns, &mut units, &mut proof));
     }
 
     #[test]
@@ -925,8 +925,15 @@ mod tests {
         let mut units = Vec::new();
         let mut proof = None;
         let v: Vec<Var> = (0..3).map(Var::from_index).collect();
-        assert!(eng.add(&[v[0], v[1]], true, &assigns, &mut units, &mut proof));
-        assert!(eng.add(&[v[0], v[1], v[2]], true, &assigns, &mut units, &mut proof));
+        assert!(eng.add(&[v[0], v[1]], true, None, &assigns, &mut units, &mut proof));
+        assert!(eng.add(
+            &[v[0], v[1], v[2]],
+            true,
+            None,
+            &assigns,
+            &mut units,
+            &mut proof
+        ));
         assert_eq!(units, vec![Lit::negative(v[2])]);
         assert_eq!(eng.num_rows(), 1, "the combined row dies into the unit");
     }
@@ -942,7 +949,7 @@ mod tests {
             [(&[0, 1, 2], true), (&[1, 3, 4], false), (&[2, 4, 5], true)];
         for (cols, rhs) in input {
             let vars: Vec<Var> = cols.iter().map(|&i| v[i]).collect();
-            assert!(eng.add(&vars, rhs, &assigns, &mut units, &mut proof));
+            assert!(eng.add(&vars, rhs, None, &assigns, &mut units, &mut proof));
         }
         assert!(units.is_empty());
         // Each row pivots on its highest column: x2, x4, then x5.
@@ -988,7 +995,7 @@ mod tests {
         let mut units = Vec::new();
         let mut proof = None;
         let v: Vec<Var> = (0..4).map(Var::from_index).collect();
-        assert!(eng.add(&v, true, &assigns, &mut units, &mut proof));
+        assert!(eng.add(&v, true, None, &assigns, &mut units, &mut proof));
         let mut errors = Vec::new();
         eng.audit(&mut errors);
         assert!(errors.is_empty(), "{errors:?}");
@@ -1016,8 +1023,22 @@ mod tests {
         let mut units = Vec::new();
         let mut proof = None;
         let v: Vec<Var> = (0..4).map(Var::from_index).collect();
-        eng.add(&[v[0], v[1], v[2]], true, &assigns, &mut units, &mut proof);
-        eng.add(&[v[1], v[2], v[3]], false, &assigns, &mut units, &mut proof);
+        eng.add(
+            &[v[0], v[1], v[2]],
+            true,
+            None,
+            &assigns,
+            &mut units,
+            &mut proof,
+        );
+        eng.add(
+            &[v[1], v[2], v[3]],
+            false,
+            None,
+            &assigns,
+            &mut units,
+            &mut proof,
+        );
         let rows = eng.export();
         assert_eq!(rows.len(), 2);
         // Brute-force: the exported system has the same solution set.

@@ -70,13 +70,6 @@ impl<'c> SeqSim<'c> {
         self.state = self.evaluator.next_state();
         po
     }
-
-    /// Primary-output values for `pis` at the current state, without
-    /// clocking.
-    pub fn peek_outputs(&mut self, pis: &[bool]) -> Vec<bool> {
-        self.evaluator.eval(pis, &self.state);
-        self.evaluator.output_values()
-    }
 }
 
 #[cfg(test)]
@@ -138,10 +131,11 @@ mod tests {
         let c = b.finish().unwrap();
         let mut s = SeqSim::new(&c);
         s.set_state(&[true]);
-        assert!(s.peek_outputs(&[true])[0]);
-        assert!(!s.peek_outputs(&[false])[0]);
-        // peek must not clock
         assert_eq!(s.state(), &[true]);
+        // The outputs read the set state before the edge: y = q ∧ x.
+        assert!(s.step(&[true])[0]);
+        assert!(!s.step(&[false])[0]);
+        assert_eq!(s.state(), &[false]);
     }
 
     #[test]

@@ -494,6 +494,6 @@ fn certified_resume_twice_keeps_the_uninterrupted_formula() {
     assert_eq!(cert.formula, reference.formula, "same verbatim inputs");
     let report = proofcheck::check_text(&cert.formula, &cert.proof).expect("re-check verifies");
     assert_eq!(report, cert.stats);
-    let steps = proofcheck::parse_proof(&cert.proof).unwrap().len() as u64;
+    let steps = cert.proof.lines().filter(|l| !l.trim().is_empty()).count() as u64;
     assert_eq!(cert.stats.steps(), steps, "stats count every checked step");
 }
