@@ -108,12 +108,13 @@ fn parse_line(b: &mut CircuitBuilder, line: &str) -> Result<(), String> {
 
 fn strip_keyword<'a>(line: &'a str, kw: &str) -> Option<&'a str> {
     let trimmed = line.trim_start();
-    if trimmed.len() >= kw.len() && trimmed[..kw.len()].eq_ignore_ascii_case(kw) {
-        let rest = trimmed[kw.len()..].trim_start();
-        rest.starts_with('(').then_some(rest)
-    } else {
-        None
+    // `get` rather than slicing: a multi-byte character straddling
+    // `kw.len()` means the line does not start with the keyword.
+    if !trimmed.get(..kw.len())?.eq_ignore_ascii_case(kw) {
+        return None;
     }
+    let rest = trimmed[kw.len()..].trim_start();
+    rest.starts_with('(').then_some(rest)
 }
 
 /// Parses `"(a, b, c)"` (possibly with trailing junk-free whitespace) into
@@ -270,6 +271,15 @@ G17 = NOR(G14, G1)
             NetlistError::Parse { line, .. } => assert_eq!(line, 2),
             other => panic!("expected parse error, got {other}"),
         }
+    }
+
+    #[test]
+    fn multibyte_char_at_keyword_end_is_a_parse_error() {
+        // `é` straddles byte 5, the end of a would-be `INPUT` keyword.
+        assert!(matches!(
+            parse("utf8", "INPUé(a)\n"),
+            Err(NetlistError::Parse { line: 1, .. })
+        ));
     }
 
     #[test]
