@@ -63,6 +63,13 @@ pub struct Encoder {
     solver: Solver,
     const_true: Option<Lit>,
     mode: XorMode,
+    /// Scratch for one gate's input literals ([`Encoder::comb`]).
+    ins: Vec<Lit>,
+    /// Scratch for the literals of the constraint a gate is defined by.
+    kept: Vec<Lit>,
+    /// Scratch for one frame's per-net literals
+    /// ([`Encoder::comb_in_place`]).
+    frame: Vec<Option<Lit>>,
 }
 
 impl Encoder {
@@ -77,6 +84,9 @@ impl Encoder {
             solver: Solver::new(),
             const_true: None,
             mode,
+            ins: Vec::new(),
+            kept: Vec::new(),
+            frame: Vec::new(),
         }
     }
 
@@ -205,15 +215,16 @@ impl Encoder {
             (XorMode::Native, _) => {
                 // Fold constants into the right-hand side so the pinned
                 // constant variable stays out of the xor system.
+                let mut kept = std::mem::take(&mut self.kept);
+                kept.clear();
                 let mut rhs = false;
-                let mut kept: Vec<Lit> = Vec::with_capacity(lits.len() + 1);
                 for &l in lits {
                     match self.as_const(l) {
                         Some(v) => rhs ^= v,
                         None => kept.push(l),
                     }
                 }
-                match kept.len() {
+                let z = match kept.len() {
                     0 => self.constant(rhs),
                     1 => {
                         if rhs {
@@ -228,7 +239,9 @@ impl Encoder {
                         self.solver.add_xor(&kept, rhs);
                         z
                     }
-                }
+                };
+                self.kept = kept;
+                z
             }
             (XorMode::Tseitin, Some((&first, rest))) => {
                 rest.iter().fold(first, |acc, &l| self.xor2(acc, l))
@@ -236,37 +249,41 @@ impl Encoder {
         }
     }
 
-    /// A literal equal to the AND of `lits`, after folding constants.
-    fn and_many(&mut self, lits: &[Lit]) -> Lit {
-        let mut kept = Vec::with_capacity(lits.len());
+    /// A literal equal to the AND of `lits` (of their negations when
+    /// `negate`), after folding constants.
+    fn and_many(&mut self, lits: &[Lit], negate: bool) -> Lit {
+        let mut kept = std::mem::take(&mut self.kept);
+        kept.clear();
+        let mut falsified = false;
         for &l in lits {
+            let l = if negate { !l } else { l };
             match self.as_const(l) {
-                Some(false) => return self.constant(false),
+                Some(false) => {
+                    falsified = true;
+                    break;
+                }
                 Some(true) => {}
                 None => kept.push(l),
             }
         }
-        match kept.len() {
+        let z = match kept.len() {
+            _ if falsified => self.constant(false),
             0 => self.constant(true),
             1 => kept[0],
             _ => {
                 let z = self.fresh();
-                let mut top = Vec::with_capacity(kept.len() + 1);
-                top.push(z);
-                for &a in &kept {
-                    self.solver.add_clause(&[!z, a]);
-                    top.push(!a);
+                for a in &mut kept {
+                    self.solver.add_clause(&[!z, *a]);
+                    *a = !*a;
                 }
-                self.solver.add_clause(&top);
+                // The defining clause `z ∨ ¬a1 ∨ … ∨ ¬ak`, in that order.
+                kept.insert(0, z);
+                self.solver.add_clause(&kept);
                 z
             }
-        }
-    }
-
-    /// A literal equal to the OR of `lits`, after folding constants.
-    fn or_many(&mut self, lits: &[Lit]) -> Lit {
-        let flipped: Vec<Lit> = lits.iter().map(|&l| !l).collect();
-        !self.and_many(&flipped)
+        };
+        self.kept = kept;
+        z
     }
 
     /// A literal equal to `kind(inputs...)`.
@@ -284,10 +301,10 @@ impl Encoder {
         match kind {
             GateKind::Buf => inputs[0],
             GateKind::Not => !inputs[0],
-            GateKind::And => self.and_many(inputs),
-            GateKind::Nand => !self.and_many(inputs),
-            GateKind::Or => self.or_many(inputs),
-            GateKind::Nor => !self.or_many(inputs),
+            GateKind::And => self.and_many(inputs, false),
+            GateKind::Nand => !self.and_many(inputs, false),
+            GateKind::Or => !self.and_many(inputs, true),
+            GateKind::Nor => self.and_many(inputs, true),
             GateKind::Xor => self.parity(inputs),
             GateKind::Xnor => !self.parity(inputs),
             GateKind::Const0 => self.constant(false),
@@ -307,39 +324,74 @@ impl Encoder {
     ///
     /// Panics if `pis` or `state` have the wrong length.
     pub fn comb(&mut self, circuit: &Circuit, pis: &[Lit], state: &[Lit]) -> CombCone {
+        let mut net_lits = Vec::new();
+        self.frame(circuit, pis, state, &mut net_lits);
+        let driven = |n: &NetId| net_lits[n.index()].expect("outputs and D pins are driven");
+        CombCone {
+            po: circuit.outputs().iter().map(driven).collect(),
+            next_state: circuit.dffs().iter().map(|d| driven(&d.d)).collect(),
+            net_lits,
+        }
+    }
+
+    /// [`Encoder::comb`] without building a [`CombCone`]: encodes one
+    /// frame from `pis` and the flop outputs in `state`, then replaces
+    /// `state` with the next state and `po` with the primary outputs. The
+    /// constraints are the same, added in the same order; the per-net
+    /// literals live in a buffer the encoder reuses, so a caller that
+    /// unrolls many frames allocates nothing per frame.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pis` or `state` have the wrong length.
+    pub fn comb_in_place(
+        &mut self,
+        circuit: &Circuit,
+        pis: &[Lit],
+        state: &mut Vec<Lit>,
+        po: &mut Vec<Lit>,
+    ) {
+        let mut net_lits = std::mem::take(&mut self.frame);
+        self.frame(circuit, pis, state, &mut net_lits);
+        let driven = |n: &NetId| net_lits[n.index()].expect("outputs and D pins are driven");
+        po.clear();
+        po.extend(circuit.outputs().iter().map(driven));
+        state.clear();
+        state.extend(circuit.dffs().iter().map(|d| driven(&d.d)));
+        self.frame = net_lits;
+    }
+
+    /// Encodes one frame into `net_lits` (one entry per net, `None` for
+    /// undriven nets), gate by gate in topological order.
+    fn frame(
+        &mut self,
+        circuit: &Circuit,
+        pis: &[Lit],
+        state: &[Lit],
+        net_lits: &mut Vec<Option<Lit>>,
+    ) {
         assert_eq!(pis.len(), circuit.inputs().len(), "PI count mismatch");
         assert_eq!(state.len(), circuit.dffs().len(), "state length mismatch");
-        let mut net_lits: Vec<Option<Lit>> = vec![None; circuit.num_nets()];
+        net_lits.clear();
+        net_lits.resize(circuit.num_nets(), None);
         for (i, &net) in circuit.inputs().iter().enumerate() {
             net_lits[net.index()] = Some(pis[i]);
         }
         for (i, dff) in circuit.dffs().iter().enumerate() {
             net_lits[dff.q.index()] = Some(state[i]);
         }
+        let mut ins = std::mem::take(&mut self.ins);
         for &gi in circuit.topo_gates() {
             let gate = &circuit.gates()[gi];
-            let ins: Vec<Lit> = gate
-                .inputs
-                .iter()
-                .map(|n| net_lits[n.index()].expect("topo order drives all fanins"))
-                .collect();
+            ins.clear();
+            ins.extend(
+                gate.inputs
+                    .iter()
+                    .map(|n| net_lits[n.index()].expect("topo order drives all fanins")),
+            );
             net_lits[gate.output.index()] = Some(self.gate(gate.kind, &ins));
         }
-        let po = circuit
-            .outputs()
-            .iter()
-            .map(|n| net_lits[n.index()].expect("outputs are driven"))
-            .collect();
-        let next_state = circuit
-            .dffs()
-            .iter()
-            .map(|d| net_lits[d.d.index()].expect("D pins are driven"))
-            .collect();
-        CombCone {
-            po,
-            next_state,
-            net_lits,
-        }
+        self.ins = ins;
     }
 }
 

@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use cnf::Encoder;
 use gf2::{BitVec, Rng64, SplitMix64};
-use netlist::Circuit;
+use netlist::{Circuit, NetId};
 use satsolver::{Lit, SolverStats};
 use scanlock::{LockSpec, LockedScanChip};
 use sim::{Reliable, ScanAccess, ScanChain};
@@ -105,12 +105,14 @@ pub(crate) fn mask_copy(enc: &mut Encoder, basis: &[MaskBit], cells: usize) -> M
         .filter(|bit| matches!(bit, MaskBit::Free(_)))
         .count();
     let vars = enc.fresh_many(free);
+    let mut lits = Vec::new();
     let mut alpha: Vec<Lit> = basis
         .iter()
         .map(|bit| match bit {
             MaskBit::Free(i) => vars[*i],
             MaskBit::Sum(terms) => {
-                let lits: Vec<Lit> = terms.iter().map(|&i| vars[i]).collect();
+                lits.clear();
+                lits.extend(terms.iter().map(|&i| vars[i]));
                 enc.parity(&lits)
             }
         })
@@ -154,44 +156,48 @@ pub fn same_class(
     })
 }
 
+/// The literals of one encoded session ([`locked_cone`]), in buffers that
+/// are reused from session to session.
+#[derive(Debug, Default)]
+pub(crate) struct Session {
+    /// The flop state while the capture frames unroll.
+    state: Vec<Lit>,
+    /// One literal per chain position.
+    pub(crate) scan_out: Vec<Lit>,
+    /// One literal per primary output.
+    pub(crate) po: Vec<Lit>,
+}
+
 /// Encodes one locked session under a seed hypothesis: XOR the load mask
 /// into the pattern, scatter into flop order, unroll the capture frames,
-/// gather back to chain order, XOR the unload mask. Returns
-/// `(scan_out, po)` literals.
+/// gather back to chain order, XOR the unload mask. `stimulus` holds the
+/// pattern's literals (one per chain position), then the primary inputs';
+/// the output literals land in `out.scan_out` and `out.po`.
 pub(crate) fn locked_cone(
     enc: &mut Encoder,
     circuit: &Circuit,
     chain: &ScanChain,
     copy: &MaskCopy,
-    pattern: &[Lit],
-    pis: &[Lit],
+    stimulus: &[Lit],
     captures: usize,
-) -> (Vec<Lit>, Vec<Lit>) {
-    let n = chain.len();
-    let loaded: Vec<Lit> = (0..n)
-        .map(|p| enc.xor2(pattern[p], copy.alpha[p]))
-        .collect();
-    let mut state: Vec<Option<Lit>> = vec![None; n];
-    for (pos, &lit) in loaded.iter().enumerate() {
-        state[chain.dff_at(pos)] = Some(lit);
+    out: &mut Session,
+) {
+    let (pattern, pis) = stimulus.split_at(chain.len());
+    // Sized by the pattern; the chain is a permutation of the flops, so
+    // the loop overwrites every entry.
+    out.state.clear();
+    out.state.extend_from_slice(pattern);
+    for (pos, (&x, &alpha)) in pattern.iter().zip(&copy.alpha).enumerate() {
+        out.state[chain.dff_at(pos)] = enc.xor2(x, alpha);
     }
-    let mut state: Vec<Lit> = state
-        .into_iter()
-        .map(|l| l.expect("chain is a permutation of the flops"))
-        .collect();
-    let mut po = Vec::new();
     for _ in 0..captures {
-        let cone = enc.comb(circuit, pis, &state);
-        po = cone.po;
-        state = cone.next_state;
+        enc.comb_in_place(circuit, pis, &mut out.state, &mut out.po);
     }
-    let scan_out = (0..n)
-        .map(|pos| {
-            let captured = state[chain.dff_at(pos)];
-            enc.xor2(captured, copy.beta[pos])
-        })
-        .collect();
-    (scan_out, po)
+    out.scan_out.clear();
+    for (pos, &beta) in copy.beta.iter().enumerate() {
+        let captured = out.state[chain.dff_at(pos)];
+        out.scan_out.push(enc.xor2(captured, beta));
+    }
 }
 
 /// The order in which convergence is proved, as indices into the output
@@ -199,17 +205,37 @@ pub(crate) fn locked_cone(
 /// number of flops in each output's one-frame fan-in cone, ties by index.
 /// Small cones depend on few load-mask bits, so they close cheaply and
 /// their DIPs arrive first.
+///
+/// Every count comes from one topological pass that gives each net the
+/// set of flops in its cone as a bitset (`words` 64-bit words per net).
 pub(crate) fn output_order(circuit: &Circuit, chain: &ScanChain) -> Vec<usize> {
+    let words = circuit.num_dffs().div_ceil(64);
+    let mut support = vec![0u64; circuit.num_nets() * words];
+    for (i, dff) in circuit.dffs().iter().enumerate() {
+        support[dff.q.index() * words + i / 64] |= 1 << (i % 64);
+    }
+    for &gi in circuit.topo_gates() {
+        let gate = &circuit.gates()[gi];
+        let out = gate.output.index() * words;
+        for input in &gate.inputs {
+            let src = input.index() * words;
+            for w in 0..words {
+                support[out + w] |= support[src + w];
+            }
+        }
+    }
+    let flops = |net: NetId| -> usize {
+        let at = net.index() * words;
+        support[at..at + words]
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum()
+    };
     let captured = (0..chain.len()).map(|pos| circuit.dffs()[chain.dff_at(pos)].d);
-    let roots: Vec<_> = captured.chain(circuit.outputs().iter().copied()).collect();
-    let mut keyed: Vec<(usize, usize)> = roots
-        .iter()
+    let mut keyed: Vec<(usize, usize)> = captured
+        .chain(circuit.outputs().iter().copied())
         .enumerate()
-        .map(|(i, &net)| {
-            let cone = circuit.fanin_cone(&[net]);
-            let flops = cone.iter().filter(|&&m| circuit.is_dff_output(m)).count();
-            (flops, i)
-        })
+        .map(|(i, net)| (flops(net), i))
         .collect();
     keyed.sort_unstable();
     keyed.into_iter().map(|(_, i)| i).collect()
@@ -296,6 +322,47 @@ mod tests {
         captures: usize,
         seed: u64,
         certify: bool,
+    }
+
+    #[test]
+    fn output_order_matches_per_output_cones() {
+        // The reference: one fan-in cone walk per output, sorted by
+        // (flop count, index).
+        let reference = |c: &Circuit, chain: &ScanChain| -> Vec<(usize, usize)> {
+            let captured = (0..chain.len()).map(|pos| c.dffs()[chain.dff_at(pos)].d);
+            let roots: Vec<_> = captured.chain(c.outputs().iter().copied()).collect();
+            let mut keyed: Vec<(usize, usize)> = roots
+                .iter()
+                .enumerate()
+                .map(|(i, &net)| {
+                    let cone = c.fanin_cone(&[net]);
+                    (cone.iter().filter(|&&m| c.is_dff_output(m)).count(), i)
+                })
+                .collect();
+            keyed.sort_unstable();
+            keyed
+        };
+        let mut rng = Xoshiro256::new(0x0D0E);
+        let mut circuits = vec![s208_like()];
+        // 70 flops: bitsets of two words.
+        for (seed, flops) in [(1u64, 6), (2, 12), (3, 20), (4, 70)] {
+            circuits.push(
+                GeneratorConfig::new("order", 5, 4, flops, 8 * flops)
+                    .with_seed(seed)
+                    .generate(),
+            );
+        }
+        let mut ties = 0;
+        for c in &circuits {
+            let n = c.num_dffs();
+            for chain in [ScanChain::natural(n), ScanChain::shuffled(n, &mut rng)] {
+                let keyed = reference(c, &chain);
+                ties += keyed.windows(2).filter(|w| w[0].0 == w[1].0).count();
+                let expect: Vec<usize> = keyed.iter().map(|&(_, i)| i).collect();
+                assert_eq!(output_order(c, &chain), expect, "{n} flops");
+            }
+        }
+        assert!(ties > 0, "the circuits must exercise the index tie-break");
     }
 
     impl<'a> RoundTrip<'a> {

@@ -38,7 +38,9 @@ use satsolver::{Budget, Lit, SolveResult, SolverStats};
 use scanlock::{LockSpec, LockedScanChip};
 use sim::{FallibleScanAccess, ScanAccess, ScanChain, ScanResponse};
 
-use crate::attack::{locked_cone, mask_copy, output_order, AttackConfig, MaskCopy, Unlock};
+use crate::attack::{
+    locked_cone, mask_copy, output_order, AttackConfig, MaskCopy, Session, Unlock,
+};
 use crate::ckpt::{instance_hash, Checkpoint, CheckpointError, CkptPhase};
 use crate::model::{session_masks, MaskBasis};
 
@@ -377,6 +379,11 @@ pub struct AttackState<'a> {
     /// One literal per output bit (scan-out positions, then POs): the two
     /// hypotheses' responses differ there.
     diffs: Vec<Lit>,
+    /// Scratch of [`AttackState::constrain`]: the constant literals of a
+    /// DIP's pattern, then of its primary inputs.
+    consts: Vec<Lit>,
+    /// Scratch of [`AttackState::constrain`]: one copy's encoded session.
+    session: Session,
     /// Outputs not yet proved closed, in the order their refutation is
     /// tried. Constraints only grow, so a closed output stays closed.
     open: VecDeque<usize>,
@@ -436,12 +443,17 @@ impl<'a> AttackState<'a> {
         let x = enc.fresh_many(n);
         let p = enc.fresh_many(circuit.inputs().len());
         let captures = cfg.base.captures;
-        let (so1, po1) = locked_cone(&mut enc, circuit, chain, &copies[0], &x, &p, captures);
-        let (so2, po2) = locked_cone(&mut enc, circuit, chain, &copies[1], &x, &p, captures);
-        let diffs: Vec<Lit> = so1
+        let stimulus = [x.as_slice(), p.as_slice()].concat();
+        let mut cones = [Session::default(), Session::default()];
+        for (copy, cone) in copies.iter().zip(&mut cones) {
+            locked_cone(&mut enc, circuit, chain, copy, &stimulus, captures, cone);
+        }
+        let [c1, c2] = &cones;
+        let diffs: Vec<Lit> = c1
+            .scan_out
             .iter()
-            .zip(&so2)
-            .chain(po1.iter().zip(&po2))
+            .zip(&c2.scan_out)
+            .chain(c1.po.iter().zip(&c2.po))
             .map(|(&a, &b)| enc.xor2(a, b))
             .collect();
         let deferrals = vec![0; diffs.len()];
@@ -457,6 +469,8 @@ impl<'a> AttackState<'a> {
             x,
             p,
             diffs,
+            consts: Vec::new(),
+            session: Session::default(),
             open: output_order(circuit, chain).into(),
             deferrals,
             dips: Vec::new(),
@@ -574,24 +588,29 @@ impl<'a> AttackState<'a> {
     /// Asserts one recorded DIP response onto both hypotheses. `false`
     /// means the solver found the response inconsistent with the model.
     fn constrain(&mut self, record: &DipRecord) -> bool {
-        let x_const: Vec<Lit> = record
-            .pattern
-            .iter()
-            .map(|&v| self.enc.constant(v))
-            .collect();
-        let p_const: Vec<Lit> = record.pis.iter().map(|&v| self.enc.constant(v)).collect();
+        // The stimulus `locked_cone` reads: the pattern, then the PIs.
+        self.consts.clear();
+        for &v in record.pattern.iter().chain(&record.pis) {
+            self.consts.push(self.enc.constant(v));
+        }
+        let resp = &record.response;
         for copy in &self.copies {
-            let (so, po) = locked_cone(
+            locked_cone(
                 &mut self.enc,
                 self.circuit,
                 self.chain,
                 copy,
-                &x_const,
-                &p_const,
+                &self.consts,
                 self.cfg.base.captures,
+                &mut self.session,
             );
-            let resp = &record.response;
-            for (&lit, &val) in so.iter().zip(&resp.scan_out).chain(po.iter().zip(&resp.po)) {
+            let s = &self.session;
+            for (&lit, &val) in s
+                .scan_out
+                .iter()
+                .zip(&resp.scan_out)
+                .chain(s.po.iter().zip(&resp.po))
+            {
                 if !self.enc.assert_lit(if val { lit } else { !lit }) {
                     return false;
                 }

@@ -181,8 +181,9 @@ pub fn write(circuit: &Circuit) -> String {
             circuit.net_name(dff.d)
         );
     }
-    for &gi in circuit.topo_gates() {
-        let gate = &circuit.gates()[gi];
+    // Gate-index order, the order `parse` numbers gates in, so re-writing
+    // a parsed netlist reproduces it line for line.
+    for gate in circuit.gates() {
         let args: Vec<&str> = gate.inputs.iter().map(|&n| circuit.net_name(n)).collect();
         let _ = writeln!(
             out,
@@ -245,6 +246,19 @@ G17 = NOR(G14, G1)
             v
         };
         assert_eq!(key(&c1), key(&c2));
+    }
+
+    #[test]
+    fn rewriting_a_parsed_netlist_is_a_fixpoint() {
+        let c = crate::generator::GeneratorConfig::new("fix", 4, 3, 6, 24)
+            .with_seed(7)
+            .generate();
+        assert_eq!(c.num_gates(), 24);
+        let text = write(&c);
+        let once = write(&parse(c.name(), &text).unwrap());
+        assert_eq!(once, text, "first round trip");
+        let twice = write(&parse(c.name(), &once).unwrap());
+        assert_eq!(twice, text, "second round trip");
     }
 
     #[test]

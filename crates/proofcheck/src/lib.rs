@@ -298,6 +298,8 @@ struct Checker {
     /// from the arena when the first deletion arrives, so a proof without
     /// deletions never pays for it.
     by_key: Option<HashMap<Vec<Lit>, Vec<u32>>>,
+    /// Scratch for the key of a deletion being looked up.
+    key: Vec<Lit>,
     /// Input xor constraints as (sorted vars, parity). They are *not*
     /// clauses and never join propagation.
     xors: Vec<(Vec<Var>, bool)>,
@@ -322,6 +324,7 @@ impl Checker {
             qhead: 0,
             contradiction: false,
             by_key: None,
+            key: Vec::new(),
             xors: cnf
                 .xors
                 .iter()
@@ -355,39 +358,44 @@ impl Checker {
         self.starts[cid]..self.starts[cid + 1]
     }
 
-    /// Sorted-dedup key for deletion matching.
-    fn key(lits: &[Lit]) -> Vec<Lit> {
-        let mut k = lits.to_vec();
-        k.sort_unstable();
-        k.dedup();
-        k
-    }
-
     /// Activates a clause: appends it to the arena, registers watches,
     /// enqueues persistent units, and propagates to a fixpoint. Any
     /// conflict flips `contradiction`. The clause is in the arena
     /// *before* propagation runs — propagation may revisit it through its
     /// own watch entries.
     fn add_clause(&mut self, lits: &[Lit]) {
-        let key = Self::key(lits);
         let cid = self.active.len() as u32;
         let base = self.lits.len();
+        // The clause enters the arena as its deletion key: sorted, with
+        // duplicates removed in place.
+        self.lits.extend_from_slice(lits);
+        self.lits[base..].sort_unstable();
+        let mut end = base;
+        for i in base..self.lits.len() {
+            if end == base || self.lits[end - 1] != self.lits[i] {
+                self.lits[end] = self.lits[i];
+                end += 1;
+            }
+        }
+        self.lits.truncate(end);
+        if let Some(index) = self.by_key.as_mut() {
+            index
+                .entry(self.lits[base..].to_vec())
+                .or_default()
+                .push(cid);
+        }
         // Prefer non-false literals in the watch slots so the watch
         // invariant (a false watched literal has been visited) holds
         // from the start.
-        self.lits.extend_from_slice(&key);
         let mut slot = 0usize;
-        for (i, &l) in key.iter().enumerate() {
-            if self.value(l) != Some(false) {
-                self.lits.swap(base + slot, base + i);
+        for i in base..self.lits.len() {
+            if self.value(self.lits[i]) != Some(false) {
+                self.lits.swap(base + slot, i);
                 slot += 1;
                 if slot == 2 {
                     break;
                 }
             }
-        }
-        if let Some(index) = self.by_key.as_mut() {
-            index.entry(key).or_default().push(cid);
         }
         self.starts.push(self.lits.len());
         self.active.push(true);
@@ -413,17 +421,23 @@ impl Checker {
     /// literal set. Returns whether a clause matched.
     fn delete_clause(&mut self, lits: &[Lit]) -> bool {
         if self.by_key.is_none() {
+            // Watch slots may have moved literals: re-sort each key.
             let mut index: HashMap<Vec<Lit>, Vec<u32>> = HashMap::new();
             for cid in 0..self.active.len() {
                 if self.active[cid] {
-                    let key = Self::key(&self.lits[self.range(cid)]);
+                    let mut key = self.lits[self.range(cid)].to_vec();
+                    key.sort_unstable();
                     index.entry(key).or_default().push(cid as u32);
                 }
             }
             self.by_key = Some(index);
         }
+        self.key.clear();
+        self.key.extend_from_slice(lits);
+        self.key.sort_unstable();
+        self.key.dedup();
         let index = self.by_key.as_mut().expect("built above");
-        if let Some(stack) = index.get_mut(&Self::key(lits)) {
+        if let Some(stack) = index.get_mut(self.key.as_slice()) {
             while let Some(cid) = stack.pop() {
                 if self.active[cid as usize] {
                     self.active[cid as usize] = false;

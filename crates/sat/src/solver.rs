@@ -25,7 +25,7 @@ use crate::clause::{ClauseDb, ClauseRef};
 use crate::heap::VarHeap;
 use crate::proof::DratProof;
 use crate::types::{LBool, Lit, Var};
-use crate::xor::{XorClause, XorEngine, XorImplication};
+use crate::xor::{normalize_xor, XorEngine, XorImplication};
 
 /// Outcome of a [`Solver::solve`] / [`Solver::solve_assuming`] /
 /// [`Solver::solve_limited`] call.
@@ -170,6 +170,12 @@ pub struct Solver {
     learnt_hints: Vec<i64>,
     /// Scratch for the clause of an `x` line being logged.
     xor_clause: Vec<Lit>,
+    /// Scratch for the simplified literals of a clause being added.
+    add_lits: Vec<Lit>,
+    /// Scratch for the normalized variables of an xor being added.
+    add_vars: Vec<Var>,
+    /// Scratch for the level-0 units the xor engine derives.
+    xor_units: Vec<Lit>,
     /// Scratch stack of [`Solver::minimization_hints`].
     hint_walk: Vec<(Var, Option<i64>)>,
     /// Proof log of a certifying run ([`Solver::enable_proof`]), which
@@ -396,45 +402,63 @@ impl Solver {
         if !self.ok {
             return false;
         }
+        let mut out = std::mem::take(&mut self.add_lits);
+        let ok = if !self.simplify_clause(lits, &mut out) {
+            true // a tautology, or satisfied at level 0
+        } else {
+            match out.len() {
+                0 => {
+                    // Every literal is false at level 0: the clause itself
+                    // is the conflict.
+                    self.log_add(&[], &[id]);
+                    self.ok = false;
+                    false
+                }
+                1 => {
+                    self.unchecked_enqueue(out[0], None);
+                    if let Some(confl) = self.propagate() {
+                        self.refute(confl);
+                    }
+                    self.ok
+                }
+                _ => {
+                    let cref = self.db.alloc(&out, false, id);
+                    self.attach_clause(cref);
+                    true
+                }
+            }
+        };
+        self.add_lits = out;
+        ok
+    }
 
-        // Sort by packed code: the two polarities of one variable become
-        // adjacent, making duplicates and tautologies local checks.
-        let mut simplified: Vec<Lit> = lits.to_vec();
-        simplified.sort_unstable();
-        simplified.dedup();
-        let mut out: Vec<Lit> = Vec::with_capacity(simplified.len());
-        for &l in &simplified {
-            if out.last().is_some_and(|&prev| prev == !l) {
-                return true; // tautology: contains l and ¬l
+    /// Loads `lits` into `out` sorted by packed code, without duplicates
+    /// and without literals false at level 0. Sorting makes the two
+    /// polarities of one variable adjacent, so duplicates and tautologies
+    /// are local checks. Returns `false` if the clause is a tautology or
+    /// satisfied at level 0 (`out` is then partial).
+    fn simplify_clause(&self, lits: &[Lit], out: &mut Vec<Lit>) -> bool {
+        out.clear();
+        out.extend_from_slice(lits);
+        out.sort_unstable();
+        out.dedup();
+        let mut kept = 0;
+        for i in 0..out.len() {
+            let l = out[i];
+            if kept > 0 && out[kept - 1] == !l {
+                return false; // tautology: contains l and ¬l
             }
             match self.lit_value(l) {
-                LBool::True => return true, // satisfied at level 0
-                LBool::False => {}          // falsified at level 0: drop
-                LBool::Undef => out.push(l),
-            }
-        }
-
-        match out.len() {
-            0 => {
-                // Every literal is false at level 0: the clause itself is
-                // the conflict.
-                self.log_add(&[], &[id]);
-                self.ok = false;
-                false
-            }
-            1 => {
-                self.unchecked_enqueue(out[0], None);
-                if let Some(confl) = self.propagate() {
-                    self.refute(confl);
+                LBool::True => return false, // satisfied at level 0
+                LBool::False => {}           // falsified at level 0: drop
+                LBool::Undef => {
+                    out[kept] = l;
+                    kept += 1;
                 }
-                self.ok
-            }
-            _ => {
-                let cref = self.db.alloc(&out, false, id);
-                self.attach_clause(cref);
-                true
             }
         }
+        out.truncate(kept);
+        true
     }
 
     /// Adds a native parity constraint: the XOR of `lits` must equal
@@ -470,32 +494,32 @@ impl Solver {
         if !self.ok {
             return false;
         }
-        let (vars, rhs) = XorClause {
-            lits: lits.to_vec(),
-            rhs,
-        }
-        .normalized();
-        let mut units = Vec::new();
-        if !self.xors.add(
-            &vars,
+        let rhs = normalize_xor(lits, rhs, &mut self.add_vars);
+        let mut units = std::mem::take(&mut self.xor_units);
+        units.clear();
+        let ok = if self.xors.add(
+            &self.add_vars,
             rhs,
             origin,
             &self.assigns,
             &mut units,
             &mut self.proof,
         ) {
+            self.assert_xor_units(&units)
+        } else {
             // The engine logged the inconsistent row as an empty x-line.
             self.ok = false;
-            return false;
-        }
-        self.assert_xor_units(units)
+            false
+        };
+        self.xor_units = units;
+        ok
     }
 
     /// Enqueues the level-0 units the xor engine derived (each already
     /// logged by the engine) and propagates them. Returns `false` if the
     /// solver is now known unsatisfiable at the top level.
-    fn assert_xor_units(&mut self, units: Vec<Lit>) -> bool {
-        for u in units {
+    fn assert_xor_units(&mut self, units: &[Lit]) -> bool {
+        for &u in units {
             match self.lit_value(u) {
                 LBool::True => {}
                 LBool::False => {
@@ -575,15 +599,19 @@ impl Solver {
         }
         // Level-0 units may have landed on xor pivots since the last call;
         // re-pivoting those rows exposes the dependencies they hid.
-        let mut units = Vec::new();
-        if !self
+        let mut units = std::mem::take(&mut self.xor_units);
+        units.clear();
+        let ok = if self
             .xors
             .repivot(&self.assigns, &mut units, &mut self.proof)
         {
+            self.assert_xor_units(&units)
+        } else {
             self.ok = false;
-            return SolveResult::Unsat;
-        }
-        if !self.assert_xor_units(units) {
+            false
+        };
+        self.xor_units = units;
+        if !ok {
             return SolveResult::Unsat;
         }
         self.max_learnts = (self.db.num_original as f64 / 3.0).max(1000.0);
@@ -1435,7 +1463,7 @@ impl Solver {
 
         // The GF(2) engine's structural invariants (RREF, pivot maps,
         // watch registration).
-        self.xors.audit(&mut errors);
+        self.xors.audit(self.proof.is_some(), &mut errors);
         errors
     }
 

@@ -49,7 +49,8 @@
 //!   implication when it is made: analysis never reads those, but the
 //!   checker needs the unit for later steps (see [`crate::proof`]). Each
 //!   row's origin list names the input constraints it sums by the ids the
-//!   log handed out; a run that does not log keeps none.
+//!   log handed out, and its unit list the level-0 units substituted into
+//!   it; a run that does not log keeps neither.
 //!
 //! Backtracking needs no undo hooks: row operations are linear
 //! combinations (sound regardless of the assignment) and watches are
@@ -146,6 +147,31 @@ impl XorClause {
     }
 }
 
+/// [`XorClause::normalized`] into a reused buffer: loads the sorted
+/// unique variables of `⊕ lits = rhs` into `vars` (a variable appearing
+/// twice cancels) and returns the folded parity.
+pub(crate) fn normalize_xor(lits: &[Lit], rhs: bool, vars: &mut Vec<Var>) -> bool {
+    let mut rhs = rhs;
+    vars.clear();
+    for l in lits {
+        rhs ^= !l.is_positive();
+        vars.push(l.var());
+    }
+    vars.sort_unstable();
+    // Cancel equal neighbours as a stack, so `x ⊕ x ⊕ x` keeps one `x`.
+    let mut kept = 0;
+    for i in 0..vars.len() {
+        if kept > 0 && vars[kept - 1] == vars[i] {
+            kept -= 1;
+        } else {
+            vars[kept] = vars[i];
+            kept += 1;
+        }
+    }
+    vars.truncate(kept);
+    rhs
+}
+
 /// Column index sentinel: "no column".
 const NONE: u32 = u32::MAX;
 
@@ -169,7 +195,8 @@ struct XorRow {
     /// is an invariant. Empty in a run that does not log.
     origin: Vec<u32>,
     /// Top-level unit literals substituted into this row (each `l` stands
-    /// for the singleton constraint `var(l) = polarity(l)`).
+    /// for the singleton constraint `var(l) = polarity(l)`). Empty in a
+    /// run that does not log.
     units: Vec<Lit>,
 }
 
@@ -210,6 +237,12 @@ pub(crate) struct XorEngine {
     watchers: Vec<Vec<u32>>,
     /// Live row count.
     num_live: usize,
+    /// Scratch for the row [`XorEngine::add`] reduces.
+    reduced: Vec<u32>,
+    /// Scratch for one [`sym_diff`] on column or origin lists.
+    merge: Vec<u32>,
+    /// Scratch for one [`sym_diff`] on unit lists.
+    merge_units: Vec<Lit>,
 }
 
 impl XorEngine {
@@ -251,8 +284,8 @@ impl XorEngine {
     /// eliminating its pivot column from every other row. Implied
     /// top-level units are pushed to `units` for the caller to enqueue.
     /// `id` is the constraint's origin id in the proof log, `None` when
-    /// not logging: then every row's origin list stays empty. Returns
-    /// `false` if the xor system became inconsistent.
+    /// not logging: then every row's origin and unit lists stay empty.
+    /// Returns `false` if the xor system became inconsistent.
     pub(crate) fn add(
         &mut self,
         vars: &[Var],
@@ -268,38 +301,43 @@ impl XorEngine {
 
         // Substitute fixed variables, map the rest onto columns.
         let mut rhs = rhs;
-        let mut cols: Vec<u32> = Vec::with_capacity(vars.len());
+        let mut reduced = std::mem::take(&mut self.reduced);
+        reduced.clear();
         for &v in vars {
             match assigns[v.index()] {
-                LBool::True => {
-                    rhs = !rhs;
-                    umeta.push(Lit::positive(v));
+                LBool::Undef => reduced.push(self.col_for(v)),
+                val => {
+                    rhs ^= val == LBool::True;
+                    if id.is_some() {
+                        umeta.push(Lit::new(v, val == LBool::True));
+                    }
                 }
-                LBool::False => umeta.push(Lit::negative(v)),
-                LBool::Undef => cols.push(self.col_for(v)),
             }
         }
         umeta.sort_unstable();
-        cols.sort_unstable();
+        reduced.sort_unstable();
 
         // Reduce against existing pivots. Pivot rows contain no *other*
         // pivot column (RREF), so adding one never adds or cancels another
         // pivot: the rows to eliminate are exactly the owners of the
-        // substituted row's own columns.
-        let mut reduced = cols.clone();
-        for &c in &cols {
+        // substituted row's own columns. Reducing by the owner of `c`
+        // removes `c` and touches only non-pivot columns, so the walk
+        // goes on with the columns above `c`.
+        let mut at = 0;
+        while let Some(&c) = reduced.get(at) {
             let owner = self.pivot_row[c as usize];
-            if owner == NONE {
-                continue;
+            if owner != NONE {
+                let row = &self.rows[owner as usize];
+                sym_diff(&mut reduced, &row.cols, &mut self.merge);
+                rhs ^= row.rhs;
+                sym_diff(&mut origin, &row.origin, &mut self.merge);
+                sym_diff(&mut umeta, &row.units, &mut self.merge_units);
             }
-            let row = &self.rows[owner as usize];
-            sym_diff(&mut reduced, &row.cols);
-            rhs ^= row.rhs;
-            sym_diff(&mut origin, &row.origin);
-            sym_diff(&mut umeta, &row.units);
+            at = reduced.partition_point(|&x| x <= c);
         }
 
-        let row = XorRow::new(reduced, rhs, origin, umeta);
+        let row = XorRow::new(reduced.clone(), rhs, origin, umeta);
+        self.reduced = reduced;
         self.install(row, None, fresh, assigns, units, proof)
     }
 
@@ -307,8 +345,9 @@ impl XorEngine {
     ///
     /// Such a row's pivot no longer takes part in propagation, so any
     /// combination of rows that cancels the rest of it goes unseen. Each
-    /// one has its assigned columns substituted (folded into `rhs`, and
-    /// into `units` so its provenance stays exact) and is reinstalled in
+    /// one has its assigned columns substituted (folded into `rhs`, and,
+    /// when logging, into `units` so its provenance stays exact) and is
+    /// reinstalled in
     /// its own slot on an unassigned pivot, which is eliminated from the
     /// other rows. A row that substitutes down to a unit or a constant is
     /// resolved on the spot. Implied units are pushed to `units`; returns
@@ -325,7 +364,11 @@ impl XorEngine {
             if !row.alive || self.col_value(row.pivot, assigns) == LBool::Undef {
                 continue;
             }
-            let umeta = self.substituted_meta(ri, None, assigns);
+            let umeta = if proof.is_some() {
+                self.substituted_meta(ri, None, assigns)
+            } else {
+                Vec::new()
+            };
             self.kill_row(ri);
             let row = &mut self.rows[ri];
             let mut rhs = row.rhs;
@@ -387,10 +430,10 @@ impl XorEngine {
                 if !other.alive || other.cols.binary_search(&pivot).is_err() {
                     continue;
                 }
-                sym_diff(&mut other.cols, &row.cols);
+                sym_diff(&mut other.cols, &row.cols, &mut self.merge);
                 other.rhs ^= row.rhs;
-                sym_diff(&mut other.origin, &row.origin);
-                sym_diff(&mut other.units, &row.units);
+                sym_diff(&mut other.origin, &row.origin, &mut self.merge);
+                sym_diff(&mut other.units, &row.units, &mut self.merge_units);
                 touched.push(ri as u32);
             }
             let mut ok = true;
@@ -540,7 +583,7 @@ impl XorEngine {
             }
         }
         extra.sort_unstable();
-        sym_diff(&mut meta, &extra);
+        sym_diff(&mut meta, &extra, &mut Vec::new());
         meta
     }
 
@@ -699,9 +742,10 @@ impl XorEngine {
     }
 
     /// Structural invariant check: the matrix is in RREF, pivot maps are
-    /// inverse, watches are registered, and the column maps are bijective.
-    /// Violations are appended to `errors` as human-readable strings.
-    pub(crate) fn audit(&self, errors: &mut Vec<String>) {
+    /// inverse, watches are registered, the column maps are bijective, and
+    /// a run that is not `logging` keeps no provenance lists. Violations
+    /// are appended to `errors` as human-readable strings.
+    pub(crate) fn audit(&self, logging: bool, errors: &mut Vec<String>) {
         let mut err = |msg: String| errors.push(format!("xor: {msg}"));
         // Column maps are inverse bijections.
         for (c, &v) in self.col_var.iter().enumerate() {
@@ -769,6 +813,9 @@ impl XorEngine {
             if row.watch[0] == row.watch[1] {
                 err(format!("row {ri} watches the same column twice"));
             }
+            if !logging && (!row.origin.is_empty() || !row.units.is_empty()) {
+                err(format!("row {ri} keeps provenance without a proof log"));
+            }
         }
         // Watcher lists may hold stale entries (dead rows, moved watches) —
         // that is the lazy-repair contract — but never out-of-range ones.
@@ -803,38 +850,32 @@ impl XorEngine {
 /// Symmetric difference of two sorted deduplicated vectors, in place.
 /// This is a sparse GF(2) row xor (on column lists) and its metadata
 /// mirror (on provenance lists): elements present in both sides cancel.
-fn sym_diff<T: Ord + Copy>(dst: &mut Vec<T>, src: &[T]) {
+/// The result is merged into `tmp` and swapped into `dst`, so `tmp` takes
+/// `dst`'s old buffer and repeated calls allocate nothing once the
+/// buffers have grown.
+fn sym_diff<T: Ord + Copy>(dst: &mut Vec<T>, src: &[T], tmp: &mut Vec<T>) {
     if src.is_empty() {
         return;
     }
-    let old = std::mem::take(dst);
-    dst.reserve(old.len() + src.len());
+    tmp.clear();
+    tmp.reserve(dst.len() + src.len());
     let (mut i, mut j) = (0, 0);
-    while i < old.len() || j < src.len() {
-        match (old.get(i), src.get(j)) {
-            (Some(a), Some(b)) if a == b => {
-                i += 1;
-                j += 1;
-            }
-            (Some(a), Some(b)) if a < b => {
-                dst.push(*a);
-                i += 1;
-            }
-            (Some(_), Some(b)) => {
-                dst.push(*b);
-                j += 1;
-            }
-            (Some(a), None) => {
-                dst.push(*a);
-                i += 1;
-            }
-            (None, Some(b)) => {
-                dst.push(*b);
-                j += 1;
-            }
-            (None, None) => unreachable!(),
+    while i < dst.len() && j < src.len() {
+        let (a, b) = (dst[i], src[j]);
+        if a == b {
+            i += 1;
+            j += 1;
+        } else if a < b {
+            tmp.push(a);
+            i += 1;
+        } else {
+            tmp.push(b);
+            j += 1;
         }
     }
+    tmp.extend_from_slice(&dst[i..]);
+    tmp.extend_from_slice(&src[j..]);
+    std::mem::swap(dst, tmp);
 }
 
 /// Emits an xor-derived proof step if proof logging is on.
@@ -886,6 +927,8 @@ mod tests {
         use gf2::{Rng64, SplitMix64};
         use std::collections::BTreeSet;
         let mut rng = SplitMix64::new(0x5D1F);
+        // One merge buffer for every trial, as the engine keeps one.
+        let mut tmp = Vec::new();
         for trial in 0..500 {
             let mut draw = |n: usize| -> Vec<u32> {
                 let set: BTreeSet<u32> = (0..n).map(|_| rng.gen_index(24) as u32).collect();
@@ -895,7 +938,7 @@ mod tests {
             let a: BTreeSet<u32> = dst.iter().copied().collect();
             let b: BTreeSet<u32> = src.iter().copied().collect();
             let expect: Vec<u32> = a.symmetric_difference(&b).copied().collect();
-            sym_diff(&mut dst, &src);
+            sym_diff(&mut dst, &src, &mut tmp);
             assert_eq!(dst, expect, "trial {trial}: {a:?} ^ {b:?}");
         }
     }
@@ -968,7 +1011,7 @@ mod tests {
             assert_eq!(eng.col_value(row.pivot, &assigns), LBool::Undef);
         }
         let mut errors = Vec::new();
-        eng.audit(&mut errors);
+        eng.audit(false, &mut errors);
         assert!(errors.is_empty(), "{errors:?}");
 
         // The rows and derived units still have the input's solutions
@@ -997,23 +1040,38 @@ mod tests {
         let v: Vec<Var> = (0..4).map(Var::from_index).collect();
         assert!(eng.add(&v, true, None, &assigns, &mut units, &mut proof));
         let mut errors = Vec::new();
-        eng.audit(&mut errors);
+        eng.audit(false, &mut errors);
         assert!(errors.is_empty(), "{errors:?}");
         assert_eq!(eng.rows[0].cols, vec![0, 1, 2, 3]);
         // Out of order, then duplicated: both break the sparse-row shape.
         eng.rows[0].cols.swap(1, 2);
-        eng.audit(&mut errors);
+        eng.audit(false, &mut errors);
         assert!(
             errors.iter().any(|e| e.contains("not strictly ascending")),
             "{errors:?}"
         );
         errors.clear();
         eng.rows[0].cols = vec![0, 1, 1, 3];
-        eng.audit(&mut errors);
+        eng.audit(false, &mut errors);
         assert!(
             errors.iter().any(|e| e.contains("not strictly ascending")),
             "{errors:?}"
         );
+        // Provenance is kept only while a proof log is attached.
+        eng.rows[0].cols = vec![0, 1, 2, 3];
+        for (origin, units) in [(vec![0], vec![]), (vec![], vec![Lit::negative(v[1])])] {
+            (eng.rows[0].origin, eng.rows[0].units) = (origin, units);
+            errors.clear();
+            eng.audit(true, &mut errors);
+            assert!(errors.is_empty(), "{errors:?}");
+            eng.audit(false, &mut errors);
+            assert!(
+                errors
+                    .iter()
+                    .any(|e| e.contains("provenance without a proof log")),
+                "{errors:?}"
+            );
+        }
     }
 
     #[test]
