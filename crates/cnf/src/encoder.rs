@@ -21,28 +21,6 @@ pub enum XorMode {
     Tseitin,
 }
 
-/// SAT literals for one combinational frame of a circuit.
-///
-/// Produced by [`Encoder::comb`]; every driven net of the frame has a
-/// literal, addressable either structurally (`po`, `next_state`) or by
-/// [`NetId`] via [`net`](CombCone::net).
-#[derive(Debug, Clone)]
-pub struct CombCone {
-    /// One literal per primary output, in circuit order.
-    pub po: Vec<Lit>,
-    /// One literal per flop D pin (the state *after* this frame's clock
-    /// edge), in `circuit.dffs()` order.
-    pub next_state: Vec<Lit>,
-    net_lits: Vec<Option<Lit>>,
-}
-
-impl CombCone {
-    /// The literal carrying `net` in this frame, if the net exists.
-    pub fn net(&self, net: NetId) -> Option<Lit> {
-        self.net_lits.get(net.index()).copied().flatten()
-    }
-}
-
 /// Incremental constraint encoder owning a [`Solver`].
 ///
 /// The encoder hands out fresh variables, caches a single pinned constant
@@ -63,7 +41,7 @@ pub struct Encoder {
     solver: Solver,
     const_true: Option<Lit>,
     mode: XorMode,
-    /// Scratch for one gate's input literals ([`Encoder::comb`]).
+    /// Scratch for one gate's input literals ([`Encoder::comb_in_place`]).
     ins: Vec<Lit>,
     /// Scratch for the literals of the constraint a gate is defined by.
     kept: Vec<Lit>,
@@ -312,34 +290,15 @@ impl Encoder {
         }
     }
 
-    /// Encodes one combinational frame of `circuit`: given literals for the
-    /// primary inputs and the current flop outputs, returns literals for
-    /// every driven net, the primary outputs, and the next state.
+    /// Encodes one combinational frame of `circuit` from `pis` and the
+    /// flop outputs in `state`, gate by gate in topological order, then
+    /// replaces `state` with the next state and `po` with the primary
+    /// outputs. The per-net literals live in a buffer the encoder reuses,
+    /// so a caller that unrolls many frames allocates nothing per frame.
     ///
-    /// Call repeatedly with the previous frame's `next_state` to time-unroll
-    /// a sequential circuit; each call only appends clauses, so the solver
-    /// instance (and everything it has learned) stays warm.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pis` or `state` have the wrong length.
-    pub fn comb(&mut self, circuit: &Circuit, pis: &[Lit], state: &[Lit]) -> CombCone {
-        let mut net_lits = Vec::new();
-        self.frame(circuit, pis, state, &mut net_lits);
-        let driven = |n: &NetId| net_lits[n.index()].expect("outputs and D pins are driven");
-        CombCone {
-            po: circuit.outputs().iter().map(driven).collect(),
-            next_state: circuit.dffs().iter().map(|d| driven(&d.d)).collect(),
-            net_lits,
-        }
-    }
-
-    /// [`Encoder::comb`] without building a [`CombCone`]: encodes one
-    /// frame from `pis` and the flop outputs in `state`, then replaces
-    /// `state` with the next state and `po` with the primary outputs. The
-    /// constraints are the same, added in the same order; the per-net
-    /// literals live in a buffer the encoder reuses, so a caller that
-    /// unrolls many frames allocates nothing per frame.
+    /// Call repeatedly to time-unroll a sequential circuit; each call only
+    /// appends constraints, so the solver instance (and everything it has
+    /// learned) stays warm.
     ///
     /// # Panics
     ///
@@ -351,27 +310,9 @@ impl Encoder {
         state: &mut Vec<Lit>,
         po: &mut Vec<Lit>,
     ) {
-        let mut net_lits = std::mem::take(&mut self.frame);
-        self.frame(circuit, pis, state, &mut net_lits);
-        let driven = |n: &NetId| net_lits[n.index()].expect("outputs and D pins are driven");
-        po.clear();
-        po.extend(circuit.outputs().iter().map(driven));
-        state.clear();
-        state.extend(circuit.dffs().iter().map(|d| driven(&d.d)));
-        self.frame = net_lits;
-    }
-
-    /// Encodes one frame into `net_lits` (one entry per net, `None` for
-    /// undriven nets), gate by gate in topological order.
-    fn frame(
-        &mut self,
-        circuit: &Circuit,
-        pis: &[Lit],
-        state: &[Lit],
-        net_lits: &mut Vec<Option<Lit>>,
-    ) {
         assert_eq!(pis.len(), circuit.inputs().len(), "PI count mismatch");
         assert_eq!(state.len(), circuit.dffs().len(), "state length mismatch");
+        let mut net_lits = std::mem::take(&mut self.frame);
         net_lits.clear();
         net_lits.resize(circuit.num_nets(), None);
         for (i, &net) in circuit.inputs().iter().enumerate() {
@@ -392,6 +333,12 @@ impl Encoder {
             net_lits[gate.output.index()] = Some(self.gate(gate.kind, &ins));
         }
         self.ins = ins;
+        let driven = |n: &NetId| net_lits[n.index()].expect("outputs and D pins are driven");
+        po.clear();
+        po.extend(circuit.outputs().iter().map(driven));
+        state.clear();
+        state.extend(circuit.dffs().iter().map(|d| driven(&d.d)));
+        self.frame = net_lits;
     }
 }
 
@@ -411,13 +358,29 @@ mod tests {
             .collect()
     }
 
+    /// Encodes one frame of `circuit`: its primary-output and next-state
+    /// literals.
+    fn frame(
+        enc: &mut Encoder,
+        circuit: &Circuit,
+        pis: &[Lit],
+        state: &[Lit],
+    ) -> (Vec<Lit>, Vec<Lit>) {
+        let mut next = state.to_vec();
+        let mut po = Vec::new();
+        enc.comb_in_place(circuit, pis, &mut next, &mut po);
+        (po, next)
+    }
+
     /// Cross-checks the encoder against the interpreter on every driven
     /// net for a batch of random stimuli.
-    fn cross_check(circuit: &netlist::Circuit, stimuli: usize, seed: u64) {
+    fn cross_check(circuit: &Circuit, stimuli: usize, seed: u64) {
         let mut enc = Encoder::new();
         let pis = enc.fresh_many(circuit.inputs().len());
         let state = enc.fresh_many(circuit.num_dffs());
-        let cone = enc.comb(circuit, &pis, &state);
+        frame(&mut enc, circuit, &pis, &state);
+        // The frame's per-net literals, left in the encoder's scratch.
+        let net_lits = enc.frame.clone();
         let mut ev = Evaluator::new(circuit);
         let mut rng = SplitMix64::new(seed);
         for _ in 0..stimuli {
@@ -440,7 +403,7 @@ mod tests {
                     .chain(circuit.dffs().iter().map(|d| d.q))
                     .find(|n| n.index() == idx);
                 let Some(net) = net else { continue };
-                let lit = cone.net(net).expect("driven net has a literal");
+                let lit = net_lits[net.index()].expect("driven net has a literal");
                 assert_eq!(
                     enc.solver().lit_model_value(lit),
                     Some(ev.value(net)),
@@ -583,15 +546,14 @@ mod tests {
                 for (enc, mode) in encs.iter_mut().zip([XorMode::Native, XorMode::Tseitin]) {
                     let pis = enc.fresh_many(c.inputs().len());
                     let state = enc.fresh_many(c.num_dffs());
-                    let cone = enc.comb(&c, &pis, &state);
+                    let (po_lits, _) = frame(enc, &c, &pis, &state);
                     let mut assumptions = pin(&pis, &pi_vals);
                     assumptions.extend(pin(&state, &st_vals));
                     assert_eq!(
                         enc.solver_mut().solve_assuming(&assumptions),
                         SolveResult::Sat
                     );
-                    let po: Vec<bool> = cone
-                        .po
+                    let po: Vec<bool> = po_lits
                         .iter()
                         .map(|&l| enc.solver().lit_model_value(l).unwrap())
                         .collect();
@@ -674,11 +636,11 @@ mod tests {
             .collect();
         let mut state = enc.fresh_many(c.num_dffs());
         let init = state.clone();
-        let mut cones = Vec::new();
+        let mut frames_po = Vec::new();
         for pis in &all_pis {
-            let cone = enc.comb(&c, pis, &state);
-            state = cone.next_state.clone();
-            cones.push(cone);
+            let (po, next) = frame(&mut enc, &c, pis, &state);
+            state = next;
+            frames_po.push(po);
         }
 
         let st0: Vec<bool> = (0..c.num_dffs()).map(|_| rng.gen_bool()).collect();
@@ -696,10 +658,9 @@ mod tests {
 
         let mut ev = Evaluator::new(&c);
         let mut st = st0;
-        for (cone, vals) in cones.iter().zip(&stimuli) {
+        for (po_lits, vals) in frames_po.iter().zip(&stimuli) {
             ev.eval(vals, &st);
-            let po: Vec<Option<bool>> = cone
-                .po
+            let po: Vec<Option<bool>> = po_lits
                 .iter()
                 .map(|&l| enc.solver().lit_model_value(l))
                 .collect();

@@ -10,9 +10,10 @@
 //! * [`Encoder::gate`] — one gate of any [`netlist::GateKind`], with
 //!   constant folding and definition-variable introduction only where a
 //!   gate genuinely needs one;
-//! * [`Encoder::comb`] — a whole combinational frame, returning a
-//!   [`CombCone`] with a literal for every driven net (time-unroll a
-//!   sequential circuit by chaining `next_state` into the next call);
+//! * [`Encoder::comb_in_place`] — a whole combinational frame: it turns
+//!   the flop-output literals it is given into the next state's and
+//!   writes the primary outputs' (time-unroll a sequential circuit by
+//!   calling it once per clock);
 //! * [`Encoder::parity`] — the XOR of any literals, the piece that lets
 //!   the DynUnlock attack express a dependent mask bit over the free bits
 //!   of the mask basis. Under the default [`XorMode::Native`] each parity
@@ -36,10 +37,11 @@
 //! let mut enc = Encoder::new();
 //! let pis = enc.fresh_many(c.inputs().len());
 //! let state = enc.fresh_many(c.num_dffs());
-//! let cone = enc.comb(&c, &pis, &state);
+//! let (mut next, mut po) = (state.clone(), Vec::new());
+//! enc.comb_in_place(&c, &pis, &mut next, &mut po);
 //!
 //! // Ask the solver for a stimulus that drives the primary output high.
-//! assert_eq!(enc.solver_mut().solve_assuming(&[cone.po[0]]), SolveResult::Sat);
+//! assert_eq!(enc.solver_mut().solve_assuming(&[po[0]]), SolveResult::Sat);
 //! let pi_vals: Vec<bool> = pis.iter().map(|&l| enc.solver().lit_model_value(l).unwrap()).collect();
 //! let st_vals: Vec<bool> = state.iter().map(|&l| enc.solver().lit_model_value(l).unwrap()).collect();
 //!
@@ -54,4 +56,4 @@
 
 mod encoder;
 
-pub use encoder::{CombCone, Encoder, XorMode};
+pub use encoder::{Encoder, XorMode};

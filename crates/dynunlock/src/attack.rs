@@ -26,11 +26,6 @@ pub struct AttackConfig {
     pub captures: usize,
     /// Abort after this many DIP iterations.
     pub max_dips: usize,
-    /// Random probe queries used to verify the recovered seed against the
-    /// oracle after the loop converges.
-    pub verify_queries: usize,
-    /// RNG seed for the verification probes.
-    pub rng_seed: u64,
     /// Certify convergence: the attack's solver logs a DRAT+xor proof
     /// from its first constraint on, and at convergence the independent
     /// `proofcheck` checker verifies that log, closed by the empty
@@ -45,14 +40,13 @@ impl Default for AttackConfig {
         AttackConfig {
             captures: 1,
             max_dips: 512,
-            verify_queries: 16,
-            rng_seed: 0xD15C0,
             certify: false,
         }
     }
 }
 
-/// A successful unlock.
+/// A successful unlock: its seed reproduced the oracle's responses on
+/// every verification probe.
 #[derive(Debug, Clone)]
 pub struct Unlock {
     /// The recovered seed: the particular solution of the mask system,
@@ -73,8 +67,6 @@ pub struct Unlock {
     pub rank: usize,
     /// `width - rank`: log2 of the functionally equivalent seed class.
     pub nullity: usize,
-    /// Whether the recovered seed survived the verification probes.
-    pub verified: bool,
     /// The checked UNSAT certificate for the final convergence answer,
     /// when [`AttackConfig::certify`] was set.
     pub certificate: Option<proofcheck::Certificate>,
@@ -412,7 +404,11 @@ mod tests {
             };
             let unlock = unlock(self.circuit, &self.chain, &spec, &mut oracle, &cfg)
                 .expect("attack converges");
-            assert!(unlock.verified);
+            assert_eq!(
+                unlock.oracle_queries,
+                unlock.dip_iterations + 16,
+                "one session per DIP, then the verification probes"
+            );
             assert_eq!(
                 unlock.certificate.is_some(),
                 self.certify,
@@ -474,7 +470,7 @@ mod tests {
         // xor keeps each mask bit a single solver row, so this stays fast.
         let c = s208_like();
         let u = RoundTrip::new(&c, ScanChain::natural(8), 64, 6, 0xF5).run();
-        assert!(u.verified);
+        assert_eq!(u.rank + u.nullity, 64);
     }
 
     #[test]
@@ -506,7 +502,7 @@ mod tests {
         let u = unlock(&c, &chain, &spec, &mut oracle, &cfg).unwrap();
         assert_eq!(u.dip_iterations, 0, "no key gates, no DIPs needed");
         assert_eq!(u.rank, 0);
-        assert!(u.verified);
+        assert_eq!(u.oracle_queries, 16, "only the verification probes");
         // Every mask folds to false, yet the two copies' cones are still
         // distinct variables: the certificate refutes "some output
         // differs" from the inputs.

@@ -50,8 +50,8 @@
 //! let secret = spec.random_seed(&mut rng);
 //! let mut oracle = LockedScanChip::new(&c, chain.clone(), spec.clone(), secret.clone());
 //!
+//! // An `Unlock` is returned only once its seed has passed the probes.
 //! let result = unlock(&c, &chain, &spec, &mut oracle, &AttackConfig::default()).unwrap();
-//! assert!(result.verified);
 //! // The seed is pinned up to bits no output observes: it locks the chip
 //! // exactly as the secret does.
 //! assert!(same_class(&c, &chain, &spec, &result.seed, &secret, 1, 1000));

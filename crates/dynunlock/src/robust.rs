@@ -313,6 +313,13 @@ enum Phase {
 /// of the masks. A step budget below this binds first.
 const FIRST_ALLOWANCE: u64 = 4096;
 
+/// Random scan sessions [`AttackState::finish`] replays on the chip
+/// relocked under the recovered seed before it reports an unlock.
+const VERIFY_PROBES: usize = 16;
+
+/// Seed of the probe sessions' random patterns and primary inputs.
+const PROBE_SEED: u64 = 0xD15C0;
+
 /// The [`RobustConfig::solve_budget`] of one step, counted from the
 /// step's start across every SAT call it makes.
 struct StepBudget {
@@ -813,8 +820,8 @@ impl<'a> AttackState<'a> {
             self.spec.clone(),
             conv.seed.clone(),
         );
-        let mut rng = SplitMix64::new(self.cfg.base.rng_seed);
-        for probe in 0..self.cfg.base.verify_queries {
+        let mut rng = SplitMix64::new(PROBE_SEED);
+        for probe in 0..VERIFY_PROBES {
             let pat: Vec<bool> = (0..n).map(|_| rng.gen_bool()).collect();
             let pis: Vec<bool> = (0..num_pis).map(|_| rng.gen_bool()).collect();
             let expect = match self.query_voted(oracle, &pat, &pis) {
@@ -840,7 +847,6 @@ impl<'a> AttackState<'a> {
             total_time: self.start.elapsed(),
             rank: self.basis.rank(),
             nullity: self.spec.width() - self.basis.rank(),
-            verified: self.cfg.base.verify_queries > 0,
             certificate: self.certificate,
             certify_time: self.certify_time,
             solver_stats: *self.enc.solver().stats(),

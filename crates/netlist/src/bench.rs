@@ -219,7 +219,7 @@ G17 = NOR(G14, G1)
         assert_eq!(c.outputs().len(), 1);
         assert_eq!(c.num_dffs(), 1);
         assert_eq!(c.num_gates(), 3);
-        assert!(c.find_net("G14").is_some());
+        assert!(c.gates().iter().any(|g| c.net_name(g.output) == "G14"));
     }
 
     #[test]

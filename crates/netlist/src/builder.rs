@@ -72,7 +72,7 @@ impl CircuitBuilder {
     /// Declares a primary input and returns its net.
     pub fn input(&mut self, name: impl Into<String>) -> NetId {
         let id = self.net(name);
-        self.drive(id, Driver::Input(self.inputs.len()));
+        self.drive(id, Driver::Input);
         self.inputs.push(id);
         id
     }
@@ -120,19 +120,13 @@ impl CircuitBuilder {
 
     /// Adds a D flip-flop whose Q pin is an existing net.
     pub fn dff_into(&mut self, d: NetId, q: NetId) {
-        let idx = self.dffs.len();
         self.dffs.push(Dff { d, q });
-        self.drive(q, Driver::Dff(idx));
+        self.drive(q, Driver::Dff);
     }
 
     /// Number of nets declared so far.
     pub fn num_nets(&self) -> usize {
         self.net_names.len()
-    }
-
-    /// Looks up a declared net by name.
-    pub fn find_net(&self, name: &str) -> Option<NetId> {
-        self.name_index.get(name).copied()
     }
 
     fn drive(&mut self, net: NetId, driver: Driver) {
@@ -169,7 +163,6 @@ impl CircuitBuilder {
         let mut circuit = Circuit {
             name: self.name,
             net_names: self.net_names,
-            name_index: self.name_index,
             inputs: self.inputs,
             outputs: self.outputs,
             gates: self.gates,
@@ -315,10 +308,10 @@ mod tests {
         let q = b.dff("q", x);
         b.output(q);
         let c = b.finish().unwrap();
-        assert_eq!(c.dff_of_output(q), Some(0));
         assert!(c.is_dff_output(q));
         assert!(!c.is_dff_output(x));
-        assert!(c.is_input(x));
+        assert_eq!(c.dffs()[0].q, q);
+        assert_eq!(c.inputs(), [x]);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! The validated gate-level circuit IR.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::{GateKind, NetlistError};
@@ -48,12 +47,12 @@ pub struct Dff {
 /// What drives a net.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Driver {
-    /// Primary input with the given position in `Circuit::inputs`.
-    Input(usize),
+    /// A primary input.
+    Input,
     /// Output of gate `gates[i]`.
     Gate(usize),
-    /// Q pin of flop `dffs[i]`.
-    Dff(usize),
+    /// The Q pin of a flop.
+    Dff,
 }
 
 /// A validated gate-level sequential circuit.
@@ -70,7 +69,6 @@ pub(crate) enum Driver {
 pub struct Circuit {
     pub(crate) name: String,
     pub(crate) net_names: Vec<String>,
-    pub(crate) name_index: HashMap<String, NetId>,
     pub(crate) inputs: Vec<NetId>,
     pub(crate) outputs: Vec<NetId>,
     pub(crate) gates: Vec<Gate>,
@@ -133,35 +131,9 @@ impl Circuit {
         &self.net_names[net.index()]
     }
 
-    /// Looks up a net by name.
-    pub fn find_net(&self, name: &str) -> Option<NetId> {
-        self.name_index.get(name).copied()
-    }
-
-    /// The gate driving `net`, if any.
-    pub fn driving_gate(&self, net: NetId) -> Option<&Gate> {
-        match self.drivers[net.index()] {
-            Driver::Gate(i) => Some(&self.gates[i]),
-            _ => None,
-        }
-    }
-
-    /// Whether `net` is a primary input.
-    pub fn is_input(&self, net: NetId) -> bool {
-        matches!(self.drivers[net.index()], Driver::Input(_))
-    }
-
     /// Whether `net` is a flop output (state bit).
     pub fn is_dff_output(&self, net: NetId) -> bool {
-        matches!(self.drivers[net.index()], Driver::Dff(_))
-    }
-
-    /// Index of the flop whose Q pin is `net`, if any.
-    pub fn dff_of_output(&self, net: NetId) -> Option<usize> {
-        match self.drivers[net.index()] {
-            Driver::Dff(i) => Some(i),
-            _ => None,
-        }
+        matches!(self.drivers[net.index()], Driver::Dff)
     }
 
     /// The set of nets in the transitive fan-in cone of `roots`, including

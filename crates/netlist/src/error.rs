@@ -30,22 +30,12 @@ pub enum NetlistError {
         /// Number of inputs supplied.
         arity: usize,
     },
-    /// Two nets share one name.
-    DuplicateName {
-        /// The colliding name.
-        name: String,
-    },
     /// A `.bench` line could not be parsed.
     Parse {
         /// 1-based line number in the input.
         line: usize,
         /// Human-readable description.
         message: String,
-    },
-    /// A referenced name does not exist.
-    UnknownName {
-        /// The missing name.
-        name: String,
     },
 }
 
@@ -62,13 +52,9 @@ impl fmt::Display for NetlistError {
             NetlistError::BadArity { net, kind, arity } => {
                 write!(f, "gate `{net}`: {kind} cannot take {arity} inputs")
             }
-            NetlistError::DuplicateName { name } => {
-                write!(f, "duplicate net name `{name}`")
-            }
             NetlistError::Parse { line, message } => {
                 write!(f, "parse error at line {line}: {message}")
             }
-            NetlistError::UnknownName { name } => write!(f, "unknown net name `{name}`"),
         }
     }
 }

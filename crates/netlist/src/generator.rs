@@ -15,6 +15,9 @@ use gf2::{Rng64, Xoshiro256};
 
 use crate::{Circuit, CircuitBuilder, GateKind, NetId};
 
+/// Largest fan-in of a generated multi-input gate.
+const MAX_FANIN: usize = 4;
+
 /// Parameters of a synthetic sequential circuit.
 ///
 /// # Example
@@ -40,14 +43,12 @@ pub struct GeneratorConfig {
     /// Number of combinational gates; raised internally if too small to
     /// connect every input and flop.
     pub num_gates: usize,
-    /// Maximum gate fan-in (≥ 2).
-    pub max_fanin: usize,
     /// PRNG seed; same seed, same circuit.
     pub seed: u64,
 }
 
 impl GeneratorConfig {
-    /// Creates a config with fan-in 4 and seed 0.
+    /// Creates a config with seed 0.
     pub fn new(
         name: impl Into<String>,
         num_inputs: usize,
@@ -61,7 +62,6 @@ impl GeneratorConfig {
             num_outputs,
             num_dffs,
             num_gates,
-            max_fanin: 4,
             seed: 0,
         }
     }
@@ -112,9 +112,9 @@ impl GeneratorConfig {
             let fanin = if matches!(kind, GateKind::Not | GateKind::Buf) {
                 1
             } else {
-                // 2 + geometric-ish tail up to max_fanin
+                // 2 + geometric-ish tail up to MAX_FANIN
                 let mut f = 2;
-                while f < self.max_fanin && rng.gen_range(3) == 0 {
+                while f < MAX_FANIN && rng.gen_range(3) == 0 {
                     f += 1;
                 }
                 f
@@ -318,7 +318,10 @@ mod tests {
             .with_seed(9)
             .generate();
         for dff in c.dffs() {
-            assert!(c.driving_gate(dff.d).is_some(), "D input must be logic");
+            assert!(
+                c.gates().iter().any(|g| g.output == dff.d),
+                "D input must be logic"
+            );
         }
     }
 

@@ -5,7 +5,8 @@
 //! ```
 //!
 //! Exit status: `0` when the proof verifies as a refutation of the
-//! formula, `1` when it does not, `2` on usage or I/O errors.
+//! formula, `1` when it does not, `2` on usage or I/O errors and on a
+//! formula that does not parse.
 
 use std::process::ExitCode;
 use std::time::Instant;

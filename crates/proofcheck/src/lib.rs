@@ -44,7 +44,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use satsolver::dimacs::Cnf;
-use satsolver::{Lit, SolveResult, Solver, Var};
+use satsolver::{Lit, SolveResult, Solver, XorClause};
 
 /// Why a proof failed to verify.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -273,7 +273,7 @@ impl Refold {
 /// over (de)activatable clauses, with a persistent level-0 trail and a
 /// rollback mark for per-check assumptions), and the input xor rows.
 #[derive(Debug)]
-struct Checker {
+struct Checker<'f> {
     /// Clause literals, reordered freely (slots 0/1 are the watch pair).
     lits: Vec<Lit>,
     /// Clause `c` is `lits[starts[c]..starts[c + 1]]`: the formula's
@@ -300,17 +300,17 @@ struct Checker {
     by_key: Option<HashMap<Vec<Lit>, Vec<u32>>>,
     /// Scratch for the key of a deletion being looked up.
     key: Vec<Lit>,
-    /// Input xor constraints as (sorted vars, parity). They are *not*
-    /// clauses and never join propagation.
-    xors: Vec<(Vec<Var>, bool)>,
+    /// The formula's xor constraints, as written. They are *not* clauses
+    /// and never join propagation.
+    xors: &'f [XorClause],
     refold: Refold,
     /// Arena indices of the current addition's hints.
     hint_cids: Vec<usize>,
     report: CheckReport,
 }
 
-impl Checker {
-    fn new(cnf: &Cnf) -> Checker {
+impl<'f> Checker<'f> {
+    fn new(cnf: &'f Cnf) -> Checker<'f> {
         let n = cnf.num_vars;
         let mut checker = Checker {
             lits: Vec::new(),
@@ -325,11 +325,7 @@ impl Checker {
             contradiction: false,
             by_key: None,
             key: Vec::new(),
-            xors: cnf
-                .xors
-                .iter()
-                .map(satsolver::XorClause::normalized)
-                .collect(),
+            xors: &cnf.xors,
             refold: Refold {
                 marks: vec![0; n],
                 touched: Vec::new(),
@@ -597,13 +593,16 @@ impl Checker {
     fn xor_step(&mut self, lits: &[Lit], origins: &[u32], units: &[Lit]) -> Result<(), String> {
         let mut rhs = false;
         for &id in origins {
-            let (vars, parity) = self
+            let row = self
                 .xors
                 .get(id as usize)
                 .ok_or_else(|| format!("origin {id} out of range"))?;
-            rhs ^= parity;
-            for v in vars {
-                self.refold.flip(v.index());
+            // Folded from the literals as written: a repeated variable
+            // flips back out, and a negative literal flips the parity.
+            rhs ^= row.rhs;
+            for l in &row.lits {
+                self.refold.flip(l.var().index());
+                rhs ^= !l.is_positive();
             }
         }
         self.hint_cids.clear();
@@ -1142,6 +1141,33 @@ mod tests {
             ("x -1 2 3 0 1 0 0\n", "violating parity"),
             ("x 1 2 3 0 2 0 0\n", "origin 1 out of range"),
             ("x 1 2 0 1 0 3 0\n", "substituted unit 3 is not RUP"),
+        ] {
+            let err = check_text(&cnf, proof).unwrap_err();
+            assert!(
+                matches!(&err, CheckError::Step { index: 0, reason } if reason.contains(why)),
+                "{proof:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn input_xors_fold_from_their_literals() {
+        // Row 1 is written with a negated literal and a repeated variable:
+        // x1 ⊕ ¬x2 ⊕ x3 ⊕ x3 = 1 folds to x1 ⊕ x2 = 0. Row 2 is
+        // x1 ⊕ x2 = 1, so the two sum to 0 = 1.
+        let cnf = Cnf::parse("p cnf 3 2\nx1 -2 3 3 0\nx1 2 0\n").unwrap();
+        let report = check_text(&cnf, "x 0 1 2 0 0\n").expect("the rows sum to 0 = 1");
+        assert_eq!(report.xor_steps, 1);
+        // Row 1 alone blocks x1 ≠ x2, so [1 -2] is its clause.
+        assert_eq!(
+            check_text(&cnf, "x 1 -2 0 1 0 0\n"),
+            Err(CheckError::NotRefutation)
+        );
+        for (proof, why) in [
+            // [1 2] blocks x1 = x2 = 0, which row 1 allows.
+            ("x 1 2 0 1 0 0\n", "violating parity"),
+            // The repeated x3 cancelled out of row 1.
+            ("x 1 -2 3 0 1 0 0\n", "of [1 -2 3] not in the derived row"),
         ] {
             let err = check_text(&cnf, proof).unwrap_err();
             assert!(

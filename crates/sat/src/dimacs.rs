@@ -117,8 +117,12 @@ impl Cnf {
         let mut current: Vec<Lit> = Vec::new();
         let mut in_xor = false;
         let mut done = false;
+        // The 1-based line being read; after the loop, the last line.
+        let mut at = 1;
 
         for (lineno, line) in input.lines().enumerate() {
+            at = lineno + 1;
+            let err = |msg: String| DimacsError { line: at, msg };
             let line = line.trim();
             if line.is_empty() || line.starts_with('c') {
                 continue;
@@ -132,32 +136,33 @@ impl Cnf {
                 if line == "0" {
                     continue;
                 }
-                return Err(DimacsError::TrailingContent { line: lineno + 1 });
+                return Err(err("content after '%' end marker".into()));
             }
             if let Some(rest) = line.strip_prefix('p') {
                 if header.is_some() {
-                    return Err(DimacsError::DuplicateHeader { line: lineno + 1 });
+                    return Err(err("duplicate 'p' header".into()));
                 }
                 let fields: Vec<&str> = rest.split_whitespace().collect();
                 let parsed = match fields.as_slice() {
                     ["cnf", v, c] => v.parse::<usize>().ok().zip(c.parse::<usize>().ok()),
                     _ => None,
                 };
-                match parsed {
-                    Some((v, _)) if v > MAX_VARS => {
-                        return Err(DimacsError::TooManyVariables {
-                            line: lineno + 1,
-                            vars: v,
-                        });
-                    }
-                    Some((v, c)) => header = Some((v, c)),
-                    None => return Err(DimacsError::BadHeader { line: lineno + 1 }),
+                let Some((v, c)) = parsed else {
+                    return Err(err(
+                        "malformed header (expected 'p cnf <vars> <clauses>')".into()
+                    ));
+                };
+                if v > MAX_VARS {
+                    return Err(err(format!(
+                        "header declares {v} variables, more than the supported {MAX_VARS}"
+                    )));
                 }
-                cnf.num_vars = header.expect("just set").0;
+                header = Some((v, c));
+                cnf.num_vars = v;
                 continue;
             }
             let Some((num_vars, num_clauses)) = header else {
-                return Err(DimacsError::MissingHeader { line: lineno + 1 });
+                return Err(err("clause data before 'p cnf' header".into()));
             };
             for tok in line.split_whitespace() {
                 let mut tok = tok;
@@ -172,13 +177,12 @@ impl Cnf {
                         tok = rest;
                     }
                 }
-                let code: i64 = tok.parse().map_err(|_| DimacsError::BadLiteral {
-                    line: lineno + 1,
-                    token: tok.to_string(),
-                })?;
+                let code: i64 = tok
+                    .parse()
+                    .map_err(|_| err(format!("bad literal token {tok:?}")))?;
                 if code == 0 {
                     if cnf.clauses.len() + cnf.xors.len() == num_clauses {
-                        return Err(DimacsError::TooManyClauses { line: lineno + 1 });
+                        return Err(err("more clauses than the header declared".into()));
                     }
                     if in_xor {
                         // An x-line asserts XOR(listed literals) = true.
@@ -193,26 +197,25 @@ impl Cnf {
                 } else {
                     let var = code.unsigned_abs() as usize;
                     if var > num_vars {
-                        return Err(DimacsError::VariableOutOfRange {
-                            line: lineno + 1,
-                            var,
-                            num_vars,
-                        });
+                        return Err(err(format!(
+                            "variable {var} exceeds declared count {num_vars}"
+                        )));
                     }
                     current.push(Lit::from_dimacs(code));
                 }
             }
         }
 
-        let (_, num_clauses) = header.ok_or(DimacsError::MissingHeader { line: 1 })?;
+        let err = |msg: String| DimacsError { line: at, msg };
+        let (_, num_clauses) = header.ok_or_else(|| err("no 'p cnf' header".into()))?;
         if !current.is_empty() || in_xor {
-            return Err(DimacsError::UnterminatedClause);
+            return Err(err("file ends inside a clause (no '0')".into()));
         }
-        if cnf.clauses.len() + cnf.xors.len() != num_clauses {
-            return Err(DimacsError::ClauseCountMismatch {
-                declared: num_clauses,
-                found: cnf.clauses.len() + cnf.xors.len(),
-            });
+        let found = cnf.clauses.len() + cnf.xors.len();
+        if found != num_clauses {
+            return Err(err(format!(
+                "header declared {num_clauses} clauses but file has {found}"
+            )));
         }
         Ok(cnf)
     }
@@ -277,115 +280,20 @@ impl fmt::Display for Cnf {
     }
 }
 
-/// Errors produced by [`Cnf::parse`]. Line numbers are 1-based.
+/// Why [`Cnf::parse`] rejected its input. Errors found at the end of the
+/// input (a missing header, an unterminated clause, too few clauses) name
+/// its last line.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum DimacsError {
-    /// Clause data appeared before any `p cnf` header.
-    MissingHeader {
-        /// Offending line.
-        line: usize,
-    },
-    /// A second `p` line appeared.
-    DuplicateHeader {
-        /// Offending line.
-        line: usize,
-    },
-    /// A `p` line that is not `p cnf <vars> <clauses>`.
-    BadHeader {
-        /// Offending line.
-        line: usize,
-    },
-    /// A token that is not an integer literal.
-    BadLiteral {
-        /// Offending line.
-        line: usize,
-        /// The unparsable token.
-        token: String,
-    },
-    /// The header declares more variables than the packed literal
-    /// representation supports ([`MAX_VARS`]).
-    TooManyVariables {
-        /// Offending line.
-        line: usize,
-        /// The header's variable count.
-        vars: usize,
-    },
-    /// A literal references a variable above the header's count.
-    VariableOutOfRange {
-        /// Offending line.
-        line: usize,
-        /// The out-of-range (1-based) variable.
-        var: usize,
-        /// The header's variable count.
-        num_vars: usize,
-    },
-    /// More clauses than the header declared.
-    TooManyClauses {
-        /// Offending line.
-        line: usize,
-    },
-    /// Fewer clauses than the header declared.
-    ClauseCountMismatch {
-        /// Clause count from the header.
-        declared: usize,
-        /// Clauses actually read.
-        found: usize,
-    },
-    /// The file ended inside a clause (missing terminating `0`).
-    UnterminatedClause,
-    /// Non-comment content after the `%` end marker.
-    TrailingContent {
-        /// Offending line.
-        line: usize,
-    },
+pub struct DimacsError {
+    /// 1-based line number.
+    pub line: usize,
+    /// What was wrong.
+    pub msg: String,
 }
 
 impl fmt::Display for DimacsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DimacsError::MissingHeader { line } => {
-                write!(f, "line {line}: clause data before 'p cnf' header")
-            }
-            DimacsError::DuplicateHeader { line } => {
-                write!(f, "line {line}: duplicate 'p' header")
-            }
-            DimacsError::BadHeader { line } => {
-                write!(
-                    f,
-                    "line {line}: malformed header (expected 'p cnf <vars> <clauses>')"
-                )
-            }
-            DimacsError::BadLiteral { line, token } => {
-                write!(f, "line {line}: bad literal token {token:?}")
-            }
-            DimacsError::TooManyVariables { line, vars } => {
-                write!(
-                    f,
-                    "line {line}: header declares {vars} variables, more than the supported {MAX_VARS}"
-                )
-            }
-            DimacsError::VariableOutOfRange {
-                line,
-                var,
-                num_vars,
-            } => {
-                write!(
-                    f,
-                    "line {line}: variable {var} exceeds declared count {num_vars}"
-                )
-            }
-            DimacsError::TooManyClauses { line } => {
-                write!(f, "line {line}: more clauses than the header declared")
-            }
-            DimacsError::ClauseCountMismatch { declared, found } => {
-                write!(f, "header declared {declared} clauses but file has {found}")
-            }
-            DimacsError::UnterminatedClause => write!(f, "file ends inside a clause (no '0')"),
-            DimacsError::TrailingContent { line } => {
-                write!(f, "line {line}: content after '%' end marker")
-            }
-        }
+        write!(f, "line {}: {}", self.line, self.msg)
     }
 }
 
@@ -396,19 +304,21 @@ mod tests {
     use super::*;
     use crate::SolveResult;
 
+    /// Asserts that `text` is rejected at `line` with a message that
+    /// contains `fragment`.
+    fn rejects(text: &str, line: usize, fragment: &str) {
+        let err = Cnf::parse(text).expect_err("must be rejected");
+        assert_eq!(err.line, line, "{err}");
+        assert!(err.msg.contains(fragment), "{err} lacks {fragment:?}");
+    }
+
     #[test]
     fn parse_rejects_oversized_variable_count() {
         // 2^32 + 1 would wrap to variable 1 in the packed representation.
-        let err = Cnf::parse("p cnf 4294967297 1\n4294967297 0\n").unwrap_err();
-        assert!(
-            matches!(
-                err,
-                DimacsError::TooManyVariables {
-                    line: 1,
-                    vars: 4_294_967_297
-                }
-            ),
-            "got {err:?}"
+        rejects(
+            "p cnf 4294967297 1\n4294967297 0\n",
+            1,
+            "4294967297 variables",
         );
         // The largest representable count is accepted.
         let cnf = Cnf::parse(&format!("p cnf {MAX_VARS} 1\n{MAX_VARS} 0\n")).unwrap();
@@ -443,6 +353,7 @@ mod tests {
     fn parse_satlib_percent_footer() {
         let cnf = Cnf::parse("p cnf 2 1\n1 -2 0\n%\n0\n\n").unwrap();
         assert_eq!(cnf.clauses.len(), 1);
+        rejects("p cnf 2 1\n1 -2 0\n%\n1 0\n", 4, "after '%'");
     }
 
     #[test]
@@ -466,77 +377,59 @@ mod tests {
 
     #[test]
     fn error_missing_header() {
-        assert_eq!(
-            Cnf::parse("1 2 0\n"),
-            Err(DimacsError::MissingHeader { line: 1 })
-        );
+        rejects("1 2 0\n", 1, "before 'p cnf' header");
+        // Found at the end of the input: the last line is named.
+        rejects("", 1, "no 'p cnf' header");
+        rejects("c one\nc two\n", 2, "no 'p cnf' header");
     }
 
     #[test]
     fn error_bad_header() {
-        assert_eq!(
-            Cnf::parse("p cnf x 2\n"),
-            Err(DimacsError::BadHeader { line: 1 })
-        );
+        rejects("p cnf x 2\n", 1, "malformed header");
     }
 
     #[test]
     fn error_duplicate_header() {
-        assert_eq!(
-            Cnf::parse("p cnf 1 0\np cnf 1 0\n"),
-            Err(DimacsError::DuplicateHeader { line: 2 })
-        );
+        rejects("p cnf 1 0\np cnf 1 0\n", 2, "duplicate 'p' header");
     }
 
     #[test]
     fn error_bad_literal() {
-        let err = Cnf::parse("p cnf 2 1\n1 two 0\n").unwrap_err();
-        assert!(matches!(err, DimacsError::BadLiteral { line: 2, .. }));
+        rejects("p cnf 2 1\n1 two 0\n", 2, "bad literal token \"two\"");
     }
 
     #[test]
     fn error_variable_out_of_range() {
-        let err = Cnf::parse("p cnf 2 1\n1 -9 0\n").unwrap_err();
-        assert_eq!(
-            err,
-            DimacsError::VariableOutOfRange {
-                line: 2,
-                var: 9,
-                num_vars: 2
-            }
+        rejects(
+            "p cnf 2 1\n1 -9 0\n",
+            2,
+            "variable 9 exceeds declared count 2",
         );
     }
 
     #[test]
     fn error_clause_count_mismatch() {
-        let err = Cnf::parse("p cnf 2 3\n1 0\n").unwrap_err();
-        assert_eq!(
-            err,
-            DimacsError::ClauseCountMismatch {
-                declared: 3,
-                found: 1
-            }
-        );
+        rejects("p cnf 2 3\n1 0\n", 2, "declared 3 clauses but file has 1");
     }
 
     #[test]
     fn error_too_many_clauses() {
-        let err = Cnf::parse("p cnf 2 1\n1 0\n2 0\n").unwrap_err();
-        assert_eq!(err, DimacsError::TooManyClauses { line: 3 });
+        rejects(
+            "p cnf 2 1\n1 0\n2 0\n",
+            3,
+            "more clauses than the header declared",
+        );
     }
 
     #[test]
     fn error_unterminated_clause() {
-        assert_eq!(
-            Cnf::parse("p cnf 2 1\n1 2\n"),
-            Err(DimacsError::UnterminatedClause)
-        );
+        rejects("p cnf 2 1\n1 2\n", 2, "inside a clause");
     }
 
     #[test]
     fn errors_display() {
         let err = Cnf::parse("p cnf 2 1\n1 two 0\n").unwrap_err();
-        assert!(err.to_string().contains("bad literal"));
+        assert_eq!(err.to_string(), "line 2: bad literal token \"two\"");
     }
 
     #[test]
@@ -616,38 +509,23 @@ mod tests {
 
     #[test]
     fn xor_lines_count_toward_header_total() {
-        assert_eq!(
-            Cnf::parse("p cnf 2 1\n1 0\nx1 2 0\n"),
-            Err(DimacsError::TooManyClauses { line: 3 })
-        );
-        assert_eq!(
-            Cnf::parse("p cnf 2 3\n1 0\nx1 2 0\n"),
-            Err(DimacsError::ClauseCountMismatch {
-                declared: 3,
-                found: 2
-            })
+        rejects("p cnf 2 1\n1 0\nx1 2 0\n", 3, "more clauses");
+        rejects(
+            "p cnf 2 3\n1 0\nx1 2 0\n",
+            3,
+            "declared 3 clauses but file has 2",
         );
     }
 
     #[test]
     fn unterminated_xor_is_an_error() {
-        assert_eq!(
-            Cnf::parse("p cnf 2 1\nx1 2\n"),
-            Err(DimacsError::UnterminatedClause)
-        );
-        assert_eq!(
-            Cnf::parse("p cnf 2 1\nx\n"),
-            Err(DimacsError::UnterminatedClause)
-        );
+        rejects("p cnf 2 1\nx1 2\n", 2, "inside a clause");
+        rejects("p cnf 2 1\nx\n", 2, "inside a clause");
     }
 
     #[test]
     fn xor_variables_respect_declared_count() {
-        let err = Cnf::parse("p cnf 2 1\nx1 -9 0\n").unwrap_err();
-        assert!(matches!(
-            err,
-            DimacsError::VariableOutOfRange { var: 9, .. }
-        ));
+        rejects("p cnf 2 1\nx1 -9 0\n", 2, "variable 9 exceeds");
     }
 
     #[test]

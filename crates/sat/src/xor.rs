@@ -624,21 +624,10 @@ impl XorEngine {
         }
         row.alive = false;
         let pivot = row.pivot;
-        let watch = row.watch;
         if pivot != NONE && self.pivot_row[pivot as usize] == ri as u32 {
             self.pivot_row[pivot as usize] = NONE;
         }
-        for w in watch {
-            if w == NONE {
-                continue;
-            }
-            if let Some(pos) = self.watchers[w as usize]
-                .iter()
-                .position(|&r| r == ri as u32)
-            {
-                self.watchers[w as usize].swap_remove(pos);
-            }
-        }
+        self.unwatch_row(ri);
         self.num_live -= 1;
     }
 

@@ -1,5 +1,5 @@
-//! Gate-level simulation: combinational evaluation, sequential stepping,
-//! and scan-chain test access for *unlocked* circuits.
+//! Gate-level simulation: combinational evaluation and scan-chain test
+//! access for *unlocked* circuits.
 //!
 //! This crate is the ground-truth substrate of the reproduction: the
 //! locked-chip oracle in `scanlock` layers obfuscation on top of the
@@ -8,8 +8,8 @@
 //! responses with the oracle's.
 //!
 //! * [`Evaluator`] — reusable topological-order evaluation of the
-//!   combinational core;
-//! * [`SeqSim`] — clock-by-clock functional simulation;
+//!   combinational core; a clock edge is [`Evaluator::eval`] followed by
+//!   [`Evaluator::next_state`];
 //! * [`ScanChain`] — the order in which flops are stitched into the chain;
 //! * [`ScanChip`] — load / capture / unload test access, no obfuscation;
 //! * [`ScanAccess`] — the oracle interface shared by unlocked and locked
@@ -23,14 +23,16 @@
 //!
 //! ```
 //! use netlist::generator::counter;
-//! use sim::SeqSim;
+//! use sim::Evaluator;
 //!
 //! let c = counter(3);
-//! let mut simulator = SeqSim::new(&c);
+//! let mut ev = Evaluator::new(&c);
+//! let mut state = vec![false; 3];
 //! for _ in 0..4 {
-//!     simulator.step(&[true]); // enable high: count up
+//!     ev.eval(&[true], &state); // enable high: count up
+//!     state = ev.next_state();
 //! }
-//! assert_eq!(simulator.state(), &[false, false, true]); // 4 = 0b100
+//! assert_eq!(state, [false, false, true]); // 4 = 0b100
 //! ```
 
 #![forbid(unsafe_code)]
@@ -40,10 +42,8 @@ mod comb;
 mod faulty;
 mod oracle;
 mod scan;
-mod seq;
 
 pub use comb::Evaluator;
 pub use faulty::{FallibleScanAccess, FaultSpec, FaultyOracle, FaultyStats, OracleFault, Reliable};
 pub use oracle::{check_session_freshness, FreshnessViolation, ScanAccess, ScanResponse};
 pub use scan::{ScanChain, ScanChip};
-pub use seq::SeqSim;

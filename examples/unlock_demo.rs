@@ -64,7 +64,6 @@ fn main() {
     println!("  mask system rank {}/{}", result.rank, spec.width());
     println!("  secret:    {secret}");
     println!("  recovered: {}", result.seed);
-    assert!(result.verified, "attack self-verification failed");
     if result.seed == secret {
         println!("  recovered the secret exactly");
     } else {

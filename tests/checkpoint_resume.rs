@@ -148,7 +148,6 @@ fn killed_64_bit_attack_resumes_to_the_identical_seed() {
         inst.same_class(&resumed_unlock.seed, &reference_seed, 2),
         "resume must land in the reference run's class"
     );
-    assert!(resumed_unlock.verified);
 }
 
 /// Kill/resume with a *faulty* oracle on both sides of the kill: the
@@ -193,7 +192,6 @@ fn resume_through_a_faulty_oracle_still_converges() {
     .expect("voting repairs fresh noise during re-validation");
     match resumed.run(&mut oracle) {
         RobustOutcome::Unlocked { unlock, .. } => {
-            assert!(unlock.verified);
             assert!(inst.same_class(&unlock.seed, &inst.secret, 1));
         }
         RobustOutcome::Partial(report) => panic!("resumed run degraded: {}", report.reason),
@@ -297,23 +295,14 @@ fn converged_checkpoint(inst: &Instance, cfg: &RobustConfig) -> String {
     String::from_utf8(state.checkpoint().to_bytes()).unwrap()
 }
 
-/// The strict attack without verification probes, so a converged
-/// checkpoint's seed is trusted as recorded unless resume checks it.
-fn unprobed() -> RobustConfig {
-    RobustConfig::strict(AttackConfig {
-        verify_queries: 0,
-        ..AttackConfig::default()
-    })
-}
-
 /// A converged checkpoint whose recorded seed is not the one its recorded
-/// free mask bits map to is rejected: resume would otherwise hand back
-/// (and, without verification probes, report) a seed the masks do not
-/// support.
+/// free mask bits map to is rejected before any oracle query: resume
+/// would otherwise hand back a seed the masks do not support, and leave
+/// it to the verification probes to catch.
 #[test]
 fn resume_rejects_a_tampered_converged_seed() {
     let inst = instance(8, 5, 3);
-    let cfg = unprobed();
+    let cfg = RobustConfig::strict(AttackConfig::default());
     let mut oracle = Reliable(inst.chip());
     let text = converged_checkpoint(&inst, &cfg);
     // Flip the first bit of the recorded seed.
@@ -352,7 +341,7 @@ fn resume_rejects_a_tampered_converged_seed() {
 #[test]
 fn resume_rejects_a_converged_checkpoint_missing_a_free_bit() {
     let inst = instance(8, 5, 3);
-    let cfg = unprobed();
+    let cfg = RobustConfig::strict(AttackConfig::default());
     let text = converged_checkpoint(&inst, &cfg);
     let at = text
         .find("\nfree ")

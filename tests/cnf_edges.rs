@@ -2,7 +2,7 @@
 //! single-DFF chains, and DIMACS round trips of encoded circuits.
 
 use dynunlock_repro::cnf::Encoder;
-use dynunlock_repro::netlist::{CircuitBuilder, GateKind};
+use dynunlock_repro::netlist::{Circuit, CircuitBuilder, GateKind};
 use dynunlock_repro::satsolver::dimacs::Cnf;
 use dynunlock_repro::satsolver::{Lit, SolveResult};
 use dynunlock_repro::sim::Evaluator;
@@ -13,6 +13,14 @@ fn pin(lits: &[Lit], values: &[bool]) -> Vec<Lit> {
         .zip(values)
         .map(|(&l, &v)| if v { l } else { !l })
         .collect()
+}
+
+/// Encodes one frame of `c`: its primary-output and next-state literals.
+fn frame(enc: &mut Encoder, c: &Circuit, pis: &[Lit], state: &[Lit]) -> (Vec<Lit>, Vec<Lit>) {
+    let mut next = state.to_vec();
+    let mut po = Vec::new();
+    enc.comb_in_place(c, pis, &mut next, &mut po);
+    (po, next)
 }
 
 #[test]
@@ -30,12 +38,12 @@ fn constant_gates_encode_as_pinned_nets() {
     let c = b.finish().unwrap();
 
     let mut enc = Encoder::new();
-    let cone = enc.comb(&c, &[], &[]);
+    let (po, _) = frame(&mut enc, &c, &[], &[]);
     assert_eq!(enc.solver_mut().solve(), SolveResult::Sat);
-    assert_eq!(enc.solver().lit_model_value(cone.po[0]), Some(true));
-    assert_eq!(enc.solver().lit_model_value(cone.po[1]), Some(false));
+    assert_eq!(enc.solver().lit_model_value(po[0]), Some(true));
+    assert_eq!(enc.solver().lit_model_value(po[1]), Some(false));
     // Pinning against the constants must be unsatisfiable.
-    let y_lit = cone.po[0];
+    let y_lit = po[0];
     assert_eq!(
         enc.solver_mut().solve_assuming(&[!y_lit]),
         SolveResult::Unsat
@@ -54,8 +62,8 @@ fn input_passthrough_cone_adds_no_gate_clauses() {
 
     let mut enc = Encoder::new();
     let pis = enc.fresh_many(1);
-    let cone = enc.comb(&c, &pis, &[]);
-    assert_eq!(cone.po[0], pis[0], "a buffer is a wire, not a clause");
+    let (po, _) = frame(&mut enc, &c, &pis, &[]);
+    assert_eq!(po[0], pis[0], "a buffer is a wire, not a clause");
     assert_eq!(enc.solver().num_clauses(), 0);
 }
 
@@ -72,18 +80,18 @@ fn single_dff_chain_unrolls() {
 
     let mut enc = Encoder::new();
     let q0 = enc.fresh_many(1);
-    let f1 = enc.comb(&c, &[], &q0);
-    let f2 = enc.comb(&c, &[], &f1.next_state);
-    let f3 = enc.comb(&c, &[], &f2.next_state);
+    let (po1, q1) = frame(&mut enc, &c, &[], &q0);
+    let (po2, q2) = frame(&mut enc, &c, &[], &q1);
+    let (po3, _) = frame(&mut enc, &c, &[], &q2);
     // Pin q0 = false: frames must read false, true, false.
     let assumption = pin(&q0, &[false]);
     assert_eq!(
         enc.solver_mut().solve_assuming(&assumption),
         SolveResult::Sat
     );
-    assert_eq!(enc.solver().lit_model_value(f1.po[0]), Some(false));
-    assert_eq!(enc.solver().lit_model_value(f2.po[0]), Some(true));
-    assert_eq!(enc.solver().lit_model_value(f3.po[0]), Some(false));
+    assert_eq!(enc.solver().lit_model_value(po1[0]), Some(false));
+    assert_eq!(enc.solver().lit_model_value(po2[0]), Some(true));
+    assert_eq!(enc.solver().lit_model_value(po3[0]), Some(false));
 }
 
 #[test]
@@ -115,9 +123,9 @@ fn encoded_circuit_roundtrips_through_dimacs() {
 
     let mut enc = Encoder::new();
     let pis = enc.fresh_many(2);
-    let cone = enc.comb(&c, &pis, &[]);
+    let (po, _) = frame(&mut enc, &c, &pis, &[]);
     assert_eq!(
-        enc.solver_mut().solve_assuming(&[!cone.po[0]]),
+        enc.solver_mut().solve_assuming(&[!po[0]]),
         SolveResult::Sat,
         "NAND can go false"
     );
@@ -130,15 +138,15 @@ fn encoded_circuit_roundtrips_through_dimacs() {
 
     // The reparsed formula solves to the same verdicts as the live solver.
     let (mut fresh, vars) = reparsed.to_solver();
-    let po_var = vars[cone.po[0].var().index()];
-    let po_lit = Lit::new(po_var, cone.po[0].is_positive());
+    let po_var = vars[po[0].var().index()];
+    let po_lit = Lit::new(po_var, po[0].is_positive());
     assert_eq!(fresh.solve_assuming(&[!po_lit]), SolveResult::Sat);
     // o = NAND(a, x) with a = x⊕y: o is false iff x=1,y=0 — forcing
     // x=0 alongside ¬o must be unsatisfiable in both formulas.
     let x0 = Lit::new(vars[pis[0].var().index()], pis[0].is_positive());
     assert_eq!(fresh.solve_assuming(&[!po_lit, !x0]), SolveResult::Unsat);
     assert_eq!(
-        enc.solver_mut().solve_assuming(&[!cone.po[0], !pis[0]]),
+        enc.solver_mut().solve_assuming(&[!po[0], !pis[0]]),
         SolveResult::Unsat
     );
 }
@@ -160,16 +168,16 @@ fn encoder_model_matches_evaluator_on_edge_circuit() {
     let mut ev = Evaluator::new(&c);
     let mut enc = Encoder::new();
     let pis = enc.fresh_many(1);
-    let cone = enc.comb(&c, &pis, &[]);
+    let (po, _) = frame(&mut enc, &c, &pis, &[]);
     for v in [false, true] {
         ev.eval(&[v], &[]);
         assert_eq!(
             enc.solver_mut().solve_assuming(&pin(&pis, &[v])),
             SolveResult::Sat
         );
-        for (i, &po) in cone.po.iter().enumerate() {
+        for (i, &lit) in po.iter().enumerate() {
             assert_eq!(
-                enc.solver().lit_model_value(po),
+                enc.solver().lit_model_value(lit),
                 Some(ev.output_values()[i]),
                 "PO {i} with x={v}"
             );

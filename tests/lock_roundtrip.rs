@@ -41,12 +41,10 @@ fn roundtrip(trial: u64) -> (usize, bool) {
     let mut oracle = LockedScanChip::new(&circuit, chain.clone(), spec.clone(), secret.clone());
     let cfg = AttackConfig {
         captures,
-        rng_seed: trial,
         ..AttackConfig::default()
     };
     let result =
         unlock(&circuit, &chain, &spec, &mut oracle, &cfg).expect("attack converges on the trial");
-    assert!(result.verified);
 
     // Bit-for-bit equivalence on fresh sessions the attack never used.
     // The guarantee is per session shape: the unload mask depends on the
@@ -110,7 +108,7 @@ fn multi_capture_roundtrips() {
             captures: 3,
             ..AttackConfig::default()
         };
-        let result = unlock(&circuit, &chain, &spec, &mut oracle, &cfg).expect("converges");
-        assert!(result.verified, "trial {trial}");
+        unlock(&circuit, &chain, &spec, &mut oracle, &cfg)
+            .unwrap_or_else(|e| panic!("trial {trial} must converge and pass its probes: {e}"));
     }
 }
