@@ -74,8 +74,9 @@ impl RetryPolicy {
 /// Tuning for a fault-tolerant attack run.
 #[derive(Debug, Clone)]
 pub struct RobustConfig {
-    /// The underlying attack knobs (captures, DIP limit, verification,
-    /// certification).
+    /// The underlying attack knobs (captures, DIP limit, certification).
+    /// Verification is not one: every recovered seed is checked on
+    /// `VERIFY_PROBES` (16) probe sessions.
     pub base: AttackConfig,
     /// Times each logical oracle query is repeated for a per-bit majority
     /// vote. `1` disables voting; use an odd factor so votes cannot tie

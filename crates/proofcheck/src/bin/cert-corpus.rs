@@ -96,6 +96,7 @@ fn main() -> ExitCode {
     let corpus: Vec<(&str, Cnf)> = vec![
         ("php4", pigeonhole(4)),
         ("php5", pigeonhole(5)),
+        ("php7", pigeonhole(7)),
         ("xor-tri2", xor_triangle(2)),
         ("xor-tri8", xor_triangle(8)),
         ("xor-wide24", wide_disagreement(24)),

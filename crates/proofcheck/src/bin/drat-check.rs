@@ -50,7 +50,7 @@ fn main() -> ExitCode {
                 "VERIFIED: {} vars, {} clauses, {} xors; \
                  {} RUP additions ({} hinted, {} propagated), \
                  {} xor steps ({} units substituted), \
-                 {} deletions applied ({} ignored); {:.3} ms",
+                 {} deletions applied; {:.3} ms",
                 cnf.num_vars,
                 cnf.clauses.len(),
                 cnf.xors.len(),
@@ -60,7 +60,6 @@ fn main() -> ExitCode {
                 report.xor_steps,
                 report.xor_units_checked,
                 report.deletions_applied,
-                report.deletions_ignored,
                 elapsed.as_secs_f64() * 1e3,
             );
             ExitCode::SUCCESS

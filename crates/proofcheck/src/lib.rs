@@ -22,10 +22,11 @@
 //!   the variables the named constraints hold, and accepts the clause iff
 //!   its variables are exactly the row's and its unique falsifying
 //!   assignment violates the row's parity.
-//! * **Deletions** deactivate the matching clause (by literal multiset).
-//!   Because every activated clause was verified implied before use,
-//!   ignoring an unmatched deletion is sound — deletions can only make
-//!   the checker reject more, never accept more.
+//! * **Deletions** (`d <id>* 0`) deactivate the clauses their ids name,
+//!   numbered as hints are: `-k` is the formula's `k`-th clause, `n` the
+//!   `n`-th addition line. An id that names no earlier clause is an
+//!   error. Deletions can only make the checker reject more, never accept
+//!   more.
 //!
 //! The check is one forward pass over the text, parsing each line into
 //! reused buffers and checking it at once against the clauses active *at
@@ -40,7 +41,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
 use std::fmt;
 
 use satsolver::dimacs::Cnf;
@@ -96,17 +96,15 @@ pub struct CheckReport {
     pub xor_steps: u64,
     /// Unit literals RUP-verified inside xor steps.
     pub xor_units_checked: u64,
-    /// Deletions applied (matched an active clause).
+    /// Clause ids deleted.
     pub deletions_applied: u64,
-    /// Deletions ignored (no matching active clause).
-    pub deletions_ignored: u64,
 }
 
 impl CheckReport {
-    /// Every checked step: additions, deletions (applied or ignored) and
-    /// xor-derived clauses.
+    /// Every checked step: additions, deleted ids and xor-derived
+    /// clauses.
     pub fn steps(&self) -> u64 {
-        self.rup_additions + self.deletions_applied + self.deletions_ignored + self.xor_steps
+        self.rup_additions + self.deletions_applied + self.xor_steps
     }
 
     /// Clause additions verified without full propagation: by their
@@ -131,6 +129,7 @@ enum Kind {
 struct Line {
     kind: Kind,
     lits: Vec<Lit>,
+    /// An addition's hints, or the clause ids a deletion names.
     hints: Vec<i64>,
     origins: Vec<u32>,
     units: Vec<Lit>,
@@ -165,7 +164,7 @@ impl Line {
         let mut toks = rest_of_first.into_iter().chain(toks);
         match self.kind {
             Kind::Delete => {
-                lit_group(&mut toks, &mut self.lits).ok_or("malformed deletion")?;
+                hint_group(&mut toks, &mut self.hints).ok_or("malformed deletion")?;
                 if toks.next().is_some() {
                     return Err("trailing tokens after deletion");
                 }
@@ -216,7 +215,8 @@ fn id_group<'a>(toks: &mut impl Iterator<Item = &'a str>, out: &mut Vec<u32>) ->
     }
 }
 
-/// Reads the clause-id hint group up to its `0` terminator into `out`.
+/// Reads a clause-id group (hints, or deleted ids) up to its `0`
+/// terminator into `out`.
 fn hint_group<'a>(toks: &mut impl Iterator<Item = &'a str>, out: &mut Vec<i64>) -> Option<()> {
     loop {
         let id: i64 = toks.next()?.parse().ok()?;
@@ -294,17 +294,11 @@ struct Checker<'f> {
     /// Set once the active set is propagation-contradictory; every later
     /// check passes trivially (everything is implied).
     contradiction: bool,
-    /// Active clauses by sorted-literal key, for deletion matching. Built
-    /// from the arena when the first deletion arrives, so a proof without
-    /// deletions never pays for it.
-    by_key: Option<HashMap<Vec<Lit>, Vec<u32>>>,
-    /// Scratch for the key of a deletion being looked up.
-    key: Vec<Lit>,
     /// The formula's xor constraints, as written. They are *not* clauses
     /// and never join propagation.
     xors: &'f [XorClause],
     refold: Refold,
-    /// Arena indices of the current addition's hints.
+    /// Arena indices of the clauses the current step's ids name.
     hint_cids: Vec<usize>,
     report: CheckReport,
 }
@@ -323,8 +317,6 @@ impl<'f> Checker<'f> {
             trail: Vec::new(),
             qhead: 0,
             contradiction: false,
-            by_key: None,
-            key: Vec::new(),
             xors: &cnf.xors,
             refold: Refold {
                 marks: vec![0; n],
@@ -362,8 +354,8 @@ impl<'f> Checker<'f> {
     fn add_clause(&mut self, lits: &[Lit]) {
         let cid = self.active.len() as u32;
         let base = self.lits.len();
-        // The clause enters the arena as its deletion key: sorted, with
-        // duplicates removed in place.
+        // The clause enters the arena sorted, with duplicates removed in
+        // place, so no literal takes both watch slots.
         self.lits.extend_from_slice(lits);
         self.lits[base..].sort_unstable();
         let mut end = base;
@@ -374,12 +366,6 @@ impl<'f> Checker<'f> {
             }
         }
         self.lits.truncate(end);
-        if let Some(index) = self.by_key.as_mut() {
-            index
-                .entry(self.lits[base..].to_vec())
-                .or_default()
-                .push(cid);
-        }
         // Prefer non-false literals in the watch slots so the watch
         // invariant (a false watched literal has been visited) holds
         // from the start.
@@ -411,37 +397,6 @@ impl<'f> Checker<'f> {
                 }
             }
         }
-    }
-
-    /// Deactivates the most recently added active clause with the same
-    /// literal set. Returns whether a clause matched.
-    fn delete_clause(&mut self, lits: &[Lit]) -> bool {
-        if self.by_key.is_none() {
-            // Watch slots may have moved literals: re-sort each key.
-            let mut index: HashMap<Vec<Lit>, Vec<u32>> = HashMap::new();
-            for cid in 0..self.active.len() {
-                if self.active[cid] {
-                    let mut key = self.lits[self.range(cid)].to_vec();
-                    key.sort_unstable();
-                    index.entry(key).or_default().push(cid as u32);
-                }
-            }
-            self.by_key = Some(index);
-        }
-        self.key.clear();
-        self.key.extend_from_slice(lits);
-        self.key.sort_unstable();
-        self.key.dedup();
-        let index = self.by_key.as_mut().expect("built above");
-        if let Some(stack) = index.get_mut(self.key.as_slice()) {
-            while let Some(cid) = stack.pop() {
-                if self.active[cid as usize] {
-                    self.active[cid as usize] = false;
-                    return true;
-                }
-            }
-        }
-        false
     }
 
     /// Unit-propagates from `qhead`; returns `true` on conflict. Watches
@@ -505,9 +460,9 @@ impl<'f> Checker<'f> {
         false
     }
 
-    /// The arena index of the clause hint `id` names, if it names one
-    /// before the current addition: `-k` is the formula's `k`-th clause,
-    /// `n` the `n`-th verified addition line.
+    /// The arena index of the clause `id` names (a hint, or a deleted
+    /// clause), if it names one before the current step: `-k` is the
+    /// formula's `k`-th clause, `n` the `n`-th verified addition line.
     fn hint_cid(&self, id: i64) -> Option<usize> {
         let k = usize::try_from(id.unsigned_abs()).ok()?.checked_sub(1)?;
         if id < 0 {
@@ -677,23 +632,22 @@ impl<'f> Checker<'f> {
                 l.var()
             ));
         }
+        self.hint_cids.clear();
+        for &id in &line.hints {
+            let cid = self
+                .hint_cid(id)
+                .ok_or_else(|| format!("clause id {id} names no earlier clause"))?;
+            self.hint_cids.push(cid);
+        }
         match line.kind {
             Kind::Delete => {
-                if self.delete_clause(&line.lits) {
-                    self.report.deletions_applied += 1;
-                } else {
-                    self.report.deletions_ignored += 1;
+                for &cid in &self.hint_cids {
+                    self.active[cid] = false;
                 }
+                self.report.deletions_applied += self.hint_cids.len() as u64;
                 return Ok(false);
             }
             Kind::Add => {
-                self.hint_cids.clear();
-                for &id in &line.hints {
-                    let cid = self
-                        .hint_cid(id)
-                        .ok_or_else(|| format!("hint {id} names no earlier clause"))?;
-                    self.hint_cids.push(cid);
-                }
                 if !self.is_rup(&line.lits, true) {
                     return Err(format!("clause {} is not RUP", dimacs(&line.lits)));
                 }
@@ -873,15 +827,14 @@ mod tests {
         // Clauses -1..-5; x-lines 1: x3 ⊕ x5 = 1, 2: x4 = 1.
         let cnf =
             Cnf::parse("p cnf 5 7\n-5 0\n1 -2 0\n-3 -4 0\n3 4 0\n3 -4 0\nx3 5 0\nx4 0\n").unwrap();
-        // An unhinted addition, its deletion, an x-line summing both
-        // inputs with the unit ¬5 substituted (x3 ⊕ x4 = 0, step 2), a
-        // hinted lemma citing it, and a hinted refutation.
-        let text = "1 -2 0\nd 1 -2 0\nx -3 4 0 1 2 0 -5 0\n-3 0 2 -3 0\n0 3 -4 -5 0\n";
+        // An unhinted addition, its deletion by id, an x-line summing
+        // both inputs with the unit ¬5 substituted (x3 ⊕ x4 = 0, step 2),
+        // a hinted lemma citing it, and a hinted refutation.
+        let text = "1 -2 0\nd 1 0\nx -3 4 0 1 2 0 -5 0\n-3 0 2 -3 0\n0 3 -4 -5 0\n";
         let report = check_text(&cnf, text).unwrap();
         assert_eq!(report.rup_additions, 3);
         assert_eq!(report.propagated_additions, 1, "only the unhinted one");
         assert_eq!(report.deletions_applied, 1);
-        assert_eq!(report.deletions_ignored, 0);
         assert_eq!(report.xor_steps, 1);
         assert_eq!(report.xor_units_checked, 1);
         assert_eq!(report.steps(), 5);
@@ -894,7 +847,9 @@ mod tests {
             "1 banana 0\n",
             "1 2\n",
             "99999999999 0\n",
-            "d -99999999999 0\n",
+            "d 1 -2\n",
+            "d -1 banana 0\n",
+            "d 99999999999999999999 0\n",
             "x 99999999999 0 0 0\n",
             "1 0 99999999999999999999 0\n",
         ] {
@@ -957,11 +912,13 @@ mod tests {
         // propagation proves the lemma anyway.
         let report = check_text(&cnf, "2 0 -5 -4 0\n0\n").unwrap();
         assert_eq!(report.propagated_additions, 1);
-        // A deleted hint is skipped: citing it proves nothing.
-        let report = check_text(&cnf, "d 3 4 0\n2 0 -5 -1 -2 0\n0\n").unwrap();
+        // A deleted hint is skipped: citing it proves nothing. Deleting
+        // (3 ∨ 4) costs the lemma nothing; deleting (¬1 ∨ 2) leaves it
+        // unproved by hints and propagation alike.
+        let report = check_text(&cnf, "d -5 0\n2 0 -5 -1 -2 0\n0\n").unwrap();
         assert_eq!(report.deletions_applied, 1);
         assert_eq!((report.rup_additions, report.propagated_additions), (2, 0));
-        let err = check_text(&cnf, "d -1 2 0\n2 0 -1 -2 0\n0\n").unwrap_err();
+        let err = check_text(&cnf, "d -2 0\n2 0 -1 -2 0\n0\n").unwrap_err();
         assert!(matches!(err, CheckError::Step { index: 1, .. }), "{err}");
     }
 
@@ -974,6 +931,11 @@ mod tests {
             ("2 0 -1 -2 0\n0 2 0\n", 1),            // a later step
             ("2 0 9223372036854775807 0\n0\n", 0),  // far past the end
             ("2 0 -9223372036854775808 0\n0\n", 0), // far before the start
+            // Deleted ids follow the same rule.
+            ("d -6 0\n0\n", 0),                     // past the formula
+            ("2 0\nd 2 0\n0\n", 1),                 // the id the next addition takes
+            ("d 1 0\n2 0\n0\n", 0),                 // a later step
+            ("d -1 9223372036854775807 0\n0\n", 0), // far past the end
         ] {
             let err = check_text(&cnf, proof).unwrap_err();
             assert!(
@@ -1037,25 +999,21 @@ mod tests {
 
     #[test]
     fn deletion_is_tracked_and_weakens_the_set() {
-        let cnf = Cnf::parse("p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n").unwrap();
-        // A deletion keyed by a duplicated literal list still matches
-        // [1 2]; without that clause the unit 2 is no longer RUP.
-        let err = check_text(&cnf, "d 1 1 2 2 0\n2 0\n0\n").unwrap_err();
-        assert!(matches!(err, CheckError::Step { index: 1, .. }), "{err}");
-        // Deleting a clause not in the set is ignored, not an error.
-        let report = check_text(&cnf, "d 2 0\n2 0\n0\n").unwrap();
-        assert_eq!(report.deletions_ignored, 1);
-        assert_eq!(report.deletions_applied, 0);
-    }
-
-    #[test]
-    fn deletion_index_built_late_still_sees_later_lemmas() {
-        let cnf = Cnf::parse("p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n").unwrap();
-        // The first deletion builds the index; the lemma added after it
-        // must still be found by the second.
-        let report = check_text(&cnf, "d 2 0\n2 0\nd 2 0\n0\n").unwrap();
-        assert_eq!(report.deletions_ignored, 1);
-        assert_eq!(report.deletions_applied, 1);
+        // The lemma [1 2] (step 1) resolves the first two inputs; with it,
+        // or with them, the unit 2 follows from (¬1 ∨ 2).
+        let cnf = Cnf::parse("p cnf 3 5\n1 2 3 0\n1 2 -3 0\n-1 2 0\n1 -2 0\n-1 -2 0\n").unwrap();
+        let report = check_text(&cnf, "1 2 0\nd -1 -2 0\n2 0\n0\n").unwrap();
+        assert_eq!(report.deletions_applied, 2, "one per id");
+        assert_eq!(report.steps(), 5);
+        // Deleting an input, or the lemma as well as its premises, leaves
+        // the unit 2 unproved.
+        for proof in ["1 2 0\nd -3 0\n2 0\n0\n", "1 2 0\nd -1 -2 1 0\n2 0\n0\n"] {
+            let err = check_text(&cnf, proof).unwrap_err();
+            assert!(
+                matches!(&err, CheckError::Step { index: 2, reason } if reason.contains("not RUP")),
+                "{proof:?}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -1063,7 +1021,7 @@ mod tests {
         // Every checked step counts, deletions included: the unit 2, the
         // deletion of a clause it subsumes, and the refutation.
         let cnf = Cnf::parse("p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n").unwrap();
-        let cert = certify(cnf.clone(), "2 0\nd 1 2 0\n0\n".to_string()).unwrap();
+        let cert = certify(cnf.clone(), "2 0\nd -1 0\n0\n".to_string()).unwrap();
         assert_eq!(cert.stats.steps(), 3);
         assert_eq!(cert.stats.rup_additions, 2);
         assert_eq!(cert.stats.deletions_applied, 1);

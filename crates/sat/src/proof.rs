@@ -14,9 +14,9 @@
 //!   solver's trail used them and the conflict last, so the checker can
 //!   walk them instead of propagating over everything. Literals false at
 //!   level 0 need no hint: the checker holds them on its own trail.
-//! * **Clause deletion** — `d` followed by the clause. Deletions keep the
-//!   checker's propagation state small and mirror the solver's learnt-DB
-//!   reduction exactly.
+//! * **Clause deletion** — `d <id> 0`: the id of a clause the solver's
+//!   learnt-DB reduction dropped, numbered as hints are (below). Deletions
+//!   keep the checker's propagation state small.
 //! * **Xor-derived clause** — `x <lits> 0 <origin ids> 0 <unit lits> 0`.
 //!   Clauses read off the GF(2) engine's rows are *not* RUP in general
 //!   (that is the whole point of native xor reasoning), so each one is
@@ -42,9 +42,9 @@
 //! line, plain or `x`, is step `n`. Each distinct xor-derived clause is
 //! written once: a repeat with the same literal set, in any order,
 //! returns the first line's id and writes nothing — the log's literal-set
-//! map is the only cache of `x`-line ids. A deletion with that literal
-//! set drops it from the map, since the checker may have deactivated that
-//! very copy, so the next repeat is written again under a new id.
+//! map is the only cache of `x`-line ids. A deletion names its clause by
+//! id, so dropping a learnt clause with an `x` line's literal set leaves
+//! that line, and its id in the map, live.
 //!
 //! The solver holds the log as an `Option<DratProof>`
 //! ([`crate::Solver::enable_proof`], the one switch of a certifying run,
@@ -117,8 +117,7 @@ pub struct DratProof {
     closed: bool,
     /// Addition lines written so far (the last one's id).
     steps: i64,
-    /// The id of each xor-derived clause written and not since deleted,
-    /// by sorted literal set.
+    /// The id of each xor-derived clause written, by sorted literal set.
     xor_ids: HashMap<Vec<Lit>, i64, BuildHasherDefault<LitSetHasher>>,
     /// Scratch for the sorted literal set of a lookup.
     key: Vec<Lit>,
@@ -212,13 +211,6 @@ impl DratProof {
         self.steps
     }
 
-    /// Sorts `lits` into the lookup scratch `key`.
-    fn load_key(&mut self, lits: &[Lit]) {
-        self.key.clear();
-        self.key.extend_from_slice(lits);
-        self.key.sort_unstable();
-    }
-
     /// A clause addition step (learnt clause, derived unit, or the empty
     /// clause closing a refutation) with its antecedent `hints` (clause
     /// ids, in propagation order with the conflict last; may be empty).
@@ -238,19 +230,15 @@ impl DratProof {
         self.end_addition(lits)
     }
 
-    /// A clause deletion step. An xor-derived clause with the same
-    /// literal set is forgotten: its next repeat is written again.
-    pub fn delete_clause(&mut self, lits: &[Lit]) {
+    /// A clause deletion step naming the clause by its id (`-k` for input
+    /// clause `k`, `n` for the `n`-th addition line).
+    pub fn delete_clause(&mut self, id: i64) {
         if self.closed {
             return;
         }
         self.text.push_str("d ");
-        self.push_lits(lits);
-        self.text.push('\n');
-        if !self.xor_ids.is_empty() {
-            self.load_key(lits);
-            self.xor_ids.remove(self.key.as_slice());
-        }
+        self.push_int(id);
+        self.text.push_str(" 0\n");
     }
 
     /// An xor-derived clause: `lits` is implied by the GF(2) sum of the
@@ -263,7 +251,9 @@ impl DratProof {
         if self.closed {
             return 0;
         }
-        self.load_key(lits);
+        self.key.clear();
+        self.key.extend_from_slice(lits);
+        self.key.sort_unstable();
         if let Some(&id) = self.xor_ids.get(self.key.as_slice()) {
             return id;
         }
@@ -317,20 +307,21 @@ mod tests {
         );
         assert_eq!(p.text(), "", "inputs write no proof line");
         assert_eq!(p.add_clause(&lits(&[1, -2]), &[]), 1);
-        p.delete_clause(&lits(&[1, -2]));
+        p.delete_clause(1);
         assert_eq!(p.add_xor_derived(&lits(&[3, -4]), &[0, 2], &lits(&[-5])), 2);
-        assert_eq!(p.add_clause(&lits(&[-3]), &[-1, 2]), 3);
+        p.delete_clause(-1);
+        assert_eq!(p.add_clause(&lits(&[-3]), &[-2, 2]), 3);
         assert_eq!(p.add_clause(&[], &[3, -2]), 4);
         assert_eq!(
             p.text(),
-            "1 -2 0\nd 1 -2 0\nx 3 -4 0 1 3 0 -5 0\n-3 0 -1 2 0\n0 3 -2 0\n"
+            "1 -2 0\nd 1 0\nx 3 -4 0 1 3 0 -5 0\nd -1 0\n-3 0 -2 2 0\n0 3 -2 0\n"
         );
         assert!(p.is_refutation());
         // Inputs after the refutation still belong to the formula.
         assert_eq!(p.input_clause(&lits(&[2])), -3);
         let (formula, text) = p.into_parts();
         assert_eq!(formula.clauses.len(), 3);
-        assert_eq!(text.lines().count(), 5);
+        assert_eq!(text.lines().count(), 6);
     }
 
     #[test]
@@ -345,7 +336,7 @@ mod tests {
         let mut p = DratProof::new(0);
         assert_eq!(p.add_clause(&[], &[]), 1);
         assert_eq!(p.add_clause(&lits(&[1]), &[1]), 0);
-        p.delete_clause(&lits(&[1]));
+        p.delete_clause(1);
         assert_eq!(p.add_xor_derived(&lits(&[2]), &[0], &[]), 0);
         assert_eq!(p.text(), "0\n");
     }
@@ -365,24 +356,12 @@ mod tests {
         assert_eq!(p.text().len(), written, "a repeat writes nothing");
         // Another literal set is a new clause.
         assert_eq!(p.add_xor_derived(&lits(&[1, 2, 3]), &[0], &[]), 3);
-    }
-
-    #[test]
-    fn deletion_rearms_a_logged_xor_clause() {
-        let mut p = DratProof::new(0);
-        assert_eq!(p.add_xor_derived(&lits(&[1, -2]), &[0], &[]), 1);
-        // A deletion of another set leaves it armed.
-        p.delete_clause(&lits(&[1, 2]));
-        assert_eq!(p.add_xor_derived(&lits(&[-2, 1]), &[0], &[]), 1);
-        // The same set, in any order: the checker may have deactivated
-        // the logged copy, so the next repeat is written again.
-        p.delete_clause(&lits(&[-2, 1]));
-        p.delete_clause(&lits(&[-2, 1]));
-        assert_eq!(p.add_xor_derived(&lits(&[1, -2]), &[0], &[]), 2);
-        assert_eq!(p.add_xor_derived(&lits(&[1, -2]), &[0], &[]), 2);
-        assert_eq!(
-            p.text(),
-            "x 1 -2 0 1 0 0\nd 1 2 0\nd -2 1 0\nd -2 1 0\nx 1 -2 0 1 0 0\n"
-        );
+        // Deletions name their clauses by id and leave the map as it is.
+        p.delete_clause(2);
+        p.delete_clause(-1);
+        let written = p.text().len();
+        assert_eq!(p.add_xor_derived(&lits(&[-2, 1, 3]), &[0], &[]), 1);
+        assert_eq!(p.text().len(), written, "a repeat writes nothing");
+        assert!(p.text().ends_with("d 2 0\nd -1 0\n"));
     }
 }

@@ -269,16 +269,13 @@ impl Solver {
         self.proof.as_mut().map_or(0, |p| p.add_clause(lits, hints))
     }
 
-    /// Logs a clause deletion step if proof logging is on.
+    /// Logs the deletion of `cref` by its proof id if proof logging is on.
+    /// A clause without an id (`0`) is not logged: the checker keeps it,
+    /// which is sound, since every clause it holds is implied.
     fn log_delete(&mut self, cref: ClauseRef) {
-        if let Some(p) = self.proof.as_mut() {
-            let lits: Vec<Lit> = self
-                .db
-                .lits(cref)
-                .iter()
-                .map(|&raw| Lit::from_index(raw as usize))
-                .collect();
-            p.delete_clause(&lits);
+        let id = self.db.proof_id(cref);
+        if let Some(p) = self.proof.as_mut().filter(|_| id != 0) {
+            p.delete_clause(id);
         }
     }
 

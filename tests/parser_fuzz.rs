@@ -18,9 +18,9 @@ use dynunlock_repro::lfsr::TapSet;
 use dynunlock_repro::netlist::bench;
 use dynunlock_repro::netlist::generator::{s208_like, GeneratorConfig};
 use dynunlock_repro::netlist::NetlistError;
-use dynunlock_repro::proofcheck::{certify_unsat, check_text, CheckError};
+use dynunlock_repro::proofcheck::{certify, certify_unsat, check_text, CheckError};
 use dynunlock_repro::satsolver::dimacs::{Cnf, DimacsError};
-use dynunlock_repro::satsolver::Lit;
+use dynunlock_repro::satsolver::{DratProof, Lit};
 use dynunlock_repro::scanlock::{LockSpec, LockedScanChip};
 use dynunlock_repro::sim::{Reliable, ScanChain};
 
@@ -213,15 +213,37 @@ fn dimacs_parser_survives_mutants() {
     });
 }
 
+/// A refutation written through [`DratProof`] that deletes an input and
+/// a lemma by id: the lemma [1 2] resolves the first two inputs, the unit
+/// 2 follows from it, and the refutation needs neither deleted clause.
+fn proof_with_deletions() -> (Cnf, String) {
+    let mut p = DratProof::new(3);
+    for c in [[1, 2, 3], [1, 2, -3]] {
+        p.input_clause(&c.map(lit));
+    }
+    for c in [[-1, 2], [1, -2], [-1, -2]] {
+        p.input_clause(&c.map(lit));
+    }
+    let lemma = p.add_clause(&[lit(1), lit(2)], &[-1, -2]);
+    let unit = p.add_clause(&[lit(2)], &[lemma, -3]);
+    p.delete_clause(-1);
+    p.delete_clause(lemma);
+    p.add_clause(&[], &[unit, -4, -5]);
+    p.into_parts()
+}
+
 #[test]
 fn proof_checker_survives_mutants() {
-    let certs: Vec<_> = [pigeonhole(), parity_system()]
+    let (formula, proof) = proof_with_deletions();
+    let mut certs: Vec<_> = [pigeonhole(), parity_system()]
         .iter()
         .map(|cnf| certify_unsat(cnf).expect("UNSAT formula certifies"))
         .collect();
+    certs.push(certify(formula, proof).expect("the hand-written proof checks"));
     assert!(certs[1].stats.xor_steps > 0, "the parity proof has x lines");
+    assert_eq!(certs[2].stats.deletions_applied, 2, "and this one d lines");
     let docs: Vec<Vec<u8>> = certs.iter().map(|c| c.proof.clone().into_bytes()).collect();
-    // A mutant of either proof is checked against both formulas.
+    // A mutant of any proof is checked against every formula.
     fuzz(0xD2A7, &docs, |bytes| {
         let text = String::from_utf8_lossy(bytes);
         let mut verified = false;

@@ -14,9 +14,11 @@
 //!
 //! Every refutation is checked twice: as logged, and with every hint
 //! group stripped. Hints may only speed the check up — both must verify
-//! with the same step count — and on a proof without deletions the
-//! logged hints must carry every addition without a propagation
-//! fallback, but for a closing line written without hints.
+//! with the same step count — and the logged hints must carry every
+//! addition without a propagation fallback, but for a closing line
+//! written without hints. The fuzz instances stay below the solver's
+//! learnt-DB reduction threshold, so a pigeonhole refutation covers the
+//! deletions the solver writes.
 
 use dynunlock_repro::gf2::{Rng64, Xoshiro256};
 use dynunlock_repro::proofcheck::{self, CheckReport};
@@ -87,23 +89,69 @@ fn check_with_and_without_hints(cnf: &Cnf, proof: &str, round: u64) -> CheckRepo
         logged.rup_additions, stripped.rup_additions,
         "round {round}"
     );
-    if !proof.lines().any(|l| l.starts_with('d')) {
-        let unhinted_close = proof.lines().last() == Some("0");
-        assert!(
-            logged.propagated_additions <= u64::from(unhinted_close),
-            "round {round}: {} propagation fallbacks\n{proof}",
-            logged.propagated_additions
-        );
-    }
+    let unhinted_close = proof.lines().last() == Some("0");
+    assert!(
+        logged.propagated_additions <= u64::from(unhinted_close),
+        "round {round}: {} propagation fallbacks\n{proof}",
+        logged.propagated_additions
+    );
     logged
+}
+
+/// `holes + 1` pigeons into `holes` holes: pure-CNF UNSAT.
+fn pigeonhole(holes: usize) -> Cnf {
+    let var = |p: usize, h: usize| Lit::from_dimacs((p * holes + h + 1) as i64);
+    let mut cnf = Cnf::new((holes + 1) * holes);
+    for p in 0..=holes {
+        cnf.add_clause((0..holes).map(|h| var(p, h)).collect::<Vec<_>>());
+    }
+    for h in 0..holes {
+        for p in 0..=holes {
+            for q in p + 1..=holes {
+                cnf.add_clause(vec![!var(p, h), !var(q, h)]);
+            }
+        }
+    }
+    cnf
+}
+
+#[test]
+fn solver_deletions_check_by_id() {
+    // Seven holes take the solver past its learnt-DB reduction threshold,
+    // so the refutation deletes learnt clauses by id.
+    let cert = proofcheck::certify_unsat(&pigeonhole(7)).expect("pigeonhole is UNSAT");
+    let deleted_ids: u64 = cert
+        .proof
+        .lines()
+        .filter_map(|l| l.strip_prefix("d "))
+        .map(|ids| ids.split(' ').filter(|&t| t != "0").count() as u64)
+        .sum();
+    assert!(deleted_ids > 0, "the refutation has d lines");
+    assert_eq!(cert.stats.deletions_applied, deleted_ids);
+    let report = check_with_and_without_hints(&cert.formula, &cert.proof, 0);
+    assert_eq!(
+        report.propagated_additions, 0,
+        "every lemma checks by its hints"
+    );
+    // Deletions only weaken the checker's set: without them the proof
+    // still holds.
+    let kept: String = cert
+        .proof
+        .lines()
+        .filter(|l| !l.starts_with('d'))
+        .flat_map(|l| [l, "\n"])
+        .collect();
+    let report = proofcheck::check_text(&cert.formula, &kept).expect("proof without deletions");
+    assert_eq!(report.deletions_applied, 0);
+    assert_eq!(report.steps(), cert.stats.steps() - deleted_ids);
 }
 
 #[test]
 fn stripping_hints_keeps_every_literal() {
-    let proof = "1 -2 0 -3 4 0\n-5 0\nd 1 -2 0\nx 3 -4 0 1 2 0 -5 0\n10 0 -7 0\n0 12 0\n";
+    let proof = "1 -2 0 -3 4 0\n-5 0\nd -4 2 0\nx 3 -4 0 1 2 0 -5 0\n10 0 -7 0\n0 12 0\n";
     assert_eq!(
         strip_hints(proof),
-        "1 -2 0\n-5 0\nd 1 -2 0\nx 3 -4 0 1 2 0 -5 0\n10 0\n0\n"
+        "1 -2 0\n-5 0\nd -4 2 0\nx 3 -4 0 1 2 0 -5 0\n10 0\n0\n"
     );
 }
 
